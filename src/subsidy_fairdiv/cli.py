@@ -4,16 +4,15 @@ Exit codes: 0 success, 1 a checked guarantee failed (would indicate an
 implementation bug for `allocate`, or bad subsidies for `verify`),
 2 input or validation error, 3 oracle enumeration cap exceeded.
 
-Output is byte-deterministic for identical inputs and flags.  The
-environment variable ``SUBSIDY_FAIRDIV_THREADS`` caps internal
-parallelism; the current implementation is single-threaded, so any cap
-is honoured trivially.
+Every instance file is parsed and validated by
+:func:`~subsidy_fairdiv.model.parse_instance`, so a document that breaks
+any instance rule exits with 2 before anything runs.  The allocation
+document is written by :func:`~subsidy_fairdiv.model.serialize_allocation`.
+Output is byte-deterministic for identical inputs and flags.
 """
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from fractions import Fraction
 
@@ -27,6 +26,7 @@ from .model import (
     format_decimal,
     parse_allocation,
     parse_instance,
+    serialize_allocation,
     serialize_instance,
     wprop_share,
 )
@@ -44,15 +44,6 @@ EXIT_OK = 0
 EXIT_GUARANTEE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
-
-
-def thread_cap() -> int:
-    """Parallelism cap from SUBSIDY_FAIRDIV_THREADS (at least 1)."""
-    raw = os.environ.get("SUBSIDY_FAIRDIV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _read(path: str) -> str:
@@ -79,25 +70,23 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     method = BASELINE if args.baseline else TREE
     result = run_pipeline(inst, method=method)
     cert = result.certificate
-    doc: dict[str, object] = {
+    extra: dict[str, object] = {
         "kind": inst.kind,
         "n": inst.n,
         "m": inst.m,
         "method": method,
-        "owner": list(result.allocation.owner),
-        "subsidies": [str(s) for s in result.subsidies.amounts],
-        "total_subsidy": str(result.subsidies.total),
         "global_bound": str(cert.global_bound),
         "bound_holds": cert.holds,
     }
     if cert.strong_bound is not None:
-        doc["strong_bound"] = str(cert.strong_bound)
+        extra["strong_bound"] = str(cert.strong_bound)
     if args.decimal is not None:
-        doc["total_subsidy_decimal"] = format_decimal(result.subsidies.total, args.decimal)
-        doc["subsidies_decimal"] = [
+        extra["subsidies_decimal"] = [
             format_decimal(s, args.decimal) for s in result.subsidies.amounts
         ]
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = serialize_allocation(
+        result.allocation, result.subsidies, extra=extra, decimal_digits=args.decimal
+    )
     if args.out:
         _write(args.out, text)
     else:
@@ -120,12 +109,6 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.input))
     allocation, claimed = parse_allocation(_read(args.allocation))
-    if allocation.m != inst.m:
-        raise ModelError(
-            f"allocation covers {allocation.m} items, instance has {inst.m}"
-        )
-    if any(not 0 <= o < inst.n for o in allocation.owner):
-        raise ModelError("allocation names an agent outside the instance")
     if claimed is not None and len(claimed.amounts) != inst.n:
         raise ModelError(
             f"subsidy vector has {len(claimed.amounts)} entries for n={inst.n}"

@@ -111,7 +111,14 @@ def format_trace(trace: AllocationTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run(inst: Instance, selection: str) -> tuple[FractionalAllocation, AllocationTrace]:
+def bid_and_take(
+    inst: Instance, selection: str
+) -> tuple[FractionalAllocation, AllocationTrace]:
+    """Bid-and-take without precondition checks.
+
+    The caller guarantees a valid IDO instance and a known selection rule;
+    :func:`fbta_chores` and :func:`fbta_goods` check both first.
+    """
     n, m = inst.n, inst.m
     totals = [inst.total_cost(i) for i in inst.agents()]
     shares = [inst.weights[i] * totals[i] for i in inst.agents()]
@@ -179,7 +186,8 @@ def _run(inst: Instance, selection: str) -> tuple[FractionalAllocation, Allocati
                 break
 
     allocation = FractionalAllocation(tuple(tuple(row) for row in x))
-    assert allocation.is_complete(), "bid-and-take left an item partially allocated"
+    if not allocation.is_complete():
+        raise FBTAError("bid-and-take left an item partially allocated")
     trace = AllocationTrace(
         kind=inst.kind,
         n=n,
@@ -207,7 +215,7 @@ def fbta_chores(
         raise FBTAError("instance is not in canonical non-decreasing order")
     if selection not in (NORMALIZED, RAW_COST):
         raise FBTAError(f"unknown selection rule {selection!r}")
-    return _run(inst, selection)
+    return bid_and_take(inst, selection)
 
 
 def fbta_goods(inst: Instance) -> tuple[FractionalAllocation, AllocationTrace]:
@@ -221,7 +229,7 @@ def fbta_goods(inst: Instance) -> tuple[FractionalAllocation, AllocationTrace]:
         raise FBTAError(f"expected a goods instance, got kind={inst.kind!r}")
     if not is_ido(inst):
         raise FBTAError("instance is not in canonical non-decreasing order")
-    return _run(inst, NORMALIZED)
+    return bid_and_take(inst, NORMALIZED)
 
 
 def fbta(inst: Instance) -> tuple[FractionalAllocation, AllocationTrace]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterable
 
 from .fbta import AllocationTrace
 from .model import ModelError
@@ -126,35 +127,46 @@ def _check_forest(graph: ItemSharingGraph) -> None:
             v = out[v]
 
 
-def trees(graph: ItemSharingGraph) -> list[Tree]:
-    """Connected components as rooted trees, singletons included.
+def components(edges: Iterable[Edge], nodes: Iterable[int] = ()) -> list[Tree]:
+    """Connected components of a forest's edges as rooted trees.
 
-    Item sets of distinct trees are disjoint; components are ordered by
-    their smallest agent.
+    Every agent in ``nodes`` appears, as a one-node tree when no edge
+    touches it; other agents appear only through their edges.  Trees are
+    ordered by their smallest agent.
     """
-    neighbors: dict[int, set[int]] = defaultdict(set)
-    for e in graph.edges:
-        neighbors[e.tail].add(e.head)
-        neighbors[e.head].add(e.tail)
-    unvisited = set(range(graph.n))
-    components = []
-    while unvisited:
-        start = min(unvisited)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in neighbors.get(v, ()):
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        unvisited -= comp
-        components.append(comp)
-    out = []
-    for comp in sorted(components, key=min):
-        edges = tuple(e for e in graph.edges if e.tail in comp)
-        out.append(make_tree(edges, nodes=tuple(sorted(comp))))
-    return out
+    edges = tuple(edges)
+    neighbors: dict[int, list[int]] = {v: [] for v in nodes}
+    for e in edges:
+        neighbors.setdefault(e.tail, []).append(e.head)
+        neighbors.setdefault(e.head, []).append(e.tail)
+    label: dict[int, int] = {}
+    groups: list[list[int]] = []
+    for start in sorted(neighbors):
+        if start in label:
+            continue
+        label[start] = len(groups)
+        group = [start]
+        for v in group:
+            for w in neighbors[v]:
+                if w not in label:
+                    label[w] = len(groups)
+                    group.append(w)
+        groups.append(group)
+    members: list[list[Edge]] = [[] for _ in groups]
+    for e in edges:
+        members[label[e.tail]].append(e)
+    return [
+        make_tree(tuple(es), nodes=tuple(sorted(group)))
+        for group, es in zip(groups, members)
+    ]
+
+
+def trees(graph: ItemSharingGraph) -> list[Tree]:
+    """Every tree of the forest, singletons included, by smallest agent.
+
+    Item sets of distinct trees are disjoint.
+    """
+    return components(graph.edges, range(graph.n))
 
 
 def make_tree(edges: tuple[Edge, ...], nodes: tuple[int, ...] | None = None) -> Tree:

@@ -277,11 +277,13 @@ def _exact_field(value: object, where: str) -> Fraction:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse the canonical instance document.
+    """Parse and validate the canonical instance document.
 
     Fields: ``kind``, ``weights`` (rational strings), ``costs`` (n rows
     of m rational strings), optional ``agent_names`` / ``item_names``.
-    Rational strings may be "p/q" or exact decimals like "0.7".
+    Rational strings may be "p/q" or exact decimals like "0.7".  Only
+    the document's shape is checked here; :func:`validate_instance`
+    holds every rule about the values.
     """
     doc = _load_json(text, "instance")
     try:
@@ -290,39 +292,26 @@ def parse_instance(text: str) -> Instance:
         raw_costs = doc["costs"]
     except KeyError as exc:
         raise ModelError(f"instance: missing field {exc.args[0]!r}") from exc
-    if kind not in KINDS:
-        raise ModelError(f"instance: kind must be one of {KINDS}, got {kind!r}")
+    agent_names = doc.get("agent_names")
+    item_names = doc.get("item_names")
     if not isinstance(raw_weights, list) or not isinstance(raw_costs, list):
         raise ModelError("instance: weights and costs must be arrays")
-    weights = tuple(
-        _exact_field(w, f"weights[{i}]") for i, w in enumerate(raw_weights)
-    )
-    costs = []
     for i, row in enumerate(raw_costs):
         if not isinstance(row, list):
             raise ModelError(f"costs[{i}]: must be an array")
-        costs.append(tuple(_exact_field(c, f"costs[{i}][{e}]") for e, c in enumerate(row)))
-    if len(costs) != len(weights):
-        raise ModelError(
-            f"instance: {len(weights)} weights but {len(costs)} cost rows"
-        )
-    widths = {len(row) for row in costs}
-    if len(widths) > 1:
-        raise ModelError(f"instance: cost rows have mixed lengths {sorted(widths)}")
-    agent_names = doc.get("agent_names")
-    item_names = doc.get("item_names")
+    if any(v is not None and not isinstance(v, list) for v in (agent_names, item_names)):
+        raise ModelError("instance: agent_names and item_names must be arrays")
     inst = Instance(
         kind=kind,
-        weights=weights,
-        costs=tuple(costs),
-        agent_names=tuple(agent_names) if agent_names is not None else None,
-        item_names=tuple(item_names) if item_names is not None else None,
+        weights=tuple(_exact_field(w, f"weights[{i}]") for i, w in enumerate(raw_weights)),
+        costs=tuple(
+            tuple(_exact_field(c, f"costs[{i}][{e}]") for e, c in enumerate(row))
+            for i, row in enumerate(raw_costs)
+        ),
+        agent_names=agent_names,
+        item_names=item_names,
     )
-    m = inst.m
-    if item_names is not None and len(item_names) != m:
-        raise ModelError("instance: item_names length does not match costs")
-    if agent_names is not None and len(agent_names) != inst.n:
-        raise ModelError("instance: agent_names length does not match weights")
+    require_valid(inst)
     return inst
 
 
@@ -363,6 +352,11 @@ def serialize_allocation(
     extra: dict[str, object] | None = None,
     decimal_digits: int | None = None,
 ) -> str:
+    """The allocation document: owners, subsidies and their total, plus ``extra``.
+
+    With ``decimal_digits`` the total is also rendered as a fixed-point
+    decimal under ``total_subsidy_decimal``.
+    """
     doc: dict[str, object] = {"owner": list(alloc.owner)}
     if subsidies is not None:
         doc["subsidies"] = [str(s) for s in subsidies.amounts]

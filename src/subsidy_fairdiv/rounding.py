@@ -26,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .fbta import AllocationTrace, fbta, fractional_items
+from .fbta import NORMALIZED, AllocationTrace, bid_and_take, fractional_items
 from .graph import ItemSharingGraph, Tree, build_graph, find_atom_paths, trees
 from .ido import RankProfile, lift_allocation, reduce_to_ido
 from .model import (
@@ -58,6 +58,13 @@ BASELINE = "baseline"
 
 class RoundingError(ModelError):
     """Rounding precondition failure."""
+
+
+def threshold_owner(
+    alloc: FractionalAllocation, item: int, sharers: tuple[int, ...]
+) -> int:
+    """The sharer holding the largest fraction of the item; ties to the lower index."""
+    return max(sharers, key=lambda a: (alloc.shares[a][item], -a))
 
 
 def local_subsidy(
@@ -101,8 +108,16 @@ class ComponentRounding:
     local_subsidy: Fraction
     bound: Fraction
 
-    def assignment_map(self) -> dict[int, int]:
-        return dict(self.assignment)
+    def to_doc(self) -> dict:
+        """The component's entry in the certificate document."""
+        return {
+            "kind": self.kind,
+            "items": list(self.items),
+            "assignment": {str(i): a for i, a in self.assignment},
+            "scheme": self.scheme,
+            "local_subsidy": str(self.local_subsidy),
+            "bound": str(self.bound),
+        }
 
 
 def _component(kind, assignment, scheme, local, bound) -> ComponentRounding:
@@ -131,7 +146,7 @@ def round_single_edge(
             f"single-edge component expects 2 sharers on item {item}, "
             f"found {len(sharers)}"
         )
-    owner = max(sharers, key=lambda a: (alloc.shares[a][item], -a))
+    owner = threshold_owner(alloc, item, sharers)
     assignment = {item: owner}
     return _component(
         "single_edge",
@@ -206,8 +221,7 @@ def round_expanded_atom_path(
         signed = d if chores else -d
         return signed if signed > 0 else ZERO
 
-    best: tuple | None = None
-    for owner in agents:
+    def place(owner: int) -> tuple[Fraction, int, dict[int, int]]:
         core_delta = {}
         for a in agents:
             held = alloc.shares[a][core]
@@ -241,11 +255,9 @@ def round_expanded_atom_path(
         for a in agents:
             if a not in attached_agents:
                 total += clamp(core_delta[a])
-        candidate = (total, owner, assignment)
-        if best is None or candidate[:2] < best[:2]:
-            best = candidate
-    assert best is not None
-    total, owner, assignment = best
+        return total, owner, assignment
+
+    total, owner, assignment = min(map(place, agents), key=lambda c: c[:2])
     exact = local_subsidy(inst, alloc, assignment)
     if exact != total:
         raise RoundingError("placement decomposition disagrees with direct accounting")
@@ -323,15 +335,6 @@ def round_tree(
     )
 
 
-def _threshold_assignment(
-    alloc: FractionalAllocation, items: list[int]
-) -> dict[int, int]:
-    return {
-        item: max(alloc.sharers(item), key=lambda a: (alloc.shares[a][item], -a))
-        for item in items
-    }
-
-
 def _tree_subsidy(
     inst: Instance,
     alloc: FractionalAllocation,
@@ -378,14 +381,18 @@ def integralize(
     return IntegralAllocation(tuple(owner))
 
 
+def _merged_assignment(components) -> dict[int, int]:
+    assignment: dict[int, int] = {}
+    for comp in components:
+        assignment.update(comp.assignment)
+    return assignment
+
+
 def round_baseline(
     inst: Instance, alloc: FractionalAllocation
 ) -> tuple[IntegralAllocation, SubsidyVector]:
     """Per-item threshold rounding; total subsidy at most (n - 1) / 2."""
-    assignment = {}
-    for item, sharers in fractional_items(alloc):
-        assignment[item] = max(sharers, key=lambda a: (alloc.shares[a][item], -a))
-    allocation = integralize(alloc, assignment)
+    allocation = integralize(alloc, _merged_assignment(_baseline_components(inst, alloc)))
     return allocation, compute_subsidies(inst, allocation)
 
 
@@ -394,7 +401,7 @@ def _baseline_components(
 ) -> list[ComponentRounding]:
     out = []
     for item, sharers in fractional_items(alloc):
-        owner = max(sharers, key=lambda a: (alloc.shares[a][item], -a))
+        owner = threshold_owner(alloc, item, sharers)
         assignment = {item: owner}
         q = len(sharers)
         out.append(
@@ -511,31 +518,11 @@ class RoundingCertificate:
                     "has_atom_path": t.has_atom_path,
                     "emitted": t.emitted,
                     "bound": str(t.bound),
-                    "components": [
-                        {
-                            "kind": c.kind,
-                            "items": list(c.items),
-                            "assignment": {str(i): a for i, a in c.assignment},
-                            "scheme": c.scheme,
-                            "local_subsidy": str(c.local_subsidy),
-                            "bound": str(c.bound),
-                        }
-                        for c in t.components
-                    ],
+                    "components": [c.to_doc() for c in t.components],
                 }
                 for t in self.trees
             ],
-            "components": [
-                {
-                    "kind": c.kind,
-                    "items": list(c.items),
-                    "assignment": {str(i): a for i, a in c.assignment},
-                    "scheme": c.scheme,
-                    "local_subsidy": str(c.local_subsidy),
-                    "bound": str(c.bound),
-                }
-                for c in self.components
-            ],
+            "components": [c.to_doc() for c in self.components],
             "component_subsidy_total": str(self.component_subsidy_total),
             "component_bound_total": str(self.component_bound_total),
             "rounded_total_subsidy": str(self.rounded_total),
@@ -582,7 +569,9 @@ def run_pipeline(inst: Instance, method: str = TREE) -> PipelineResult:
         raise RoundingError(f"unknown rounding method {method!r}")
     require_valid(inst)
     ido_inst, profile = reduce_to_ido(inst)
-    alloc, trace = fbta(ido_inst)
+    # the reduction keeps the input valid and makes it IDO, so bid-and-take
+    # runs without its own precondition checks
+    alloc, trace = bid_and_take(ido_inst, NORMALIZED)
     graph = build_graph(trace)
     forest = trees(graph)
     tree_roundings: tuple[TreeRounding, ...] = ()
@@ -591,13 +580,14 @@ def run_pipeline(inst: Instance, method: str = TREE) -> PipelineResult:
         rounded_trees = []
         for tree in forest:
             rounding = round_tree(ido_inst, alloc, tree)
-            split_assignment: dict[int, int] = {}
-            for comp in rounding.components:
-                split_assignment.update(comp.assignment_map())
+            split_assignment = _merged_assignment(rounding.components)
             # emit the exactly-cheaper of the certified split assignment
             # and plain thresholding; the split components keep carrying
             # the bound either way
-            threshold = _threshold_assignment(alloc, sorted(split_assignment))
+            threshold = {
+                item: threshold_owner(alloc, item, alloc.sharers(item))
+                for item in split_assignment
+            }
             if _tree_subsidy(ido_inst, alloc, tree, threshold) < _tree_subsidy(
                 ido_inst, alloc, tree, split_assignment
             ):
@@ -610,8 +600,7 @@ def run_pipeline(inst: Instance, method: str = TREE) -> PipelineResult:
         components = tuple(c for t in tree_roundings for c in t.components)
     else:
         components = tuple(_baseline_components(ido_inst, alloc))
-        for comp in components:
-            assignment.update(comp.assignment_map())
+        assignment = _merged_assignment(components)
     ido_allocation = integralize(alloc, assignment)
     rounded = compute_subsidies(ido_inst, ido_allocation)
     allocation = lift_allocation(inst, profile, ido_allocation)

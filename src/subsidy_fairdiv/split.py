@@ -1,10 +1,12 @@
 """Splitting a tree of the item-sharing forest into roundable components.
 
 Trees without shattered items split into adjacent-edge pairs (plus at
-most one leftover single edge): repeatedly take the deepest node's edge
-together with a sibling edge if one exists, otherwise with the parent's
-edge.  The remainder stays connected, so a size-z tree yields exactly
-``z // 2`` pairs and ``z % 2`` singletons.
+most one leftover single edge) in one pass over the non-root nodes,
+deepest first and ties to the smaller agent: a node whose edge is still
+unpaired takes it together with its smallest unpaired sibling's edge if
+one exists, otherwise with its parent's edge.  The remainder stays a
+connected tree with the same root and depths, so a size-z tree yields
+exactly ``z // 2`` pairs and ``z % 2`` singletons.
 
 Trees with a shattered item instead split around an atom-path.  The
 atom-path's edges come out as one unit; every remaining component that
@@ -12,14 +14,14 @@ contains an atom-path or has an even number of edges survives intact,
 and every odd atom-path-free component donates one edge incident to its
 (unique) atom-path agent, chosen so that the donation leaves only
 even-size pieces.  The donated edges attach to the atom-path, at most
-one per path agent, forming an expanded atom-path.
+one per path agent, forming an expanded atom-path.  Every component and
+piece is found by :func:`~subsidy_fairdiv.graph.components`.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
-from .graph import AtomPath, Edge, GraphError, Tree, find_atom_paths, make_tree
+from .graph import AtomPath, Edge, GraphError, Tree, components, find_atom_paths
 from .model import ModelError
 
 
@@ -101,66 +103,41 @@ def simple_split(tree: Tree) -> list[Pair | SingleEdge]:
     """Split an atom-path-free tree into edge pairs plus <= 1 single edge."""
     if find_atom_paths(tree):
         raise SplitError("tree contains an atom-path; use atom_path_split")
-    remaining = list(tree.edges)
+    depths = tree.depth_map()
+    outgoing = tree.outgoing()
+    live = {v: set(c) for v, c in tree.children_map().items()}
+    done: set[int] = set()
+    left = tree.size
     out: list[Pair | SingleEdge] = []
-    while remaining:
-        if len(remaining) == 1:
-            out.append(SingleEdge(remaining[0]))
+    for v in sorted(outgoing, key=lambda v: (-depths[v], v)):
+        if v in done:
+            continue
+        own = outgoing[v]
+        if left == 1:
+            out.append(SingleEdge(own))
             break
-        sub = make_tree(tuple(remaining))
-        depths = sub.depth_map()
-        outgoing = sub.outgoing()
-        children = sub.children_map()
-        deepest = min(
-            (v for v in sub.nodes if v in outgoing),
-            key=lambda v: (-depths[v], v),
-        )
-        own = outgoing[deepest]
         parent = own.head
-        siblings = [c for c in children.get(parent, []) if c != deepest]
+        siblings = live[parent]
+        siblings.discard(v)
         if siblings:
-            mate = outgoing[min(siblings)]
+            mate_node = min(siblings)
+            siblings.discard(mate_node)
+        elif parent in outgoing:
+            # the parent's edge goes with it and the parent leaves the tree
+            mate_node = parent
+            live[outgoing[parent].head].discard(parent)
         else:
-            mate = outgoing.get(parent)
-            if mate is None:
-                # parent is the root and the deepest node is its only
-                # child, impossible with two or more edges remaining
-                raise GraphError("simple split lost track of the tree shape")
-        out.append(Pair(own, mate, middle=parent))
-        remaining = [e for e in remaining if e not in (own, mate)]
+            # parent is the root and v its only child, impossible with two
+            # or more edges left
+            raise GraphError("simple split lost track of the tree shape")
+        done.add(mate_node)
+        out.append(Pair(own, outgoing[mate_node], middle=parent))
+        left -= 2
     return out
 
 
-def _edge_components(
-    nodes: set[int], edges: list[Edge]
-) -> list[tuple[set[int], list[Edge]]]:
-    """Connected components of the given edges; isolated nodes dropped."""
-    neighbors: dict[int, set[int]] = defaultdict(set)
-    for e in edges:
-        neighbors[e.tail].add(e.head)
-        neighbors[e.head].add(e.tail)
-    unvisited = set(neighbors)
-    comps = []
-    while unvisited:
-        start = min(unvisited)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in neighbors[v]:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        unvisited -= comp
-        comps.append((comp, [e for e in edges if e.tail in comp]))
-    return sorted(comps, key=lambda c: min(c[0]))
-
-
 def _has_atom_path(edges: list[Edge]) -> bool:
-    count: dict[int, int] = defaultdict(int)
-    for e in edges:
-        count[e.item] += 1
-    return any(c >= 2 for c in count.values())
+    return len({e.item for e in edges}) < len(edges)
 
 
 def choose_attachment(edges: list[Edge], contact: int) -> Edge:
@@ -180,33 +157,13 @@ def choose_attachment(edges: list[Edge], contact: int) -> Edge:
         if contact not in (e.tail, e.head):
             continue
         far = e.head if e.tail == contact else e.tail
-        far_side = _reachable_edges(edges, start=far, blocked=e)
-        if len(far_side) % 2 == 0:
+        rest = [x for x in edges if x != e]
+        far_side = next(t for t in components(rest, (far,)) if far in t.nodes)
+        if far_side.size % 2 == 0:
             candidates.append(e)
     if not candidates:
         raise GraphError("no even-side edge at the atom-path agent; parity broken")
     return min(candidates, key=lambda e: (e.item, e.tail))
-
-
-def _reachable_edges(edges: list[Edge], start: int, blocked: Edge) -> list[Edge]:
-    neighbors: dict[int, list[Edge]] = defaultdict(list)
-    for e in edges:
-        if e is blocked:
-            continue
-        neighbors[e.tail].append(e)
-        neighbors[e.head].append(e)
-    seen_nodes = {start}
-    seen_edges = []
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for e in neighbors[v]:
-            w = e.head if e.tail == v else e.tail
-            if w not in seen_nodes:
-                seen_nodes.add(w)
-                frontier.append(w)
-        seen_edges.extend(e for e in neighbors[v] if e not in seen_edges)
-    return seen_edges
 
 
 def atom_path_split(tree: Tree) -> tuple[ExpandedAtomPath, list[Tree]]:
@@ -224,24 +181,22 @@ def atom_path_split(tree: Tree) -> tuple[ExpandedAtomPath, list[Tree]]:
     rest = [e for e in tree.edges if e not in path.edges]
     attachments: list[tuple[int, Edge]] = []
     good: list[Tree] = []
-    for comp_nodes, comp_edges in _edge_components(set(tree.nodes), rest):
-        if _has_atom_path(comp_edges) or len(comp_edges) % 2 == 0:
-            good.append(make_tree(tuple(comp_edges)))
+    for comp in components(rest):
+        if _has_atom_path(comp.edges) or comp.size % 2 == 0:
+            good.append(comp)
             continue
-        contacts = sorted(comp_nodes & path_agents)
+        contacts = sorted(path_agents.intersection(comp.nodes))
         if len(contacts) != 1:
             raise GraphError(
                 f"odd component touches the atom-path at {len(contacts)} agents"
             )
         contact = contacts[0]
-        donated = choose_attachment(comp_edges, contact)
+        donated = choose_attachment(comp.edges, contact)
         attachments.append((contact, donated))
-        leftover = [e for e in comp_edges if e is not donated]
-        for _, piece in _edge_components(comp_nodes, leftover):
-            if len(piece) % 2 != 0:
+        for piece in components(e for e in comp.edges if e != donated):
+            if piece.size % 2 != 0:
                 raise GraphError("donation left an odd piece; parity broken")
-            if piece:
-                good.append(make_tree(tuple(piece)))
+            good.append(piece)
     attachments.sort()
     seen_agents = [a for a, _ in attachments]
     if len(seen_agents) != len(set(seen_agents)):

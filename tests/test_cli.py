@@ -3,7 +3,12 @@ import json
 
 import pytest
 
-from subsidy_fairdiv import serialize_instance, six_agent_reference_instance
+from subsidy_fairdiv import (
+    ModelError,
+    parse_instance,
+    serialize_instance,
+    six_agent_reference_instance,
+)
 from subsidy_fairdiv.cli import main
 
 
@@ -128,6 +133,26 @@ def test_verify_rejects_wrong_dimensions(istar_file, tmp_path, capsys):
     assert main(["verify", "--input", str(istar_file), "--allocation", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "chores", "weights": ["1/4", "1/4"], "costs": [["1"], ["1"]]},
+        {"kind": "chores", "weights": ["1/2", "1/2"], "costs": [["3/2"], ["1"]]},
+    ],
+    ids=["weights_sum_half", "cost_three_halves"],
+)
+def test_well_formed_but_invalid_instance_is_rejected(doc, tmp_path, capsys):
+    text = json.dumps(doc)
+    with pytest.raises(ModelError, match="invalid instance"):
+        parse_instance(text)
+    instance = tmp_path / "instance.json"
+    instance.write_text(text)
+    allocation = tmp_path / "alloc.json"
+    allocation.write_text(json.dumps({"owner": [0]}))
+    assert main(["verify", "--input", str(instance), "--allocation", str(allocation)]) == 2
+    assert "invalid instance" in capsys.readouterr().err
+
+
 def test_verify_reports_underfunded_agent(istar_file, tmp_path, capsys):
     path = tmp_path / "alloc.json"
     # all items to agent 0 with a claimed subsidy that is too small
@@ -205,14 +230,3 @@ def test_bench_writes_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "n,total_subsidy,bound"
     assert len(lines) == 6
-
-
-def test_thread_cap_env(monkeypatch):
-    from subsidy_fairdiv.cli import thread_cap
-
-    monkeypatch.setenv("SUBSIDY_FAIRDIV_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("SUBSIDY_FAIRDIV_THREADS", "broken")
-    assert thread_cap() == 1
-    monkeypatch.setenv("SUBSIDY_FAIRDIV_THREADS", "-2")
-    assert thread_cap() == 1

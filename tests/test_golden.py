@@ -1,0 +1,46 @@
+"""The CLI writes byte-identical outputs for every case of the golden corpus.
+
+The corpus lives in ``fixtures/golden`` and is rebuilt only by its own
+``regen.py``; these tests read it and never write to it.
+"""
+import contextlib
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from subsidy_fairdiv.cli import main
+
+GOLDEN = Path(__file__).resolve().parent.parent / "fixtures" / "golden"
+CASES = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+
+_spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_outputs(case, tmp_path):
+    instance = tmp_path / "instance.json"
+    instance.write_text(regen.instance_text(case), encoding="utf-8")
+    for method, argv in regen.allocate_runs(instance, case["args"], tmp_path):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, method
+    for name in regen.OUTPUTS:
+        expected = (GOLDEN / "cases" / case["name"] / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == expected, f"{case['name']}/{name}"
+
+
+def test_golden_corpus_covers_every_tree_shape():
+    trees = [
+        tree
+        for case in CASES
+        for tree in json.loads(
+            (GOLDEN / "cases" / case["name"] / "tree.cert.json").read_text()
+        )["trees"]
+    ]
+    assert any(t["has_atom_path"] for t in trees)
+    assert any(t["emitted"] == "threshold" for t in trees)
+    assert any(t["size"] >= 10 for t in trees)

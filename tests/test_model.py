@@ -145,6 +145,13 @@ def test_parse_rejects_dimension_mismatch():
         parse_instance('{"kind": "chores", "weights": ["1"], "costs": [["1", "1"], ["1"]]}')
 
 
+def test_parse_rejects_names_that_are_not_arrays():
+    with pytest.raises(ModelError, match="arrays"):
+        parse_instance('{"kind": "chores", "weights": ["1"], "costs": [["1"]], "agent_names": 5}')
+    with pytest.raises(ModelError, match="arrays"):
+        parse_instance('{"kind": "chores", "weights": ["1"], "costs": [["1"]], "item_names": "e"}')
+
+
 def test_parse_rejects_bad_kind_and_json():
     with pytest.raises(ModelError):
         parse_instance('{"kind": "tasks", "weights": ["1"], "costs": [["1"]]}')

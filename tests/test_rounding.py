@@ -12,6 +12,7 @@ from subsidy_fairdiv import (
     ExpandedAtomPath,
     FractionalAllocation,
     Instance,
+    ModelError,
     Pair,
     RoundingError,
     SingleEdge,
@@ -428,7 +429,7 @@ def test_pipeline_single_agent():
 
 def test_pipeline_rejects_invalid_instance():
     inst = Instance(CHORES, ("1/2", "1/3"), (("1", "1"), ("1", "1")))
-    with pytest.raises(Exception):
+    with pytest.raises(ModelError):
         allocate_with_subsidy(inst)
 
 
