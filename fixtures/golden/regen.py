@@ -14,20 +14,25 @@ known good, and say why in the change that does it.
 Cases: the two instance fixtures (the reference one also with
 ``--decimal 6``), 200 instances of the acceptance-suite shape (seed k has
 n = 2 + k mod 9 and m = n + 7k mod (21 - n), kinds and distributions
-alternating), and 20 larger ones with n = 30..49 and m = 2n.
+alternating), 20 larger ones with n = 30..49 and m = 2n, 10 tie-heavy
+instances on the 1/2 grid (many equal costs, some all-zero rows, some with
+fewer items than agents), and 2 instances with n = 10 and m = 100 whose
+every cost has its own prime denominator of at least 1000.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import random
 import shutil
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from subsidy_fairdiv.cli import main
-from subsidy_fairdiv.model import CHORES, GOODS, serialize_instance
+from subsidy_fairdiv.model import CHORES, GOODS, Instance, serialize_instance
 from subsidy_fairdiv.oracle import CORRELATED, UNIFORM, gen_random_instance
 
 HERE = Path(__file__).resolve().parent
@@ -76,13 +81,42 @@ def manifest() -> list[dict]:
         gen = {"n": n, "m": 2 * n, "kind": (CHORES, GOODS)[n % 2],
                "seed": n, "dist": (UNIFORM, CORRELATED)[(n // 2) % 2]}
         cases.append({"name": f"large_n{n}", "gen": gen, "args": []})
+    for k in range(10):
+        n = 3 + k
+        gen = {"n": n, "m": (2, 2 * n, 3 * n + 1)[k % 3], "kind": (CHORES, GOODS)[k % 2],
+               "seed": k, "dist": (UNIFORM, CORRELATED)[(k // 2) % 2], "denominator": 2}
+        cases.append({"name": f"ties{k:02d}", "gen": gen, "args": []})
+    for k, kind in enumerate((CHORES, GOODS)):
+        primes = {"n": 10, "m": 100, "kind": kind, "seed": k}
+        cases.append({"name": f"primes{k}", "primes": primes, "args": []})
     return cases
+
+
+def prime_instance(n: int, m: int, kind: str, seed: int) -> Instance:
+    """Costs q/p with a distinct prime p >= 1000 per entry and q uniform in 0..p."""
+    rng = random.Random(f"primes|{n}|{m}|{kind}|{seed}")
+    primes: list[int] = []
+    candidate = 1000
+    while len(primes) < n * m:
+        candidate += 1
+        if all(candidate % d for d in range(2, int(candidate**0.5) + 1)):
+            primes.append(candidate)
+    rng.shuffle(primes)
+    raw = [rng.randint(1, 9) for _ in range(n)]
+    weights = tuple(Fraction(w, sum(raw)) for w in raw)
+    costs = tuple(
+        tuple(Fraction(rng.randint(0, p), p) for p in primes[i * m:(i + 1) * m])
+        for i in range(n)
+    )
+    return Instance(kind=kind, weights=weights, costs=costs)
 
 
 def instance_text(case: dict) -> str:
     """The instance document a case feeds to ``allocate``."""
     if "input" in case:
         return (ROOT / case["input"]).read_text(encoding="utf-8")
+    if "primes" in case:
+        return serialize_instance(prime_instance(**case["primes"]))
     return serialize_instance(gen_random_instance(**case["gen"]))
 
 

@@ -26,6 +26,7 @@ from .model import (
     format_decimal,
     parse_allocation,
     parse_instance,
+    rational_text,
     serialize_allocation,
     serialize_instance,
     wprop_share,
@@ -60,9 +61,10 @@ def _write(path: str, text: str) -> None:
 
 
 def _rational(value: Fraction, digits: int | None) -> str:
+    text = rational_text(value)
     if digits is None:
-        return str(value)
-    return f"{value} ({format_decimal(value, digits)})"
+        return text
+    return f"{text} ({format_decimal(value, digits)})"
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
@@ -75,24 +77,27 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         "n": inst.n,
         "m": inst.m,
         "method": method,
-        "global_bound": str(cert.global_bound),
+        "global_bound": rational_text(cert.global_bound),
         "bound_holds": cert.holds,
     }
     if cert.strong_bound is not None:
-        extra["strong_bound"] = str(cert.strong_bound)
+        extra["strong_bound"] = rational_text(cert.strong_bound)
     if args.decimal is not None:
         extra["subsidies_decimal"] = [
             format_decimal(s, args.decimal) for s in result.subsidies.amounts
         ]
+    # build every document before writing any, so that one too long to
+    # write leaves no partial output behind
     text = serialize_allocation(
         result.allocation, result.subsidies, extra=extra, decimal_digits=args.decimal
     )
+    cert_text = cert.to_json() if args.certificate else None
     if args.out:
         _write(args.out, text)
     else:
         sys.stdout.write(text)
-    if args.certificate:
-        _write(args.certificate, cert.to_json())
+    if cert_text is not None:
+        _write(args.certificate, cert_text)
     if args.emit_graph:
         _write(
             args.emit_graph,
@@ -116,9 +121,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     minimum = compute_subsidies(inst, allocation)
     subsidies = claimed if claimed is not None else minimum
     violations = 0
-    for i in inst.agents():
+    for i, load in enumerate(allocation.bundle_costs(inst)):
         share = wprop_share(inst, i)
-        load = allocation.bundle_cost(inst, i)
         if inst.kind == CHORES:
             slack = share + subsidies.amounts[i] - load
         else:

@@ -42,6 +42,7 @@ from .model import (
     Instance,
     ModelError,
     require_valid,
+    wprop_share,
 )
 
 NORMALIZED = "normalized"
@@ -120,20 +121,30 @@ def bid_and_take(
     :func:`fbta_chores` and :func:`fbta_goods` check both first.
     """
     n, m = inst.n, inst.m
-    totals = [inst.total_cost(i) for i in inst.agents()]
-    shares = [inst.weights[i] * totals[i] for i in inst.agents()]
+    shares = [wprop_share(inst, i) for i in inst.agents()]
     goods = inst.kind == GOODS
+    # Keys compare by cross-multiplying integers.  With c_a(M) = P / Q, the
+    # key c_a(e) / c_a(M) of a cost p / q is (p * Q) / (q * P); a degenerate
+    # row (P = 0) keeps key 0 / 1.
+    totals = [inst.total_cost(i).as_integer_ratio() for i in inst.agents()]
 
-    def key(agent: int, item: int) -> Fraction:
-        cost = inst.costs[agent][item]
+    def key(agent: int, item: int) -> tuple[int, int]:
+        p, q = inst.costs[agent][item].as_integer_ratio()
         if selection == RAW_COST:
-            return cost
-        return cost / totals[agent] if totals[agent] else ZERO
+            return p, q
+        total_p, total_q = totals[agent]
+        return (p * total_q, q * total_p) if total_p else (0, 1)
 
     def choose(active: list[int], item: int) -> int:
-        if goods:
-            return max(active, key=lambda a: (key(a, item), -a))
-        return min(active, key=lambda a: (key(a, item), a))
+        """The best key; ``active`` is ascending, so ties go to the lower index."""
+        best = active[0]
+        best_num, best_den = key(best, item)
+        for a in active[1:]:
+            num, den = key(a, item)
+            lhs, rhs = num * best_den, best_num * den
+            if (lhs > rhs) if goods else (lhs < rhs):
+                best, best_num, best_den = a, num, den
+        return best
 
     x = [[ZERO] * m for _ in range(n)]
     load = [ZERO] * n

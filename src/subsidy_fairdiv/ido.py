@@ -13,8 +13,10 @@ decreases her value (goods), so subsidies only shrink under lifting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterator, Sequence
 
-from .model import CHORES, Instance, IntegralAllocation, ModelError
+from .model import CHORES, Instance, IntegralAllocation, ModelError, scaled
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,18 @@ def is_ido(inst: Instance) -> bool:
     )
 
 
+def _ranking(
+    items: Sequence[int], row: Sequence[Fraction], descending: bool
+) -> list[int]:
+    """The ascending ``items`` ordered by the row's entries; ties keep index order.
+
+    The sort keys are the row scaled to integers, and the sort is stable,
+    so ties go to the smaller index in either direction.
+    """
+    keys, _ = scaled(row)
+    return sorted(items, key=keys.__getitem__, reverse=descending)
+
+
 def reduce_to_ido(inst: Instance) -> tuple[Instance, RankProfile]:
     """Sort each agent's row into the canonical non-decreasing order.
 
@@ -49,11 +63,13 @@ def reduce_to_ido(inst: Instance) -> tuple[Instance, RankProfile]:
     """
     sigma = []
     costs = []
-    m = inst.m
+    # one set of index objects shared by every row's ranking: 8 bytes per
+    # sigma entry instead of a new int each
+    items = list(range(inst.m))
     for row in inst.costs:
-        desc = sorted(range(m), key=lambda e: (-row[e], e))
+        desc = _ranking(items, row, descending=True)
         sigma.append(tuple(desc))
-        costs.append(tuple(row[desc[m - 1 - k]] for k in range(m)))
+        costs.append(tuple(row[e] for e in reversed(desc)))
     ido_inst = Instance(kind=inst.kind, weights=inst.weights, costs=tuple(costs))
     return ido_inst, RankProfile(tuple(sigma))
 
@@ -68,6 +84,10 @@ def lift_allocation(
     original item: minimum cost for chores, maximum value for goods, ties
     to the smaller item index.  Guarantees, per agent, that the lifted
     bundle costs at most (is worth at least) the reduced-instance bundle.
+
+    Each owner's picking order is sorted once, in O(m log m), and read
+    through a cursor that skips items already taken, so the lift costs
+    O(k m log m) time and O(k m) memory for k distinct owners.
     """
     m = inst.m
     if ido_alloc.m != m:
@@ -76,16 +96,15 @@ def lift_allocation(
         )
     if profile.m != m and m > 0:
         raise ModelError("rank profile does not match the instance")
-    order = range(m) if inst.kind == CHORES else range(m - 1, -1, -1)
-    remaining = set(range(m))
-    owner = [0] * m
+    chores = inst.kind == CHORES
+    order = range(m) if chores else range(m - 1, -1, -1)
+    owner: list[int | None] = [None] * m
+    items = list(range(m))  # shared by every picking order, as in the reduction
+    favorites: dict[int, Iterator[int]] = {}
     for slot in order:
         agent = ido_alloc.owner[slot]
-        row = inst.costs[agent]
-        if inst.kind == CHORES:
-            pick = min(remaining, key=lambda e: (row[e], e))
-        else:
-            pick = max(remaining, key=lambda e: (row[e], -e))
-        remaining.remove(pick)
+        if agent not in favorites:
+            favorites[agent] = iter(_ranking(items, inst.costs[agent], not chores))
+        pick = next(e for e in favorites[agent] if owner[e] is None)
         owner[pick] = agent
     return IntegralAllocation(tuple(owner))

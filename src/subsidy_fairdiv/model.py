@@ -4,13 +4,26 @@ Every numeric quantity in this package is an exact rational
 (``fractions.Fraction``).  The subsidy guarantees are exact inequalities
 between rationals, so floats are rejected at every input boundary: a
 certificate produced with binary floating point could not be trusted.
+
+``Fraction``s are what crosses every boundary, and every value the
+package emits is one.  Inside sorting, sums and selection the work is done
+on integers instead: :func:`scaled` writes a row over its least common
+denominator, so sorting or adding the integers sorts or adds the rationals
+exactly, and bid-and-take compares two ratios by cross-multiplying
+numerators and denominators.  Those integers live only for the call that
+builds them.  Value objects cache only O(n) or O(m) derived data (row
+totals, shares, the sharers of each item), computed on first use and
+invisible to ``==``, ``hash``, ``repr`` and pickling.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from math import lcm
+from typing import Iterable, Sequence
 
 CHORES = "chores"
 GOODS = "goods"
@@ -24,12 +37,27 @@ class ModelError(ValueError):
     """Malformed instance, allocation, or serialized document."""
 
 
+# Python's default limit on the digits of an int converted from or to a
+# string.  A decimal exponent beyond it builds a number that can never be
+# written back out, and building it costs time that grows with the exponent.
+MAX_EXPONENT = 4300
+
+
+def _exponent_too_large(text: str) -> bool:
+    _, marker, exponent = text.lower().partition("e")
+    try:
+        return bool(marker) and abs(int(exponent)) > MAX_EXPONENT
+    except ValueError:
+        return False  # malformed: Fraction rejects it
+
+
 def frac(value: int | str | Fraction) -> Fraction:
     """Convert a value to an exact ``Fraction``.
 
     Accepts ints, Fractions, and strings like ``"3"``, ``"7/10"`` or
     ``"0.7"``.  Decimal strings convert exactly (power-of-ten
-    denominators).  Floats are rejected: ``0.7`` as a float is not 7/10.
+    denominators).  Floats are rejected: ``0.7`` as a float is not 7/10,
+    and so is a decimal exponent above ``MAX_EXPONENT`` in magnitude.
     """
     if isinstance(value, bool):
         raise ModelError(f"not a rational: {value!r}")
@@ -38,8 +66,11 @@ def frac(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if _exponent_too_large(text):
+            raise ModelError(f"exponent beyond {MAX_EXPONENT} in magnitude: {value!r}")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"not a rational: {value!r}") from exc
     if isinstance(value, float):
@@ -50,7 +81,46 @@ def frac(value: int | str | Fraction) -> Fraction:
 
 
 def _frac_matrix(rows: Iterable[Iterable[object]]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(frac(v) for v in row) for row in rows)
+    # Fractions, by far the common entry, skip the call
+    return tuple(
+        tuple(v if type(v) is Fraction else frac(v) for v in row) for row in rows
+    )
+
+
+def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as integers over their least common denominator ``d``, and ``d``.
+
+    The integers order and add exactly as the values do.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    d = lcm(*[q for _, q in ratios])
+    return [p * (d // q) for p, q in ratios], d
+
+
+def exact_sum(values: Sequence[Fraction]) -> Fraction:
+    """The sum of the values, added as integers over one denominator."""
+    ints, d = scaled(values)
+    return Fraction(sum(ints), d)
+
+
+def rational_text(value: Fraction | int) -> str:
+    """``"p/q"`` (or integer) text of a rational for an output document.
+
+    Raises :class:`ModelError` when ``p`` or ``q`` has more digits than the
+    interpreter converts to text, instead of a bare ``ValueError``.
+    """
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise ModelError(
+            "a rational is too long to write: its numerator or denominator has "
+            f"more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+
+
+def _field_state(self) -> dict[str, object]:
+    """Pickle state of a value object: its fields, never its caches."""
+    return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -60,6 +130,7 @@ class Instance:
     ``costs[i][e]`` is agent ``i``'s cost (chores) or value (goods) for
     item ``e``.  Weights must be positive and sum to one exactly; every
     cost must lie in [0, 1].  Use :func:`validate_instance` to check.
+    Row totals and shares are computed once, on first use.
     """
 
     kind: str
@@ -84,9 +155,19 @@ class Instance:
     def m(self) -> int:
         return len(self.costs[0]) if self.costs else 0
 
+    __getstate__ = _field_state
+
+    @cached_property
+    def _totals(self) -> tuple[Fraction, ...]:
+        return tuple(exact_sum(row) for row in self.costs)
+
+    @cached_property
+    def _shares(self) -> tuple[Fraction, ...]:
+        return tuple(w * t for w, t in zip(self.weights, self._totals))
+
     def total_cost(self, agent: int) -> Fraction:
         """c_i(M): the agent's cost (or value) for the whole item set."""
-        return sum(self.costs[agent], ZERO)
+        return self._totals[agent]
 
     def agents(self) -> range:
         return range(self.n)
@@ -99,17 +180,31 @@ def wprop_share(inst: Instance, agent: int) -> Fraction:
     """The agent's weighted proportional share ``w_i * c_i(M)``."""
     if not 0 <= agent < inst.n:
         raise IndexError(f"agent index {agent} out of range for n={inst.n}")
-    return inst.weights[agent] * inst.total_cost(agent)
+    return inst._shares[agent]
 
 
 @dataclass(frozen=True)
 class FractionalAllocation:
-    """A complete fractional allocation: ``shares[i][e]`` in [0, 1]."""
+    """A complete fractional allocation: ``shares[i][e]`` in [0, 1].
+
+    The sharers of every item are indexed once, on first use.
+    """
 
     shares: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shares", _frac_matrix(self.shares))
+
+    __getstate__ = _field_state
+
+    @cached_property
+    def _sharers(self) -> tuple[tuple[int, ...], ...]:
+        columns: list[list[int]] = [[] for _ in range(self.m)]
+        for i, row in enumerate(self.shares):
+            for e, x in enumerate(row):
+                if x.numerator > 0:
+                    columns[e].append(i)
+        return tuple(map(tuple, columns))
 
     @property
     def n(self) -> int:
@@ -120,14 +215,14 @@ class FractionalAllocation:
         return len(self.shares[0]) if self.shares else 0
 
     def column_sum(self, item: int) -> Fraction:
-        return sum((row[item] for row in self.shares), ZERO)
+        return sum((self.shares[i][item] for i in self.sharers(item)), ZERO)
 
     def is_complete(self) -> bool:
         return all(self.column_sum(e) == ONE for e in range(self.m))
 
     def sharers(self, item: int) -> tuple[int, ...]:
         """Agents holding a positive fraction of the item, by index."""
-        return tuple(i for i in range(self.n) if self.shares[i][item] > 0)
+        return self._sharers[item]
 
     def agent_load(self, inst: Instance, agent: int) -> Fraction:
         """c_i(x_i): cost (or value) of the agent's fractional bundle."""
@@ -155,6 +250,13 @@ class IntegralAllocation:
     def bundle_cost(self, inst: Instance, agent: int) -> Fraction:
         costs = inst.costs[agent]
         return sum((costs[e] for e, o in enumerate(self.owner) if o == agent), ZERO)
+
+    def bundle_costs(self, inst: Instance) -> tuple[Fraction, ...]:
+        """Every agent's bundle cost, from one pass over ``owner``."""
+        bundles: list[list[Fraction]] = [[] for _ in inst.agents()]
+        for e, o in enumerate(self.owner):
+            bundles[o].append(inst.costs[o][e])
+        return tuple(exact_sum(b) for b in bundles)
 
 
 @dataclass(frozen=True)
@@ -184,13 +286,12 @@ def compute_subsidies(inst: Instance, alloc: IntegralAllocation) -> SubsidyVecto
     for e, o in enumerate(alloc.owner):
         if not 0 <= o < inst.n:
             raise ModelError(f"item {e} assigned to unknown agent {o}")
-    amounts = []
-    for i in inst.agents():
-        share = wprop_share(inst, i)
-        load = alloc.bundle_cost(inst, i)
-        gap = load - share if inst.kind == CHORES else share - load
-        amounts.append(max(gap, ZERO))
-    return SubsidyVector(tuple(amounts))
+    chores = inst.kind == CHORES
+    gaps = (
+        load - share if chores else share - load
+        for load, share in zip(alloc.bundle_costs(inst), inst._shares)
+    )
+    return SubsidyVector(tuple(max(gap, ZERO) for gap in gaps))
 
 
 @dataclass(frozen=True)
@@ -225,23 +326,23 @@ def validate_instance(inst: Instance) -> ValidationReport:
     if len(row_lengths) > 1:
         violations.append(f"cost rows have inconsistent lengths {sorted(row_lengths)}")
     for i, w in enumerate(inst.weights):
-        if w <= 0:
+        if w.numerator <= 0:
             violations.append(f"weight of agent {i} is {w}, must be positive")
-    if inst.weights and sum(inst.weights, ZERO) != ONE:
-        violations.append(f"weights sum to {sum(inst.weights, ZERO)}, not 1")
+    weight_sum = exact_sum(inst.weights)
+    if inst.weights and weight_sum != ONE:
+        violations.append(f"weights sum to {weight_sum}, not 1")
     for i, row in enumerate(inst.costs):
         for e, c in enumerate(row):
-            if c < 0:
+            p, q = c.as_integer_ratio()
+            if p < 0:
                 violations.append(f"cost of item {e} for agent {i} is {c}, below 0")
-            elif c > 1:
+            elif p > q:
                 violations.append(f"cost of item {e} for agent {i} is {c}, exceeds 1")
     if inst.agent_names is not None and len(inst.agent_names) != inst.n:
         violations.append("agent_names length does not match agent count")
     if inst.item_names is not None and len(inst.item_names) != inst.m:
         violations.append("item_names length does not match item count")
-    degenerate = tuple(
-        i for i, row in enumerate(inst.costs) if sum(row, ZERO) == 0
-    )
+    degenerate = tuple(i for i, total in enumerate(inst._totals) if total == 0)
     return ValidationReport(tuple(violations), degenerate)
 
 
@@ -319,8 +420,8 @@ def serialize_instance(inst: Instance) -> str:
     """Emit the canonical document: lowest-terms strings, LF endings."""
     doc: dict[str, object] = {
         "kind": inst.kind,
-        "weights": [str(w) for w in inst.weights],
-        "costs": [[str(c) for c in row] for row in inst.costs],
+        "weights": [rational_text(w) for w in inst.weights],
+        "costs": [[rational_text(c) for c in row] for row in inst.costs],
     }
     if inst.agent_names is not None:
         doc["agent_names"] = list(inst.agent_names)
@@ -359,8 +460,8 @@ def serialize_allocation(
     """
     doc: dict[str, object] = {"owner": list(alloc.owner)}
     if subsidies is not None:
-        doc["subsidies"] = [str(s) for s in subsidies.amounts]
-        doc["total_subsidy"] = str(subsidies.total)
+        doc["subsidies"] = [rational_text(s) for s in subsidies.amounts]
+        doc["total_subsidy"] = rational_text(subsidies.total)
         if decimal_digits is not None:
             doc["total_subsidy_decimal"] = format_decimal(subsidies.total, decimal_digits)
     if extra:
@@ -377,7 +478,7 @@ def format_decimal(value: Fraction, digits: int) -> str:
     whole = scaled.numerator // scaled.denominator
     if 2 * (scaled - whole) >= 1:
         whole += 1
-    text = str(whole).rjust(digits + 1, "0")
+    text = rational_text(whole).rjust(digits + 1, "0")
     if digits == 0:
         return sign + text
     return f"{sign}{text[:-digits]}.{text[-digits:]}"

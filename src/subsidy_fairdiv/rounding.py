@@ -39,7 +39,10 @@ from .model import (
     ModelError,
     SubsidyVector,
     compute_subsidies,
+    exact_sum,
+    rational_text,
     require_valid,
+    wprop_share,
 )
 from .split import (
     ExpandedAtomPath,
@@ -115,8 +118,8 @@ class ComponentRounding:
             "items": list(self.items),
             "assignment": {str(i): a for i, a in self.assignment},
             "scheme": self.scheme,
-            "local_subsidy": str(self.local_subsidy),
-            "bound": str(self.bound),
+            "local_subsidy": rational_text(self.local_subsidy),
+            "bound": rational_text(self.bound),
         }
 
 
@@ -335,31 +338,37 @@ def round_tree(
     )
 
 
+def _whole_item_loads(
+    inst: Instance, alloc: FractionalAllocation
+) -> tuple[Fraction, ...]:
+    """Per agent, the cost (or value) of the items she holds whole."""
+    whole: list[list[Fraction]] = [[] for _ in inst.agents()]
+    for e in range(alloc.m):
+        for agent in alloc.sharers(e):
+            if alloc.shares[agent][e] == ONE:
+                whole[agent].append(inst.costs[agent][e])
+    return tuple(exact_sum(items) for items in whole)
+
+
 def _tree_subsidy(
     inst: Instance,
-    alloc: FractionalAllocation,
+    whole: tuple[Fraction, ...],
     tree: Tree,
     assignment: dict[int, int],
 ) -> Fraction:
     """True total subsidy of the tree's agents under the assignment.
 
-    Exact because an agent's whole bundle is her single-sharer items plus
-    items assigned within her own tree.
+    Exact because an agent's whole bundle is her whole items (``whole``,
+    from :func:`_whole_item_loads`) plus items assigned within her own tree.
     """
-    total = ZERO
+    load = {agent: whole[agent] for agent in tree.nodes}
+    for item, owner in assignment.items():
+        load[owner] += inst.costs[owner][item]
     chores = inst.kind == CHORES
-    for agent in tree.nodes:
-        load = ZERO
-        row = alloc.shares[agent]
-        costs = inst.costs[agent]
-        for e in range(alloc.m):
-            if row[e] == ONE:
-                load += costs[e]
-        for item, owner in assignment.items():
-            if owner == agent:
-                load += costs[item]
-        share = inst.weights[agent] * inst.total_cost(agent)
-        gap = load - share if chores else share - load
+    total = ZERO
+    for agent, bundle in load.items():
+        share = wprop_share(inst, agent)
+        gap = bundle - share if chores else share - bundle
         if gap > 0:
             total += gap
     return total
@@ -517,18 +526,20 @@ class RoundingCertificate:
                     "size": t.size,
                     "has_atom_path": t.has_atom_path,
                     "emitted": t.emitted,
-                    "bound": str(t.bound),
+                    "bound": rational_text(t.bound),
                     "components": [c.to_doc() for c in t.components],
                 }
                 for t in self.trees
             ],
             "components": [c.to_doc() for c in self.components],
-            "component_subsidy_total": str(self.component_subsidy_total),
-            "component_bound_total": str(self.component_bound_total),
-            "rounded_total_subsidy": str(self.rounded_total),
-            "final_total_subsidy": str(self.final_total),
-            "global_bound": str(self.global_bound),
-            "strong_bound": None if self.strong_bound is None else str(self.strong_bound),
+            "component_subsidy_total": rational_text(self.component_subsidy_total),
+            "component_bound_total": rational_text(self.component_bound_total),
+            "rounded_total_subsidy": rational_text(self.rounded_total),
+            "final_total_subsidy": rational_text(self.final_total),
+            "global_bound": rational_text(self.global_bound),
+            "strong_bound": (
+                None if self.strong_bound is None else rational_text(self.strong_bound)
+            ),
             "holds": self.holds,
             "failures": self.failures(),
         }
@@ -577,6 +588,7 @@ def run_pipeline(inst: Instance, method: str = TREE) -> PipelineResult:
     tree_roundings: tuple[TreeRounding, ...] = ()
     assignment: dict[int, int] = {}
     if method == TREE:
+        whole = _whole_item_loads(ido_inst, alloc)
         rounded_trees = []
         for tree in forest:
             rounding = round_tree(ido_inst, alloc, tree)
@@ -588,8 +600,8 @@ def run_pipeline(inst: Instance, method: str = TREE) -> PipelineResult:
                 item: threshold_owner(alloc, item, alloc.sharers(item))
                 for item in split_assignment
             }
-            if _tree_subsidy(ido_inst, alloc, tree, threshold) < _tree_subsidy(
-                ido_inst, alloc, tree, split_assignment
+            if _tree_subsidy(ido_inst, whole, tree, threshold) < _tree_subsidy(
+                ido_inst, whole, tree, split_assignment
             ):
                 assignment.update(threshold)
                 rounding = replace(rounding, emitted="threshold")
