@@ -232,11 +232,14 @@ def to_dot(
     for e in graph.edges:
         item_count[e.item] += 1
 
+    def quoted(name: str) -> str:
+        return name.replace("\\", "\\\\").replace('"', '\\"')
+
     def agent_label(i: int) -> str:
-        return agent_names[i] if agent_names else f"agent{i}"
+        return quoted(agent_names[i]) if agent_names else f"agent{i}"
 
     def item_label(e: int) -> str:
-        return item_names[e] if item_names else f"e{e}"
+        return quoted(item_names[e]) if item_names else f"e{e}"
 
     lines = ["digraph item_sharing {"]
     for i in range(graph.n):

@@ -244,9 +244,6 @@ class IntegralAllocation:
     def m(self) -> int:
         return len(self.owner)
 
-    def bundle(self, agent: int) -> tuple[int, ...]:
-        return tuple(e for e, o in enumerate(self.owner) if o == agent)
-
     def bundle_cost(self, inst: Instance, agent: int) -> Fraction:
         costs = inst.costs[agent]
         return sum((costs[e] for e, o in enumerate(self.owner) if o == agent), ZERO)
@@ -434,7 +431,8 @@ def parse_allocation(text: str) -> tuple[IntegralAllocation, SubsidyVector | Non
     """Parse an allocation document: ``owner`` plus optional ``subsidies``."""
     doc = _load_json(text, "allocation")
     owner = doc.get("owner")
-    if not isinstance(owner, list) or not all(isinstance(o, int) for o in owner):
+    # JSON booleans are ints to Python; no writer produces them as owners
+    if not isinstance(owner, list) or not all(type(o) is int for o in owner):
         raise ModelError("allocation: owner must be an array of agent indices")
     subsidies = None
     if "subsidies" in doc:

@@ -13,11 +13,16 @@ over to the exact minimum:
   rounded to whichever endpoint is exactly cheaper, subsidy at most
   (k + h) / 3.
 
-Per-component subsidies are accounted with agent-level clamping inside
-the component.  Summing components over-counts only safely (the positive
-part is subadditive), so the certificate's component sum dominates the
-true total subsidy of the rounded allocation, which in turn dominates
-the total after lifting back to the original item order.
+Per-component subsidies are accounted by :func:`local_subsidy`, with
+agent-level clamping inside the component.  Summing components
+over-counts only safely (the positive part is subadditive), so the
+certificate's component sum dominates the true total subsidy of the
+rounded allocation, which in turn dominates the total after lifting back
+to the original item order.  True subsidies come only from
+:func:`compute_subsidies`: each tree emits plain thresholding instead of
+its split assignment when its agents' true subsidies under the
+all-threshold allocation sum to strictly less than under the all-split
+one.
 """
 from __future__ import annotations
 
@@ -39,10 +44,8 @@ from .model import (
     ModelError,
     SubsidyVector,
     compute_subsidies,
-    exact_sum,
     rational_text,
     require_valid,
-    wprop_share,
 )
 from .split import (
     ExpandedAtomPath,
@@ -138,6 +141,18 @@ def _component(kind, assignment, scheme, local, bound) -> ComponentRounding:
     )
 
 
+def _cheapest(inst, alloc, kind, options, bound) -> ComponentRounding:
+    """The ``(scheme, assignment)`` option with the least local subsidy.
+
+    Ties go to the first option listed.
+    """
+    local, scheme, assignment = min(
+        ((local_subsidy(inst, alloc, a), s, a) for s, a in options),
+        key=lambda scored: scored[0],
+    )
+    return _component(kind, assignment, scheme, local, bound)
+
+
 def round_single_edge(
     inst: Instance, alloc: FractionalAllocation, comp: SingleEdge
 ) -> ComponentRounding:
@@ -150,17 +165,9 @@ def round_single_edge(
             f"found {len(sharers)}"
         )
     owner = threshold_owner(alloc, item, sharers)
-    assignment = {item: owner}
-    return _component(
-        "single_edge",
-        assignment,
-        scheme=f"threshold->{owner}",
-        local=local_subsidy(inst, alloc, assignment),
-        bound=HALF,
+    return _cheapest(
+        inst, alloc, "single_edge", [(f"threshold->{owner}", {item: owner})], HALF
     )
-
-
-_PAIR_SCHEMES = ("LL", "RR", "LR", "RL")
 
 
 def round_pair(
@@ -177,23 +184,13 @@ def round_pair(
         raise RoundingError("pair component carries a shattered item")
     out1, out2 = comp.outer
     mid = comp.middle
-    options = {
-        "LL": {e1: out1, e2: mid},
-        "RR": {e1: mid, e2: out2},
-        "LR": {e1: out1, e2: out2},
-        "RL": {e1: mid, e2: mid},
-    }
-    best = min(
-        _PAIR_SCHEMES,
-        key=lambda s: (local_subsidy(inst, alloc, options[s]), _PAIR_SCHEMES.index(s)),
-    )
-    return _component(
-        "pair",
-        options[best],
-        scheme=best,
-        local=local_subsidy(inst, alloc, options[best]),
-        bound=TWO_THIRDS,
-    )
+    options = [
+        ("LL", {e1: out1, e2: mid}),
+        ("RR", {e1: mid, e2: out2}),
+        ("LR", {e1: out1, e2: out2}),
+        ("RL", {e1: mid, e2: mid}),
+    ]
+    return _cheapest(inst, alloc, "pair", options, TWO_THIRDS)
 
 
 def round_expanded_atom_path(
@@ -218,58 +215,29 @@ def round_expanded_atom_path(
     agents = eap.path.agents
     if set(alloc.sharers(core)) != set(agents):
         raise RoundingError("path agents do not match the core item's sharers")
-    chores = inst.kind == CHORES
+    attached = []
+    for path_agent, edge in eap.attachments:
+        other = edge.head if edge.tail == path_agent else edge.tail
+        if set(alloc.sharers(edge.item)) != {path_agent, other}:
+            raise RoundingError("attached edge endpoints do not share its item")
+        attached.append((edge.item, sorted((path_agent, other))))
 
-    def clamp(d: Fraction) -> Fraction:
-        signed = d if chores else -d
-        return signed if signed > 0 else ZERO
-
-    def place(owner: int) -> tuple[Fraction, int, dict[int, int]]:
-        core_delta = {}
-        for a in agents:
-            held = alloc.shares[a][core]
-            u = inst.costs[a][core]
-            core_delta[a] = (ONE - held) * u if a == owner else -held * u
-        attached_agents = set()
-        total = ZERO
+    def place(owner: int) -> tuple[str, dict[int, int]]:
+        # an attached edge's far endpoint is no path agent, so scoring just
+        # {core, item} ranks its two endpoints as the whole placement would
         assignment = {core: owner}
-        for path_agent, edge in eap.attachments:
-            other = edge.head if edge.tail == path_agent else edge.tail
-            attached_agents.add(path_agent)
-            item = edge.item
-            if set(alloc.sharers(item)) != {path_agent, other}:
-                raise RoundingError("attached edge endpoints do not share its item")
-            side: list[tuple[Fraction, int]] = []
-            for choice in sorted((path_agent, other)):
-                d_path = core_delta[path_agent]
-                d_other = ZERO
-                for who in (path_agent, other):
-                    held = alloc.shares[who][item]
-                    u = inst.costs[who][item]
-                    change = (ONE - held) * u if who == choice else -held * u
-                    if who == path_agent:
-                        d_path += change
-                    else:
-                        d_other += change
-                side.append((clamp(d_path) + clamp(d_other), choice))
-            value, choice = min(side)
-            total += value
-            assignment[item] = choice
-        for a in agents:
-            if a not in attached_agents:
-                total += clamp(core_delta[a])
-        return total, owner, assignment
+        for item, ends in attached:
+            assignment[item] = min(
+                ends, key=lambda c: local_subsidy(inst, alloc, {core: owner, item: c})
+            )
+        return f"core->{owner}", assignment
 
-    total, owner, assignment = min(map(place, agents), key=lambda c: c[:2])
-    exact = local_subsidy(inst, alloc, assignment)
-    if exact != total:
-        raise RoundingError("placement decomposition disagrees with direct accounting")
-    return _component(
+    return _cheapest(
+        inst,
+        alloc,
         "expanded_atom_path",
-        assignment,
-        scheme=f"core->{owner}",
-        local=exact,
-        bound=Fraction(k + h, 3),
+        [place(owner) for owner in sorted(agents)],
+        Fraction(k + h, 3),
     )
 
 
@@ -279,9 +247,12 @@ class TreeRounding:
 
     ``emitted`` names the assignment actually materialized for the tree:
     the bound-certified split assignment, or the per-item threshold
-    assignment when that one is exactly cheaper for this tree's agents
-    (trees have disjoint agent sets, so the comparison is exact).  Either
-    way the split components carry the certificate.
+    assignment when the tree's agents' true subsidies
+    (:func:`compute_subsidies`) sum to strictly less under it.  The
+    comparison reads two whole allocations, all-split and all-threshold,
+    and is exact per tree because every fractional item's sharers lie in
+    one tree and trees share no agents.  Either way the split components
+    carry the certificate.
     """
 
     root: int
@@ -338,42 +309,6 @@ def round_tree(
     )
 
 
-def _whole_item_loads(
-    inst: Instance, alloc: FractionalAllocation
-) -> tuple[Fraction, ...]:
-    """Per agent, the cost (or value) of the items she holds whole."""
-    whole: list[list[Fraction]] = [[] for _ in inst.agents()]
-    for e in range(alloc.m):
-        for agent in alloc.sharers(e):
-            if alloc.shares[agent][e] == ONE:
-                whole[agent].append(inst.costs[agent][e])
-    return tuple(exact_sum(items) for items in whole)
-
-
-def _tree_subsidy(
-    inst: Instance,
-    whole: tuple[Fraction, ...],
-    tree: Tree,
-    assignment: dict[int, int],
-) -> Fraction:
-    """True total subsidy of the tree's agents under the assignment.
-
-    Exact because an agent's whole bundle is her whole items (``whole``,
-    from :func:`_whole_item_loads`) plus items assigned within her own tree.
-    """
-    load = {agent: whole[agent] for agent in tree.nodes}
-    for item, owner in assignment.items():
-        load[owner] += inst.costs[owner][item]
-    chores = inst.kind == CHORES
-    total = ZERO
-    for agent, bundle in load.items():
-        share = wprop_share(inst, agent)
-        gap = bundle - share if chores else share - bundle
-        if gap > 0:
-            total += gap
-    return total
-
-
 def integralize(
     alloc: FractionalAllocation, assignment: dict[int, int]
 ) -> IntegralAllocation:
@@ -411,16 +346,10 @@ def _baseline_components(
     out = []
     for item, sharers in fractional_items(alloc):
         owner = threshold_owner(alloc, item, sharers)
-        assignment = {item: owner}
         q = len(sharers)
+        option = (f"threshold->{owner}", {item: owner})
         out.append(
-            _component(
-                "threshold_item",
-                assignment,
-                scheme=f"threshold->{owner}",
-                local=local_subsidy(inst, alloc, assignment),
-                bound=Fraction(q - 1, q),
-            )
+            _cheapest(inst, alloc, "threshold_item", [option], Fraction(q - 1, q))
         )
     return out
 
@@ -510,7 +439,7 @@ class RoundingCertificate:
         return not self.failures()
 
     def to_doc(self) -> dict:
-        return {
+        doc = {
             "kind": self.kind,
             "n": self.n,
             "m": self.m,
@@ -540,9 +469,12 @@ class RoundingCertificate:
             "strong_bound": (
                 None if self.strong_bound is None else rational_text(self.strong_bound)
             ),
-            "holds": self.holds,
-            "failures": self.failures(),
         }
+        # after the rationals above, whose rendering rejects any value too
+        # long for the plain str() the failure messages use
+        failures = self.failures()
+        doc.update(holds=not failures, failures=failures)
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
@@ -588,25 +520,27 @@ def run_pipeline(inst: Instance, method: str = TREE) -> PipelineResult:
     tree_roundings: tuple[TreeRounding, ...] = ()
     assignment: dict[int, int] = {}
     if method == TREE:
-        whole = _whole_item_loads(ido_inst, alloc)
+        split_roundings = [round_tree(ido_inst, alloc, tree) for tree in forest]
+        split = _merged_assignment(c for t in split_roundings for c in t.components)
+        threshold = {
+            item: threshold_owner(alloc, item, alloc.sharers(item)) for item in split
+        }
+        split_subsidy, threshold_subsidy = (
+            compute_subsidies(ido_inst, integralize(alloc, a)).amounts
+            for a in (split, threshold)
+        )
         rounded_trees = []
-        for tree in forest:
-            rounding = round_tree(ido_inst, alloc, tree)
-            split_assignment = _merged_assignment(rounding.components)
+        for tree, rounding in zip(forest, split_roundings):
             # emit the exactly-cheaper of the certified split assignment
             # and plain thresholding; the split components keep carrying
             # the bound either way
-            threshold = {
-                item: threshold_owner(alloc, item, alloc.sharers(item))
-                for item in split_assignment
-            }
-            if _tree_subsidy(ido_inst, whole, tree, threshold) < _tree_subsidy(
-                ido_inst, whole, tree, split_assignment
+            chosen = split
+            if sum((threshold_subsidy[a] for a in tree.nodes), ZERO) < sum(
+                (split_subsidy[a] for a in tree.nodes), ZERO
             ):
-                assignment.update(threshold)
+                chosen = threshold
                 rounding = replace(rounding, emitted="threshold")
-            else:
-                assignment.update(split_assignment)
+            assignment.update((e.item, chosen[e.item]) for e in tree.edges)
             rounded_trees.append(rounding)
         tree_roundings = tuple(rounded_trees)
         components = tuple(c for t in tree_roundings for c in t.components)

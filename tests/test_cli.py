@@ -5,6 +5,7 @@ import pytest
 
 from subsidy_fairdiv import (
     ModelError,
+    parse_allocation,
     parse_instance,
     serialize_instance,
     six_agent_reference_instance,
@@ -130,6 +131,15 @@ def test_goods_flow_end_to_end(tmp_path, capsys):
 def test_verify_rejects_wrong_dimensions(istar_file, tmp_path, capsys):
     path = tmp_path / "alloc.json"
     path.write_text('{"owner": [0, 1]}')
+    assert main(["verify", "--input", str(istar_file), "--allocation", str(path)]) == 2
+
+
+def test_verify_rejects_boolean_owners(istar_file, tmp_path, capsys):
+    text = '{"owner": [true, false, 0, 0, 0, 0]}'
+    with pytest.raises(ModelError, match="agent indices"):
+        parse_allocation(text)
+    path = tmp_path / "alloc.json"
+    path.write_text(text)
     assert main(["verify", "--input", str(istar_file), "--allocation", str(path)]) == 2
 
 

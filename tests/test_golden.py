@@ -44,3 +44,9 @@ def test_golden_corpus_covers_every_tree_shape():
     assert any(t["has_atom_path"] for t in trees)
     assert any(t["emitted"] == "threshold" for t in trees)
     assert any(t["size"] >= 10 for t in trees)
+    # an expanded atom-path holds its core item plus one item per attachment
+    assert any(
+        c["kind"] == "expanded_atom_path" and len(c["items"]) >= 3
+        for t in trees
+        for c in t["components"]
+    )

@@ -178,3 +178,14 @@ def test_dot_export(reference_run, reference_instance):
         item_names=tuple(f"task{i}" for i in range(6)),
     )
     assert '[label="task1" color=red style=bold]' in named
+
+
+def test_dot_export_escapes_names(reference_run):
+    _, _, graph = reference_run
+    dot = to_dot(
+        graph,
+        agent_names=('say "hi"',) + tuple(f"a{i}" for i in range(1, 6)),
+        item_names=("b\\",) + tuple(f"task{i}" for i in range(1, 6)),
+    )
+    assert '  0 [label="say \\"hi\\""];' in dot
+    assert '0 -> 2 [label="b\\\\"];' in dot

@@ -150,6 +150,17 @@ def test_round_pair_middle_holds_everything():
     assert rounding.local_subsidy == Fraction(2, 100)
 
 
+def test_round_pair_ties_go_to_the_first_listed_scheme():
+    # item 0 is free, so RR and LR tie at 0; the schemes are listed
+    # LL, RR, LR, RL
+    inst, alloc, comp = uniform_pair(
+        "1/2", "1/2", costs=(("0", "0"), ("0", "1"), ("0", "0"))
+    )
+    rounding = round_pair(inst, alloc, comp)
+    assert rounding.scheme == "RR"
+    assert rounding.local_subsidy == 0
+
+
 def test_round_pair_symmetric_thirds():
     inst, alloc, comp = uniform_pair("1/3", "1/3")
     rounding = round_pair(inst, alloc, comp)
