@@ -37,12 +37,11 @@ from .ido import is_ido
 from .model import (
     CHORES,
     GOODS,
-    ZERO,
+    ONE,
     FractionalAllocation,
     Instance,
     ModelError,
     require_valid,
-    wprop_share,
 )
 
 NORMALIZED = "normalized"
@@ -121,65 +120,61 @@ def bid_and_take(
     :func:`fbta_chores` and :func:`fbta_goods` check both first.
     """
     n, m = inst.n, inst.m
-    shares = [wprop_share(inst, i) for i in inst.agents()]
     goods = inst.kind == GOODS
-    # Keys compare by cross-multiplying integers.  With c_a(M) = P / Q, the
-    # key c_a(e) / c_a(M) of a cost p / q is (p * Q) / (q * P); a degenerate
-    # row (P = 0) keeps key 0 / 1.
-    totals = [inst.total_cost(i).as_integer_ratio() for i in inst.agents()]
-
-    def key(agent: int, item: int) -> tuple[int, int]:
-        p, q = inst.costs[agent][item].as_integer_ratio()
-        if selection == RAW_COST:
-            return p, q
-        total_p, total_q = totals[agent]
-        return (p * total_q, q * total_p) if total_p else (0, 1)
-
-    def choose(active: list[int], item: int) -> int:
-        """The best key; ``active`` is ascending, so ties go to the lower index."""
-        best = active[0]
-        best_num, best_den = key(best, item)
-        for a in active[1:]:
-            num, den = key(a, item)
-            lhs, rhs = num * best_den, best_num * den
-            if (lhs > rhs) if goods else (lhs < rhs):
-                best, best_num, best_den = a, num, den
-        return best
-
-    x = [[ZERO] * m for _ in range(n)]
-    load = [ZERO] * n
+    # With agent a's row as integers r_a over its denominator d_a, her key
+    # for item e is r_a[e] / den_a for keys[a] = (r_a, den_a).  Normalized,
+    # c_a(e) / c_a(M) = r_a[e] / R_a with R_a = sum(r_a), so d_a cancels; a
+    # degenerate row (R_a = 0) is all zeros and keeps key 0 / 1.  Raw cost,
+    # c_a(e) = r_a[e] / d_a.  Goods take the largest key: over negated
+    # denominators the ratios order in reverse, so one strict ``<`` picks
+    # the best key of either kind, ties to the lower index.
+    sign = -1 if goods else 1
+    if selection == RAW_COST:
+        keys = [(ints, sign * d) for ints, d in inst._rows]
+    else:
+        keys = [(ints, sign * (sum(ints) or 1)) for ints, _ in inst._rows]
+    costs = inst.costs
+    capacity = list(inst._shares)  # share minus load, while active
     active = list(inst.agents())
+    columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
     events: list[TraceEvent] = []
     successors: list[SuccessorRecord] = []
     last_item: list[int | None] = [None] * n
 
     def take(agent: int, item: int, fraction: Fraction, inactivated: bool) -> None:
         nonlocal pending
-        x[agent][item] += fraction
-        load[agent] += fraction * inst.costs[agent][item]
         events.append(TraceEvent(item, agent, fraction, inactivated))
         if fraction > 0:
+            columns[item].append((agent, fraction))
             last_item[agent] = item
             if pending is not None:
                 successors.append(SuccessorRecord(pending, agent, item))
                 pending = None
-        if inactivated and fraction > 0:
-            pending = agent
+            if inactivated:
+                pending = agent
 
     j = 0
     while j < m:
         pending = None
-        z = Fraction(1)
+        z = ONE
         while True:
             if not active:
                 raise StuckError(
                     f"all agents reached their share with item {j} unfinished; "
                     f"the {selection!r} selection rule cannot complete this instance"
                 )
-            i = choose(active, j)
-            cost = inst.costs[i][j]
-            if load[i] + z * cost > shares[i]:
-                fraction = (shares[i] - load[i]) / cost
+            # the best key; ``active`` is ascending, so ties go to the lower index
+            i = active[0]
+            row, best_den = keys[i]
+            best_num = row[j]
+            for a in active:
+                row, den = keys[a]
+                if row[j] * best_den < best_num * den:
+                    i, best_num, best_den = a, row[j], den
+            cost = costs[i][j]
+            need = z * cost
+            if need > capacity[i]:
+                fraction = capacity[i] / cost
                 take(i, j, fraction, inactivated=True)
                 z -= fraction
                 active.remove(i)
@@ -188,15 +183,19 @@ def bid_and_take(
                     only = active[0]
                     take(only, j, z, inactivated=False)
                     for rest in range(j + 1, m):
-                        take(only, rest, Fraction(1), inactivated=False)
+                        take(only, rest, ONE, inactivated=False)
                     j = m
                     break
             else:
+                capacity[i] -= need
                 take(i, j, z, inactivated=False)
                 j += 1
                 break
 
-    allocation = FractionalAllocation(tuple(tuple(row) for row in x))
+    # events reach an item in take order; columns list agents by index
+    allocation = FractionalAllocation._from_columns(
+        n, tuple(tuple(sorted(column)) for column in columns)
+    )
     if not allocation.is_complete():
         raise FBTAError("bid-and-take left an item partially allocated")
     trace = AllocationTrace(
@@ -257,9 +256,8 @@ def fractional_items(
 
     Returned in item order; sharers in agent order.
     """
-    out = []
-    for e in range(alloc.m):
-        sharers = alloc.sharers(e)
-        if len(sharers) >= 2:
-            out.append((e, sharers))
-    return out
+    return [
+        (e, alloc.sharers(e))
+        for e, column in enumerate(alloc.columns)
+        if len(column) >= 2
+    ]

@@ -13,10 +13,10 @@ decreases her value (goods), so subsidies only shrink under lifting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import le
 from typing import Iterator, Sequence
 
-from .model import CHORES, Instance, IntegralAllocation, ModelError, scaled
+from .model import CHORES, Instance, IntegralAllocation, ModelError
 
 
 @dataclass(frozen=True)
@@ -38,40 +38,32 @@ class RankProfile:
 
 def is_ido(inst: Instance) -> bool:
     """True iff every agent's row is non-decreasing in item order."""
-    return all(
-        row[e] <= row[e + 1] for row in inst.costs for e in range(len(row) - 1)
-    )
+    return all(all(map(le, ints, ints[1:])) for ints, _ in inst._rows)
 
 
-def _ranking(
-    items: Sequence[int], row: Sequence[Fraction], descending: bool
-) -> list[int]:
-    """The ascending ``items`` ordered by the row's entries; ties keep index order.
+def _ranking(items: Sequence[int], keys: Sequence[int], descending: bool) -> list[int]:
+    """The ascending ``items`` ordered by an integer row; ties keep index order.
 
-    The sort keys are the row scaled to integers, and the sort is stable,
-    so ties go to the smaller index in either direction.
+    The sort is stable, so ties go to the smaller index in either direction.
     """
-    keys, _ = scaled(row)
     return sorted(items, key=keys.__getitem__, reverse=descending)
 
 
 def reduce_to_ido(inst: Instance) -> tuple[Instance, RankProfile]:
     """Sort each agent's row into the canonical non-decreasing order.
 
-    The reduced instance keeps kind, weights, and every row total, so
-    each agent's proportional share is unchanged.
+    The rows are sorted by the instance's integer rows.  The reduced
+    instance keeps kind, weights, every row total and each row's integers
+    (permuted), so each agent's proportional share is unchanged.
     """
-    sigma = []
-    costs = []
     # one set of index objects shared by every row's ranking: 8 bytes per
     # sigma entry instead of a new int each
     items = list(range(inst.m))
-    for row in inst.costs:
-        desc = _ranking(items, row, descending=True)
-        sigma.append(tuple(desc))
-        costs.append(tuple(row[e] for e in reversed(desc)))
-    ido_inst = Instance(kind=inst.kind, weights=inst.weights, costs=tuple(costs))
-    return ido_inst, RankProfile(tuple(sigma))
+    sigma = tuple(
+        tuple(_ranking(items, ints, descending=True)) for ints, _ in inst._rows
+    )
+    ido_inst = inst._permuted(reversed(desc) for desc in sigma)
+    return ido_inst, RankProfile(sigma)
 
 
 def lift_allocation(
@@ -85,9 +77,10 @@ def lift_allocation(
     to the smaller item index.  Guarantees, per agent, that the lifted
     bundle costs at most (is worth at least) the reduced-instance bundle.
 
-    Each owner's picking order is sorted once, in O(m log m), and read
-    through a cursor that skips items already taken, so the lift costs
-    O(k m log m) time and O(k m) memory for k distinct owners.
+    Each owner's picking order is sorted once, in O(m log m), from the
+    instance's integer row, and read through a cursor that skips items
+    already taken, so the lift costs O(k m log m) time and O(k m) memory
+    for k distinct owners.
     """
     m = inst.m
     if ido_alloc.m != m:
@@ -104,7 +97,7 @@ def lift_allocation(
     for slot in order:
         agent = ido_alloc.owner[slot]
         if agent not in favorites:
-            favorites[agent] = iter(_ranking(items, inst.costs[agent], not chores))
+            favorites[agent] = iter(_ranking(items, inst._rows[agent][0], not chores))
         pick = next(e for e in favorites[agent] if owner[e] is None)
         owner[pick] = agent
     return IntegralAllocation(tuple(owner))

@@ -7,19 +7,21 @@ certificate produced with binary floating point could not be trusted.
 
 ``Fraction``s are what crosses every boundary, and every value the
 package emits is one.  Inside sorting, sums and selection the work is done
-on integers instead: :func:`scaled` writes a row over its least common
-denominator, so sorting or adding the integers sorts or adds the rationals
-exactly, and bid-and-take compares two ratios by cross-multiplying
-numerators and denominators.  Those integers live only for the call that
-builds them.  Value objects cache only O(n) or O(m) derived data (row
-totals, shares, the sharers of each item), computed on first use and
+on integers instead.  Each instance writes every cost row once over the
+row's least common denominator (:func:`scaled`), on first use, and keeps
+it: sorting or adding those integers sorts or adds the rationals exactly,
+and bid-and-take compares two ratios by cross-multiplying them.  The
+reduction hands the integer rows of an instance, permuted, to the reduced
+instance.  A fractional allocation stores only the positive fractions of
+each item.  Every cache of a value object (integer rows, row totals,
+shares, the dense view of an allocation) is computed on first use and is
 invisible to ``==``, ``hash``, ``repr`` and pickling.
 """
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -80,21 +82,27 @@ def frac(value: int | str | Fraction) -> Fraction:
     raise ModelError(f"not a rational: {value!r}")
 
 
+_FRACTION = {Fraction}
+
+
 def _frac_matrix(rows: Iterable[Iterable[object]]) -> tuple[tuple[Fraction, ...], ...]:
-    # Fractions, by far the common entry, skip the call
+    # a row of Fractions, by far the common one, is kept as it is
     return tuple(
-        tuple(v if type(v) is Fraction else frac(v) for v in row) for row in rows
+        row if _FRACTION.issuperset(map(type, row))
+        else tuple(v if type(v) is Fraction else frac(v) for v in row)
+        for row in map(tuple, rows)
     )
 
 
-def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """The values as integers over their least common denominator ``d``, and ``d``.
 
-    The integers order and add exactly as the values do.
+    The integers order and add exactly as the values do.  A value whose
+    denominator is already ``d`` lends its own numerator object.
     """
     ratios = [v.as_integer_ratio() for v in values]
     d = lcm(*[q for _, q in ratios])
-    return [p * (d // q) for p, q in ratios], d
+    return tuple([p if q == d else p * (d // q) for p, q in ratios]), d
 
 
 def exact_sum(values: Sequence[Fraction]) -> Fraction:
@@ -130,7 +138,7 @@ class Instance:
     ``costs[i][e]`` is agent ``i``'s cost (chores) or value (goods) for
     item ``e``.  Weights must be positive and sum to one exactly; every
     cost must lie in [0, 1].  Use :func:`validate_instance` to check.
-    Row totals and shares are computed once, on first use.
+    The integer rows, row totals and shares are computed once, on first use.
     """
 
     kind: str
@@ -158,12 +166,34 @@ class Instance:
     __getstate__ = _field_state
 
     @cached_property
+    def _rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Per row, its :func:`scaled` integers ``r_i`` and denominator ``d_i``."""
+        return tuple(scaled(row) for row in self.costs)
+
+    @cached_property
     def _totals(self) -> tuple[Fraction, ...]:
-        return tuple(exact_sum(row) for row in self.costs)
+        return tuple(Fraction(sum(ints), d) for ints, d in self._rows)
 
     @cached_property
     def _shares(self) -> tuple[Fraction, ...]:
         return tuple(w * t for w, t in zip(self.weights, self._totals))
+
+    def _permuted(self, orders: Iterable[Iterable[int]]) -> Instance:
+        """This instance with row ``i`` listing its items in ``orders[i]``.
+
+        A permutation changes neither a row's denominator nor its total, so
+        the integer rows, totals and shares are carried over, not recomputed.
+        """
+        costs, rows = [], []
+        for order, row, (ints, d) in zip(orders, self.costs, self._rows):
+            order = list(order)
+            costs.append(tuple([row[e] for e in order]))
+            rows.append((tuple([ints[e] for e in order]), d))
+        out = Instance(kind=self.kind, weights=self.weights, costs=tuple(costs))
+        out.__dict__.update(
+            _rows=tuple(rows), _totals=self._totals, _shares=self._shares
+        )
+        return out
 
     def total_cost(self, agent: int) -> Fraction:
         """c_i(M): the agent's cost (or value) for the whole item set."""
@@ -183,52 +213,75 @@ def wprop_share(inst: Instance, agent: int) -> Fraction:
     return inst._shares[agent]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FractionalAllocation:
-    """A complete fractional allocation: ``shares[i][e]`` in [0, 1].
+    """A complete fractional allocation of ``m`` items to ``n`` agents.
 
-    The sharers of every item are indexed once, on first use.
+    ``columns[e]`` holds the ``(agent, fraction)`` pairs of item ``e`` with
+    a positive fraction, by agent index.  Built from a dense matrix
+    ``shares[i][e]`` in [0, 1]; ``shares`` is that dense view again,
+    built on first use.
     """
 
-    shares: tuple[tuple[Fraction, ...], ...]
+    # not init fields: ``dataclasses.replace(alloc, shares=...)`` builds
+    # from a dense matrix, as the constructor does
+    n: int = field(init=False)
+    columns: tuple[tuple[tuple[int, Fraction], ...], ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shares", _frac_matrix(self.shares))
+    def __init__(self, shares: Iterable[Iterable[object]]) -> None:
+        matrix = _frac_matrix(shares)
+        columns: list[list[tuple[int, Fraction]]] = [
+            [] for _ in (matrix[0] if matrix else ())
+        ]
+        for i, row in enumerate(matrix):
+            for e, x in enumerate(row):
+                if x.numerator < 0:
+                    raise ModelError(f"share of item {e} for agent {i} is {x}, below 0")
+                if x.numerator:
+                    columns[e].append((i, x))
+        object.__setattr__(self, "n", len(matrix))
+        object.__setattr__(self, "columns", tuple(map(tuple, columns)))
+
+    @classmethod
+    def _from_columns(
+        cls, n: int, columns: tuple[tuple[tuple[int, Fraction], ...], ...]
+    ) -> FractionalAllocation:
+        """The allocation with these columns, taken as they are."""
+        alloc = object.__new__(cls)
+        object.__setattr__(alloc, "n", n)
+        object.__setattr__(alloc, "columns", columns)
+        return alloc
 
     __getstate__ = _field_state
 
     @cached_property
-    def _sharers(self) -> tuple[tuple[int, ...], ...]:
-        columns: list[list[int]] = [[] for _ in range(self.m)]
-        for i, row in enumerate(self.shares):
-            for e, x in enumerate(row):
-                if x.numerator > 0:
-                    columns[e].append(i)
-        return tuple(map(tuple, columns))
-
-    @property
-    def n(self) -> int:
-        return len(self.shares)
+    def shares(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense matrix: ``shares[i][e]`` is agent ``i``'s fraction of item ``e``."""
+        rows = [[ZERO] * self.m for _ in range(self.n)]
+        for e, column in enumerate(self.columns):
+            for agent, x in column:
+                rows[agent][e] = x
+        return tuple(map(tuple, rows))
 
     @property
     def m(self) -> int:
-        return len(self.shares[0]) if self.shares else 0
+        return len(self.columns)
 
     def column_sum(self, item: int) -> Fraction:
-        return sum((self.shares[i][item] for i in self.sharers(item)), ZERO)
+        return sum((x for _, x in self.columns[item]), ZERO)
 
     def is_complete(self) -> bool:
         return all(self.column_sum(e) == ONE for e in range(self.m))
 
     def sharers(self, item: int) -> tuple[int, ...]:
         """Agents holding a positive fraction of the item, by index."""
-        return self._sharers[item]
+        return tuple([a for a, _ in self.columns[item]])
 
     def agent_load(self, inst: Instance, agent: int) -> Fraction:
         """c_i(x_i): cost (or value) of the agent's fractional bundle."""
-        row = self.shares[agent]
         costs = inst.costs[agent]
-        return sum((row[e] * costs[e] for e in range(inst.m)), ZERO)
+        held = ((e, x) for e, column in enumerate(self.columns) for a, x in column if a == agent)
+        return sum((x * costs[e] for e, x in held), ZERO)
 
 
 @dataclass(frozen=True)
@@ -250,10 +303,11 @@ class IntegralAllocation:
 
     def bundle_costs(self, inst: Instance) -> tuple[Fraction, ...]:
         """Every agent's bundle cost, from one pass over ``owner``."""
-        bundles: list[list[Fraction]] = [[] for _ in inst.agents()]
+        rows = inst._rows
+        sums = [0] * inst.n
         for e, o in enumerate(self.owner):
-            bundles[o].append(inst.costs[o][e])
-        return tuple(exact_sum(b) for b in bundles)
+            sums[o] += rows[o][0][e]
+        return tuple(Fraction(s, d) for s, (_, d) in zip(sums, rows))
 
 
 @dataclass(frozen=True)
@@ -328,13 +382,13 @@ def validate_instance(inst: Instance) -> ValidationReport:
     weight_sum = exact_sum(inst.weights)
     if inst.weights and weight_sum != ONE:
         violations.append(f"weights sum to {weight_sum}, not 1")
-    for i, row in enumerate(inst.costs):
-        for e, c in enumerate(row):
-            p, q = c.as_integer_ratio()
-            if p < 0:
-                violations.append(f"cost of item {e} for agent {i} is {c}, below 0")
-            elif p > q:
-                violations.append(f"cost of item {e} for agent {i} is {c}, exceeds 1")
+    for i, (row, (ints, d)) in enumerate(zip(inst.costs, inst._rows)):
+        if ints and (min(ints) < 0 or max(ints) > d):
+            for e, p in enumerate(ints):
+                if p < 0:
+                    violations.append(f"cost of item {e} for agent {i} is {row[e]}, below 0")
+                elif p > d:
+                    violations.append(f"cost of item {e} for agent {i} is {row[e]}, exceeds 1")
     if inst.agent_names is not None and len(inst.agent_names) != inst.n:
         violations.append("agent_names length does not match agent count")
     if inst.item_names is not None and len(inst.item_names) != inst.m:

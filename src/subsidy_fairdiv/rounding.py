@@ -22,7 +22,8 @@ to the original item order.  True subsidies come only from
 :func:`compute_subsidies`: each tree emits plain thresholding instead of
 its split assignment when its agents' true subsidies under the
 all-threshold allocation sum to strictly less than under the all-split
-one.
+one, and each agent's rounded subsidy is its entry under the one its tree
+emits.
 """
 from __future__ import annotations
 
@@ -66,11 +67,9 @@ class RoundingError(ModelError):
     """Rounding precondition failure."""
 
 
-def threshold_owner(
-    alloc: FractionalAllocation, item: int, sharers: tuple[int, ...]
-) -> int:
+def threshold_owner(alloc: FractionalAllocation, item: int) -> int:
     """The sharer holding the largest fraction of the item; ties to the lower index."""
-    return max(sharers, key=lambda a: (alloc.shares[a][item], -a))
+    return max(alloc.columns[item], key=lambda held: (held[1], -held[0]))[0]
 
 
 def local_subsidy(
@@ -88,12 +87,10 @@ def local_subsidy(
     """
     delta: dict[int, Fraction] = defaultdict(lambda: ZERO)
     for item, owner in assignment.items():
-        sharers = alloc.sharers(item)
-        if owner not in sharers:
+        if owner not in alloc.sharers(item):
             raise RoundingError(f"item {item} rounded to non-sharer {owner}")
-        for agent in sharers:
+        for agent, held in alloc.columns[item]:
             u = inst.costs[agent][item]
-            held = alloc.shares[agent][item]
             if agent == owner:
                 delta[agent] += (ONE - held) * u
             else:
@@ -164,7 +161,7 @@ def round_single_edge(
             f"single-edge component expects 2 sharers on item {item}, "
             f"found {len(sharers)}"
         )
-    owner = threshold_owner(alloc, item, sharers)
+    owner = threshold_owner(alloc, item)
     return _cheapest(
         inst, alloc, "single_edge", [(f"threshold->{owner}", {item: owner})], HALF
     )
@@ -314,10 +311,9 @@ def integralize(
 ) -> IntegralAllocation:
     """Materialize the rounding: assigned items move, whole items stay."""
     owner = []
-    for e in range(alloc.m):
-        sharers = alloc.sharers(e)
-        if len(sharers) == 1:
-            owner.append(sharers[0])
+    for e, column in enumerate(alloc.columns):
+        if len(column) == 1:
+            owner.append(column[0][0])
         elif e in assignment:
             owner.append(assignment[e])
         else:
@@ -345,7 +341,7 @@ def _baseline_components(
 ) -> list[ComponentRounding]:
     out = []
     for item, sharers in fractional_items(alloc):
-        owner = threshold_owner(alloc, item, sharers)
+        owner = threshold_owner(alloc, item)
         q = len(sharers)
         option = (f"threshold->{owner}", {item: owner})
         out.append(
@@ -399,44 +395,61 @@ class RoundingCertificate:
     def final_total(self) -> Fraction:
         return self.final_subsidies.total
 
-    def failures(self) -> list[str]:
-        bad = []
+    def _checks(self):
+        """Each certified inequality as ``(holds, message, values)``.
+
+        The message is a template for the values; :meth:`holds` reads only
+        the exact comparisons and never formats a value.
+        """
         for c in self.components:
-            if c.local_subsidy > c.bound:
-                bad.append(
-                    f"{c.kind} on items {c.items}: {c.local_subsidy} > {c.bound}"
-                )
-        if self.rounded_total > self.component_subsidy_total:
-            bad.append(
-                f"rounded total {self.rounded_total} exceeds component sum "
-                f"{self.component_subsidy_total}"
+            yield (
+                c.local_subsidy <= c.bound,
+                "{} on items {}: {} > {}",
+                (c.kind, c.items, c.local_subsidy, c.bound),
             )
-        if self.component_subsidy_total > self.component_bound_total:
-            bad.append("component subsidies exceed component bounds")
-        if self.component_bound_total > self.global_bound:
-            bad.append(
-                f"component bounds {self.component_bound_total} exceed the "
-                f"global bound {self.global_bound}"
+        rounded, final = self.rounded_total, self.final_total
+        local, bound = self.component_subsidy_total, self.component_bound_total
+        yield (
+            rounded <= local,
+            "rounded total {} exceeds component sum {}",
+            (rounded, local),
+        )
+        yield local <= bound, "component subsidies exceed component bounds", ()
+        yield (
+            bound <= self.global_bound,
+            "component bounds {} exceed the global bound {}",
+            (bound, self.global_bound),
+        )
+        yield (
+            final <= rounded,
+            "lifted total {} exceeds rounded total {}",
+            (final, rounded),
+        )
+        yield (
+            final <= self.global_bound,
+            "total subsidy {} exceeds {}",
+            (final, self.global_bound),
+        )
+        if self.strong_bound is not None:
+            yield (
+                final <= self.strong_bound,
+                "total subsidy {} exceeds the strengthened bound {}",
+                (final, self.strong_bound),
             )
-        if self.final_total > self.rounded_total:
-            bad.append(
-                f"lifted total {self.final_total} exceeds rounded total "
-                f"{self.rounded_total}"
+
+    def failures(self) -> list[str]:
+        """One message per failed inequality; rationals go through :func:`rational_text`."""
+        return [
+            message.format(
+                *(rational_text(v) if isinstance(v, Fraction) else v for v in values)
             )
-        if self.final_total > self.global_bound:
-            bad.append(
-                f"total subsidy {self.final_total} exceeds {self.global_bound}"
-            )
-        if self.strong_bound is not None and self.final_total > self.strong_bound:
-            bad.append(
-                f"total subsidy {self.final_total} exceeds the strengthened "
-                f"bound {self.strong_bound}"
-            )
-        return bad
+            for ok, message, values in self._checks()
+            if not ok
+        ]
 
     @property
     def holds(self) -> bool:
-        return not self.failures()
+        return all(ok for ok, _, _ in self._checks())
 
     def to_doc(self) -> dict:
         doc = {
@@ -470,8 +483,6 @@ class RoundingCertificate:
                 None if self.strong_bound is None else rational_text(self.strong_bound)
             ),
         }
-        # after the rationals above, whose rendering rejects any value too
-        # long for the plain str() the failure messages use
         failures = self.failures()
         doc.update(holds=not failures, failures=failures)
         return doc
@@ -518,37 +529,41 @@ def run_pipeline(inst: Instance, method: str = TREE) -> PipelineResult:
     graph = build_graph(trace)
     forest = trees(graph)
     tree_roundings: tuple[TreeRounding, ...] = ()
-    assignment: dict[int, int] = {}
     if method == TREE:
         split_roundings = [round_tree(ido_inst, alloc, tree) for tree in forest]
         split = _merged_assignment(c for t in split_roundings for c in t.components)
-        threshold = {
-            item: threshold_owner(alloc, item, alloc.sharers(item)) for item in split
-        }
+        threshold = {item: threshold_owner(alloc, item) for item in split}
         split_subsidy, threshold_subsidy = (
             compute_subsidies(ido_inst, integralize(alloc, a)).amounts
             for a in (split, threshold)
         )
+        # every fractional item's sharers lie in one tree and trees share no
+        # agents, so an agent's rounded subsidy is its entry under whichever
+        # assignment its tree emits; agents outside every tree hold whole
+        # items only and have equal entries under both
+        assignment = dict(split)
+        rounded_amounts = list(split_subsidy)
         rounded_trees = []
         for tree, rounding in zip(forest, split_roundings):
             # emit the exactly-cheaper of the certified split assignment
             # and plain thresholding; the split components keep carrying
             # the bound either way
-            chosen = split
             if sum((threshold_subsidy[a] for a in tree.nodes), ZERO) < sum(
                 (split_subsidy[a] for a in tree.nodes), ZERO
             ):
-                chosen = threshold
                 rounding = replace(rounding, emitted="threshold")
-            assignment.update((e.item, chosen[e.item]) for e in tree.edges)
+                assignment.update((e.item, threshold[e.item]) for e in tree.edges)
+                for a in tree.nodes:
+                    rounded_amounts[a] = threshold_subsidy[a]
             rounded_trees.append(rounding)
         tree_roundings = tuple(rounded_trees)
         components = tuple(c for t in tree_roundings for c in t.components)
+        ido_allocation = integralize(alloc, assignment)
+        rounded = SubsidyVector(tuple(rounded_amounts))
     else:
         components = tuple(_baseline_components(ido_inst, alloc))
-        assignment = _merged_assignment(components)
-    ido_allocation = integralize(alloc, assignment)
-    rounded = compute_subsidies(ido_inst, ido_allocation)
+        ido_allocation = integralize(alloc, _merged_assignment(components))
+        rounded = compute_subsidies(ido_inst, ido_allocation)
     allocation = lift_allocation(inst, profile, ido_allocation)
     subsidies = compute_subsidies(inst, allocation)
     fracs = fractional_items(alloc)

@@ -9,7 +9,8 @@ state; the rest of the run is unchanged Fraction code, so equal picks
 mean equal fractional shares and trace events.  Instances are tie-heavy
 grids with all-zero rows, fewer items than agents (m = 0 included), a
 single agent, weights with denominators near 10^6, and both kinds.  The
-caches on ``Instance`` and ``FractionalAllocation`` must not show in
+caches on ``Instance`` (integer rows, totals, shares) and on
+``FractionalAllocation`` (its dense ``shares`` view) must not show in
 equality, hashing, ``repr``, ``dataclasses.replace``, pickling or the
 file format.
 """
@@ -33,6 +34,7 @@ from subsidy_fairdiv import (
     compute_subsidies,
     format_decimal,
     frac,
+    is_ido,
     lift_allocation,
     parse_instance,
     reduce_to_ido,
@@ -217,6 +219,9 @@ def _warm_instance(inst):
         wprop_share(inst, i)
     validate_instance(inst)
     compute_subsidies(inst, IntegralAllocation((0,) * inst.m))
+    assert inst._rows
+    is_ido(inst)
+    reduce_to_ido(inst)
 
 
 @given(instances(max_n=4, max_m=5))
@@ -229,17 +234,22 @@ def test_instance_caches_are_invisible(inst):
     assert pickle.dumps(inst) == pickled
     again = pickle.loads(pickle.dumps(inst))
     assert again == inst
+    assert "_rows" not in vars(again)
+    assert again._rows == inst._rows
     assert [again.total_cost(i) for i in again.agents()] == [
         sum(row, ZERO) for row in inst.costs
     ]
     assert dataclasses.replace(inst) == cold
+    assert "_rows" not in vars(dataclasses.replace(inst))
     assert parse_instance(serialize_instance(inst)) == inst
 
 
 def test_replace_does_not_carry_caches():
     inst = Instance(CHORES, ("1/2", "1/2"), (("1/2", "1/2"), ("1", "1")))
     assert wprop_share(inst, 0) == Fraction(1, 2)
+    assert inst._rows == (((1, 1), 2), ((1, 1), 1))
     other = dataclasses.replace(inst, costs=(("1", "1"), ("1", "1")))
+    assert other._rows == (((1, 1), 1), ((1, 1), 1))
     assert other.total_cost(0) == 2
     assert wprop_share(other, 0) == 1
 
@@ -251,11 +261,31 @@ def test_fractional_allocation_caches_are_invisible():
     pickled = pickle.dumps(cold)
     assert [warm.sharers(e) for e in range(3)] == [(0, 1), (0,), (1,)]
     assert warm.is_complete()
+    # the dense view is a cache too
+    assert warm.shares == tuple(tuple(frac(x) for x in row) for row in shares)
+    assert "shares" in vars(warm) and "shares" not in vars(cold)
     assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    assert "shares" not in repr(warm)
     assert pickle.dumps(warm) == pickled
-    assert pickle.loads(pickle.dumps(warm)).sharers(0) == (0, 1)
+    again = pickle.loads(pickle.dumps(warm))
+    assert "shares" not in vars(again)
+    assert again.sharers(0) == (0, 1) and again.shares == warm.shares
     moved = dataclasses.replace(warm, shares=((1, 1, 0), (0, 0, 1)))
     assert moved.sharers(0) == (0,)
+    assert moved.shares == ((1, 1, 0), (0, 0, 1))
+
+
+def test_allocation_from_columns_equals_dense_one():
+    alloc, _ = bid_and_take(reduce_to_ido(six_agent_reference_instance())[0], NORMALIZED)
+    assert "shares" not in vars(alloc)
+    dense = FractionalAllocation(alloc.shares)
+    assert dense == alloc and hash(dense) == hash(alloc) and repr(dense) == repr(alloc)
+    assert pickle.loads(pickle.dumps(alloc)) == dense
+
+
+def test_fractional_allocation_rejects_negative_shares():
+    with pytest.raises(ModelError, match="below 0"):
+        FractionalAllocation((("3/2",), ("-1/2",)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +323,20 @@ def test_component_too_long_to_write_raises_model_error():
     cert = run_pipeline(six_agent_reference_instance()).certificate
     with pytest.raises(ModelError, match="too long"):
         dataclasses.replace(cert, components=(comp,)).to_json()
+
+
+def test_failing_certificate_with_a_rational_too_long_to_write():
+    # holds compares exactly and formats nothing; failures() cannot be written
+    tiny = Fraction(1, 10**4300)
+    comp = ComponentRounding("single_edge", (0,), ((0, 0),), "threshold->0", 1 + tiny, HALF)
+    cert = run_pipeline(six_agent_reference_instance()).certificate
+    failing = dataclasses.replace(cert, components=(comp,))
+    assert failing.holds is False
+    with pytest.raises(ModelError, match="too long"):
+        failing.failures()
+    with pytest.raises(ModelError, match="too long"):
+        failing.to_json()
+    assert cert.holds and cert.failures() == []
 
 
 def test_decimal_rendering_too_long_to_write_raises_model_error(tmp_path, capsys):

@@ -125,7 +125,7 @@ def reference_emit(inst, alloc, forest):
         for comp in round_tree(inst, alloc, tree).components:
             split.update(comp.assignment)
         threshold = {
-            item: threshold_owner(alloc, item, alloc.sharers(item)) for item in split
+            item: threshold_owner(alloc, item) for item in split
         }
         if reference_tree_subsidy(inst, whole, tree, threshold) < reference_tree_subsidy(
             inst, whole, tree, split
