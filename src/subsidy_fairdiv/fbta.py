@@ -27,6 +27,11 @@ and hand all remaining items to the last active agent.
 Agents with an all-zero row have share zero and an undefined ratio; they
 participate with key 0 and never turn inactive, so for chores they soak
 up anything nobody else may take, at zero cost and zero subsidy.
+
+Each agent's remaining capacity is an integer in her unit
+(``Instance._units``) as long as she takes whole items.  A ``Fraction`` is
+built only at a split, for the leaving agent's piece and for the rest of
+the item, and there are at most ``n - 1`` splits per run.
 """
 from __future__ import annotations
 
@@ -133,8 +138,10 @@ def bid_and_take(
         keys = [(ints, sign * d) for ints, d in inst._rows]
     else:
         keys = [(ints, sign * (sum(ints) or 1)) for ints, _ in inst._rows]
-    costs = inst.costs
-    capacity = list(inst._shares)  # share minus load, while active
+    # in agent a's unit item e costs q_a * r_a[e]; her capacity (share minus
+    # load) becomes a Fraction only once she takes the rest of a split item
+    scale = [q for q, _, _ in inst._units]
+    capacity: list[int | Fraction] = [share for _, share, _ in inst._units]
     active = list(inst.agents())
     columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
     events: list[TraceEvent] = []
@@ -144,7 +151,7 @@ def bid_and_take(
     def take(agent: int, item: int, fraction: Fraction, inactivated: bool) -> None:
         nonlocal pending
         events.append(TraceEvent(item, agent, fraction, inactivated))
-        if fraction > 0:
+        if fraction.numerator > 0:
             columns[item].append((agent, fraction))
             last_item[agent] = item
             if pending is not None:
@@ -171,10 +178,10 @@ def bid_and_take(
                 row, den = keys[a]
                 if row[j] * best_den < best_num * den:
                     i, best_num, best_den = a, row[j], den
-            cost = costs[i][j]
-            need = z * cost
+            cost = scale[i] * best_num
+            need = cost if z is ONE else z * cost
             if need > capacity[i]:
-                fraction = capacity[i] / cost
+                fraction = Fraction(capacity[i], cost)
                 take(i, j, fraction, inactivated=True)
                 z -= fraction
                 active.remove(i)

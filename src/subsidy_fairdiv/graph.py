@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .fbta import AllocationTrace
 from .model import ModelError
@@ -117,14 +117,16 @@ def _check_forest(graph: ItemSharingGraph) -> None:
         if e.tail in out:
             raise GraphError(f"agent {e.tail} has out-degree above one")
         out[e.tail] = e.head
-    for start in out:
-        seen = set()
+    # each walk stops at an agent an earlier walk reached, so every agent is
+    # walked once; meeting an agent of the current walk closes a cycle
+    walk_of: dict[int, int] = {}
+    for walk, start in enumerate(out):
         v = start
-        while v in out:
-            if v in seen:
-                raise GraphError("successor relation contains a cycle")
-            seen.add(v)
+        while v in out and v not in walk_of:
+            walk_of[v] = walk
             v = out[v]
+        if walk_of.get(v) == walk:
+            raise GraphError("successor relation contains a cycle")
 
 
 def components(edges: Iterable[Edge], nodes: Iterable[int] = ()) -> list[Tree]:
@@ -186,18 +188,39 @@ def make_tree(edges: tuple[Edge, ...], nodes: tuple[int, ...] | None = None) -> 
     return tree
 
 
+def has_atom_path(edges: Sequence[Edge]) -> bool:
+    """Whether some item labels two or more of the edges."""
+    return len({e.item for e in edges}) < len(edges)
+
+
+def _edges_by_item(edges: Iterable[Edge]) -> dict[int, list[Edge]]:
+    by_item: dict[int, list[Edge]] = defaultdict(list)
+    for e in edges:
+        by_item[e.item].append(e)
+    return by_item
+
+
 def find_atom_paths(tree: Tree) -> list[AtomPath]:
     """One atom-path per shattered item of the tree, by item index."""
-    by_item: dict[int, list[Edge]] = defaultdict(list)
-    for e in tree.edges:
-        by_item[e.item].append(e)
-    paths = []
-    for item in sorted(by_item):
-        edges = by_item[item]
-        if len(edges) < 2:
-            continue
-        paths.append(_chain(item, edges))
-    return paths
+    by_item = _edges_by_item(tree.edges)
+    return [
+        _chain(item, edges)
+        for item, edges in sorted(by_item.items())
+        if len(edges) >= 2
+    ]
+
+
+def first_atom_path(tree: Tree) -> AtomPath | None:
+    """The atom-path of the tree's smallest shattered item; None when none is.
+
+    Only that item's edges are chained.
+    """
+    by_item = _edges_by_item(tree.edges)
+    shattered = [item for item, edges in by_item.items() if len(edges) >= 2]
+    if not shattered:
+        return None
+    item = min(shattered)
+    return _chain(item, by_item[item])
 
 
 def _chain(item: int, edges: list[Edge]) -> AtomPath:

@@ -10,12 +10,17 @@ package emits is one.  Inside sorting, sums and selection the work is done
 on integers instead.  Each instance writes every cost row once over the
 row's least common denominator (:func:`scaled`), on first use, and keeps
 it: sorting or adding those integers sorts or adds the rationals exactly,
-and bid-and-take compares two ratios by cross-multiplying them.  The
-reduction hands the integer rows of an instance, permuted, to the reduced
-instance.  A fractional allocation stores only the positive fractions of
-each item.  Every cache of a value object (integer rows, row totals,
-shares, the dense view of an allocation) is computed on first use and is
-invisible to ``==``, ``hash``, ``repr`` and pickling.
+and bid-and-take compares two ratios by cross-multiplying them.  Loads and
+shares are integers as well: agent ``i`` with weight ``p_i / q_i`` gets the
+unit ``q_i * d_i`` (``Instance._units``), in which item ``e`` costs
+``q_i * r_i[e]`` and the share is ``p_i * R_i``; bid-and-take's capacities,
+subsidy gaps, component prices and the brute-force oracle compute in it.
+The reduction hands the integer rows and units of an instance, permuted,
+to the reduced instance.  A fractional allocation stores only the positive
+fractions of each item.  Every cache of a value object (integer rows, row
+totals, shares, units, the dense view of an allocation, a subsidy total)
+is computed on first use and is invisible to ``==``, ``hash``, ``repr``
+and pickling.
 """
 from __future__ import annotations
 
@@ -178,11 +183,27 @@ class Instance:
     def _shares(self) -> tuple[Fraction, ...]:
         return tuple(w * t for w, t in zip(self.weights, self._totals))
 
+    @cached_property
+    def _units(self) -> tuple[tuple[int, int, int], ...]:
+        """Per agent ``i``, ``(q_i, p_i * R_i, q_i * d_i)``.
+
+        With weight ``p_i / q_i`` in lowest terms and ``R_i = sum(r_i)``: over
+        the unit ``q_i * d_i``, item ``e`` costs ``q_i * r_i[e]`` and the
+        share is ``p_i * R_i``, so loads and shares compare as integers.
+        """
+        return tuple(
+            (q, p * sum(ints), q * d)
+            for (p, q), (ints, d) in zip(
+                (w.as_integer_ratio() for w in self.weights), self._rows
+            )
+        )
+
     def _permuted(self, orders: Iterable[Iterable[int]]) -> Instance:
         """This instance with row ``i`` listing its items in ``orders[i]``.
 
         A permutation changes neither a row's denominator nor its total, so
-        the integer rows, totals and shares are carried over, not recomputed.
+        the integer rows, totals, shares and units are carried over, not
+        recomputed.
         """
         costs, rows = [], []
         for order, row, (ints, d) in zip(orders, self.costs, self._rows):
@@ -191,7 +212,10 @@ class Instance:
             rows.append((tuple([ints[e] for e in order]), d))
         out = Instance(kind=self.kind, weights=self.weights, costs=tuple(costs))
         out.__dict__.update(
-            _rows=tuple(rows), _totals=self._totals, _shares=self._shares
+            _rows=tuple(rows),
+            _totals=self._totals,
+            _shares=self._shares,
+            _units=self._units,
         )
         return out
 
@@ -271,7 +295,11 @@ class FractionalAllocation:
         return sum((x for _, x in self.columns[item]), ZERO)
 
     def is_complete(self) -> bool:
-        return all(self.column_sum(e) == ONE for e in range(self.m))
+        """Every item's fractions sum to one; a lone holder must hold all of it."""
+        return all(
+            column[0][1] == ONE if len(column) == 1 else self.column_sum(e) == ONE
+            for e, column in enumerate(self.columns)
+        )
 
     def sharers(self, item: int) -> tuple[int, ...]:
         """Agents holding a positive fraction of the item, by index."""
@@ -301,13 +329,19 @@ class IntegralAllocation:
         costs = inst.costs[agent]
         return sum((costs[e] for e, o in enumerate(self.owner) if o == agent), ZERO)
 
-    def bundle_costs(self, inst: Instance) -> tuple[Fraction, ...]:
-        """Every agent's bundle cost, from one pass over ``owner``."""
+    def _bundle_ints(self, inst: Instance) -> list[int]:
+        """Every agent's bundle as the sum of its row integers ``r_i``."""
         rows = inst._rows
         sums = [0] * inst.n
         for e, o in enumerate(self.owner):
             sums[o] += rows[o][0][e]
-        return tuple(Fraction(s, d) for s, (_, d) in zip(sums, rows))
+        return sums
+
+    def bundle_costs(self, inst: Instance) -> tuple[Fraction, ...]:
+        """Every agent's bundle cost, from one pass over ``owner``."""
+        return tuple(
+            Fraction(s, d) for s, (_, d) in zip(self._bundle_ints(inst), inst._rows)
+        )
 
 
 @dataclass(frozen=True)
@@ -319,9 +353,11 @@ class SubsidyVector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "amounts", tuple(frac(a) for a in self.amounts))
 
-    @property
+    __getstate__ = _field_state
+
+    @cached_property
     def total(self) -> Fraction:
-        return sum(self.amounts, ZERO)
+        return exact_sum(self.amounts)
 
 
 def compute_subsidies(inst: Instance, alloc: IntegralAllocation) -> SubsidyVector:
@@ -329,6 +365,9 @@ def compute_subsidies(inst: Instance, alloc: IntegralAllocation) -> SubsidyVecto
 
     Chores: ``s_i = max(c_i(X_i) - share_i, 0)``.
     Goods:  ``s_i = max(share_i - v_i(X_i), 0)``.
+
+    Each gap is ``+-(q_i * sum(r_i[X_i]) - p_i * R_i)`` over ``q_i * d_i``
+    (see ``Instance._units``); only a positive one becomes a ``Fraction``.
     """
     if alloc.m != inst.m:
         raise ModelError(
@@ -337,12 +376,12 @@ def compute_subsidies(inst: Instance, alloc: IntegralAllocation) -> SubsidyVecto
     for e, o in enumerate(alloc.owner):
         if not 0 <= o < inst.n:
             raise ModelError(f"item {e} assigned to unknown agent {o}")
-    chores = inst.kind == CHORES
-    gaps = (
-        load - share if chores else share - load
-        for load, share in zip(alloc.bundle_costs(inst), inst._shares)
-    )
-    return SubsidyVector(tuple(max(gap, ZERO) for gap in gaps))
+    sign = 1 if inst.kind == CHORES else -1
+    amounts = []
+    for load, (q, share, unit) in zip(alloc._bundle_ints(inst), inst._units):
+        gap = sign * (q * load - share)
+        amounts.append(Fraction(gap, unit) if gap > 0 else ZERO)
+    return SubsidyVector(tuple(amounts))
 
 
 @dataclass(frozen=True)

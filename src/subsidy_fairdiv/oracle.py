@@ -4,19 +4,21 @@ The brute-force rounder enumerates every feasible assignment of the
 fractional items (each to one of its sharers) and returns a true
 minimum-subsidy integral allocation.  The pipeline can never beat it and
 must never exceed its own certificate bound, which brackets the pipeline
-from both sides on any instance small enough to enumerate.
+from both sides on any instance small enough to enumerate.  Loads and
+shares are integers over one common denominator, so each combination
+costs integer additions only.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from .fbta import fractional_items
 from .model import (
     CHORES,
     KINDS,
-    ZERO,
     FractionalAllocation,
     Instance,
     IntegralAllocation,
@@ -24,7 +26,6 @@ from .model import (
     SubsidyVector,
     compute_subsidies,
     frac,
-    wprop_share,
 )
 
 DEFAULT_CAP = 1 << 20
@@ -57,33 +58,38 @@ def brute_force_rounding(
             raise EnumerationCapExceeded(
                 f"assignment space exceeds the cap of {cap} combinations"
             )
-    shares = [wprop_share(inst, i) for i in inst.agents()]
-    base_load = [ZERO] * inst.n
+    # loads and shares as integers over D = lcm_i(q_i * d_i), the lcm of the
+    # agents' units (``Instance._units``); gaps are signed by kind, so an
+    # agent's subsidy is her gap when it is positive
+    rows, units = inst._rows, inst._units
+    denominator = lcm(*[unit for _, _, unit in units])
+    sign = 1 if inst.kind == CHORES else -1
+    scale = [sign * q * (denominator // unit) for q, _, unit in units]
+    base_gap = [-sign * share * (denominator // unit) for _, share, unit in units]
     base_owner: list[int | None] = [None] * inst.m
     for e in inst.items():
         sharers = alloc.sharers(e)
         if len(sharers) == 1:
-            base_owner[e] = sharers[0]
-            base_load[sharers[0]] += inst.costs[sharers[0]][e]
+            agent = sharers[0]
+            base_owner[e] = agent
+            base_gap[agent] += scale[agent] * rows[agent][0][e]
     items = [e for e, _ in fracs]
-    chores = inst.kind == CHORES
-    best_total: Fraction | None = None
-    best_combo: tuple[int, ...] | None = None
-    for combo in itertools.product(*(sharers for _, sharers in fracs)):
-        load = list(base_load)
-        for e, owner in zip(items, combo):
-            load[owner] += inst.costs[owner][e]
-        total = ZERO
-        for i in inst.agents():
-            gap = load[i] - shares[i] if chores else shares[i] - load[i]
-            if gap > 0:
-                total += gap
+    choices = [
+        [(a, scale[a] * rows[a][0][e]) for a in sharers] for e, sharers in fracs
+    ]
+    best_total: int | None = None
+    best_combo: tuple[tuple[int, int], ...] | None = None
+    for combo in itertools.product(*choices):
+        gap = list(base_gap)
+        for agent, added in combo:
+            gap[agent] += added
+        total = sum([g for g in gap if g > 0])
         if best_total is None or total < best_total:
             best_total = total
             best_combo = combo
     owner = list(base_owner)
     if best_combo is not None:
-        for e, o in zip(items, best_combo):
+        for e, (o, _) in zip(items, best_combo):
             owner[e] = o
     allocation = IntegralAllocation(tuple(o for o in owner if o is not None))
     if allocation.m != inst.m:

@@ -14,7 +14,10 @@ over to the exact minimum:
   (k + h) / 3.
 
 Per-component subsidies are accounted by :func:`local_subsidy`, with
-agent-level clamping inside the component.  Summing components
+agent-level clamping inside the component.  Each component is priced
+once: its touched agents' fractional loads are computed once, every
+candidate rounding scores as an integer over one common denominator, and
+only the winner's score becomes a ``Fraction``.  Summing components
 over-counts only safely (the positive part is subadditive), so the
 certificate's component sum dominates the true total subsidy of the
 rounded allocation, which in turn dominates the total after lifting back
@@ -28,23 +31,26 @@ emits.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from typing import Iterable
 
 from .fbta import NORMALIZED, AllocationTrace, bid_and_take, fractional_items
-from .graph import ItemSharingGraph, Tree, build_graph, find_atom_paths, trees
+from .graph import ItemSharingGraph, Tree, build_graph, has_atom_path, trees
 from .ido import RankProfile, lift_allocation, reduce_to_ido
 from .model import (
     CHORES,
-    ONE,
     ZERO,
     FractionalAllocation,
     Instance,
     IntegralAllocation,
     ModelError,
     SubsidyVector,
+    _field_state,
     compute_subsidies,
+    exact_sum,
     rational_text,
     require_valid,
 )
@@ -72,6 +78,69 @@ def threshold_owner(alloc: FractionalAllocation, item: int) -> int:
     return max(alloc.columns[item], key=lambda held: (held[1], -held[0]))[0]
 
 
+class _Pricer:
+    """Local subsidies of one component's roundings, as integers over one ``D``.
+
+    Over agent ``a``'s unit ``q_a * d_a`` (``Instance._units``) item ``e``
+    costs ``u_a(e) = q_a * r_a[e]``.  Her fractional load over the
+    component's items is ``L_a = sum(x_a(e) * u_a(e)) = N_a / M_a``, with
+    ``M_a`` the lcm of her fractions' denominators, computed once.  A
+    rounding that gives her the items worth ``I_a`` changes her load by
+    ``(I_a - L_a) / (q_a * d_a)``.  Over ``D = lcm_a(M_a * q_a * d_a)`` that
+    is ``I_a * A_a - B_a`` with ``A_a = D / (q_a * d_a)`` and
+    ``B_a = N_a * D / (M_a * q_a * d_a)``, so every rounding scores as an
+    integer and only the winner's score becomes a ``Fraction``.
+    """
+
+    def __init__(
+        self, inst: Instance, alloc: FractionalAllocation, items: Iterable[int]
+    ) -> None:
+        rows, units = inst._rows, inst._units
+        self.sign = 1 if inst.kind == CHORES else -1
+        # item -> sharer -> u_a(e); agent -> (N_a, M_a)
+        costs: dict[int, dict[int, int]] = {}
+        loads: dict[int, tuple[int, int]] = {}
+        for e in items:
+            costs[e] = {}
+            for a, held in alloc.columns[e]:
+                costs[e][a] = u = units[a][0] * rows[a][0][e]
+                x_num, x_den = held.as_integer_ratio()
+                if a in loads:
+                    num, den = loads[a]
+                    both = lcm(den, x_den)
+                    loads[a] = (num * (both // den) + x_num * u * (both // x_den), both)
+                else:
+                    loads[a] = (x_num * u, x_den)
+        self.denominator = lcm(*[den * units[a][2] for a, (_, den) in loads.items()])
+        # agent -> B_a; item -> sharer -> u_a(e) * A_a
+        self.base = {
+            a: num * (self.denominator // (den * units[a][2]))
+            for a, (num, den) in loads.items()
+        }
+        self.worth = {
+            e: {a: u * (self.denominator // units[a][2]) for a, u in worth.items()}
+            for e, worth in costs.items()
+        }
+
+    def term(self, agent: int, worth: int) -> int:
+        """The agent's clamped change, over ``D``, when she gets items of this worth."""
+        gap = self.sign * (worth - self.base[agent])
+        return gap if gap > 0 else 0
+
+    def score(self, assignment: dict[int, int]) -> int:
+        """The local subsidy of the rounding, over ``D``."""
+        worth = dict.fromkeys(self.base, 0)
+        for item, owner in assignment.items():
+            held = self.worth[item]
+            if owner not in held:
+                raise RoundingError(f"item {item} rounded to non-sharer {owner}")
+            worth[owner] += held[owner]
+        return sum(self.term(a, w) for a, w in worth.items())
+
+    def price(self, score: int) -> Fraction:
+        return Fraction(score, self.denominator)
+
+
 def local_subsidy(
     inst: Instance,
     alloc: FractionalAllocation,
@@ -85,19 +154,8 @@ def local_subsidy(
     the agent level: agents pushed above their fractional load need the
     excess refunded, agents relieved need nothing.
     """
-    delta: dict[int, Fraction] = defaultdict(lambda: ZERO)
-    for item, owner in assignment.items():
-        if owner not in alloc.sharers(item):
-            raise RoundingError(f"item {item} rounded to non-sharer {owner}")
-        for agent, held in alloc.columns[item]:
-            u = inst.costs[agent][item]
-            if agent == owner:
-                delta[agent] += (ONE - held) * u
-            else:
-                delta[agent] -= held * u
-    if inst.kind == CHORES:
-        return sum((d for d in delta.values() if d > 0), ZERO)
-    return sum((-d for d in delta.values() if d < 0), ZERO)
+    pricer = _Pricer(inst, alloc, assignment)
+    return pricer.price(pricer.score(assignment))
 
 
 @dataclass(frozen=True)
@@ -138,16 +196,16 @@ def _component(kind, assignment, scheme, local, bound) -> ComponentRounding:
     )
 
 
-def _cheapest(inst, alloc, kind, options, bound) -> ComponentRounding:
+def _cheapest(pricer: _Pricer, kind, options, bound) -> ComponentRounding:
     """The ``(scheme, assignment)`` option with the least local subsidy.
 
     Ties go to the first option listed.
     """
-    local, scheme, assignment = min(
-        ((local_subsidy(inst, alloc, a), s, a) for s, a in options),
+    score, scheme, assignment = min(
+        ((pricer.score(a), s, a) for s, a in options),
         key=lambda scored: scored[0],
     )
-    return _component(kind, assignment, scheme, local, bound)
+    return _component(kind, assignment, scheme, pricer.price(score), bound)
 
 
 def round_single_edge(
@@ -163,7 +221,10 @@ def round_single_edge(
         )
     owner = threshold_owner(alloc, item)
     return _cheapest(
-        inst, alloc, "single_edge", [(f"threshold->{owner}", {item: owner})], HALF
+        _Pricer(inst, alloc, (item,)),
+        "single_edge",
+        [(f"threshold->{owner}", {item: owner})],
+        HALF,
     )
 
 
@@ -187,7 +248,7 @@ def round_pair(
         ("LR", {e1: out1, e2: out2}),
         ("RL", {e1: mid, e2: mid}),
     ]
-    return _cheapest(inst, alloc, "pair", options, TWO_THIRDS)
+    return _cheapest(_Pricer(inst, alloc, (e1, e2)), "pair", options, TWO_THIRDS)
 
 
 def round_expanded_atom_path(
@@ -212,26 +273,40 @@ def round_expanded_atom_path(
     agents = eap.path.agents
     if set(alloc.sharers(core)) != set(agents):
         raise RoundingError("path agents do not match the core item's sharers")
-    attached = []
+    pricer = _Pricer(inst, alloc, [core] + [edge.item for _, edge in eap.attachments])
+    # An attached edge's far endpoint is no path agent and each path agent
+    # holds one attachment at most, so only the edge's two endpoints' terms
+    # differ between its two roundings, and they depend on the core's
+    # placement only through whether it sits on the edge's path agent.  So
+    # each edge is ranked twice: core elsewhere, then core on its path agent.
+    attached: set[int] = set()
+    endpoint: list[tuple[int, int, tuple[int, int]]] = []
     for path_agent, edge in eap.attachments:
         other = edge.head if edge.tail == path_agent else edge.tail
         if set(alloc.sharers(edge.item)) != {path_agent, other}:
             raise RoundingError("attached edge endpoints do not share its item")
-        attached.append((edge.item, sorted((path_agent, other))))
+        if path_agent not in agents or other in agents or path_agent in attached:
+            raise RoundingError(
+                "attached edges must join distinct path agents to agents off the path"
+            )
+        attached.add(path_agent)
+        keep, give = (pricer.worth[edge.item][a] for a in (path_agent, other))
+        best = []
+        for core_load in (0, pricer.worth[core][path_agent]):
+            on_path = pricer.term(path_agent, core_load + keep) + pricer.term(other, 0)
+            on_other = pricer.term(path_agent, core_load) + pricer.term(other, give)
+            # ties to the endpoint with the smaller index
+            best.append(path_agent if (on_path, path_agent) < (on_other, other) else other)
+        endpoint.append((edge.item, path_agent, tuple(best)))
 
     def place(owner: int) -> tuple[str, dict[int, int]]:
-        # an attached edge's far endpoint is no path agent, so scoring just
-        # {core, item} ranks its two endpoints as the whole placement would
         assignment = {core: owner}
-        for item, ends in attached:
-            assignment[item] = min(
-                ends, key=lambda c: local_subsidy(inst, alloc, {core: owner, item: c})
-            )
+        for item, path_agent, best in endpoint:
+            assignment[item] = best[owner == path_agent]
         return f"core->{owner}", assignment
 
     return _cheapest(
-        inst,
-        alloc,
+        pricer,
         "expanded_atom_path",
         [place(owner) for owner in sorted(agents)],
         Fraction(k + h, 3),
@@ -273,7 +348,7 @@ def round_tree(
     atom-path-free tree costs at most z/3 for even z and z/3 + 1/6 for
     odd z (the leftover single edge).
     """
-    has_ap = bool(find_atom_paths(tree))
+    has_ap = has_atom_path(tree.edges)
     components: list[ComponentRounding] = []
     if tree.size == 0:
         bound = ZERO
@@ -292,7 +367,7 @@ def round_tree(
         bound = Fraction(tree.size, 3)
         if tree.size % 2 == 1:
             bound += Fraction(1, 6)
-    total_bound = sum((c.bound for c in components), ZERO)
+    total_bound = exact_sum([c.bound for c in components])
     if total_bound != bound:
         raise RoundingError(
             f"component bounds sum to {total_bound}, tree bound is {bound}"
@@ -345,7 +420,9 @@ def _baseline_components(
         q = len(sharers)
         option = (f"threshold->{owner}", {item: owner})
         out.append(
-            _cheapest(inst, alloc, "threshold_item", [option], Fraction(q - 1, q))
+            _cheapest(
+                _Pricer(inst, alloc, (item,)), "threshold_item", [option], Fraction(q - 1, q)
+            )
         )
     return out
 
@@ -379,13 +456,15 @@ class RoundingCertificate:
     global_bound: Fraction
     strong_bound: Fraction | None
 
-    @property
-    def component_subsidy_total(self) -> Fraction:
-        return sum((c.local_subsidy for c in self.components), ZERO)
+    __getstate__ = _field_state
 
-    @property
+    @cached_property
+    def component_subsidy_total(self) -> Fraction:
+        return exact_sum([c.local_subsidy for c in self.components])
+
+    @cached_property
     def component_bound_total(self) -> Fraction:
-        return sum((c.bound for c in self.components), ZERO)
+        return exact_sum([c.bound for c in self.components])
 
     @property
     def rounded_total(self) -> Fraction:
@@ -452,6 +531,15 @@ class RoundingCertificate:
         return all(ok for ok, _, _ in self._checks())
 
     def to_doc(self) -> dict:
+        # a component listed under its tree and in the flat list is one
+        # document in both places
+        docs: dict[int, dict] = {}
+
+        def component_doc(c: ComponentRounding) -> dict:
+            if id(c) not in docs:
+                docs[id(c)] = c.to_doc()
+            return docs[id(c)]
+
         doc = {
             "kind": self.kind,
             "n": self.n,
@@ -469,11 +557,11 @@ class RoundingCertificate:
                     "has_atom_path": t.has_atom_path,
                     "emitted": t.emitted,
                     "bound": rational_text(t.bound),
-                    "components": [c.to_doc() for c in t.components],
+                    "components": [component_doc(c) for c in t.components],
                 }
                 for t in self.trees
             ],
-            "components": [c.to_doc() for c in self.components],
+            "components": [component_doc(c) for c in self.components],
             "component_subsidy_total": rational_text(self.component_subsidy_total),
             "component_bound_total": rational_text(self.component_bound_total),
             "rounded_total_subsidy": rational_text(self.rounded_total),

@@ -21,7 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import AtomPath, Edge, GraphError, Tree, components, find_atom_paths
+from .graph import (
+    AtomPath,
+    Edge,
+    GraphError,
+    Tree,
+    components,
+    first_atom_path,
+    has_atom_path,
+)
 from .model import ModelError
 
 
@@ -101,7 +109,7 @@ Component = SingleEdge | Pair | ExpandedAtomPath
 
 def simple_split(tree: Tree) -> list[Pair | SingleEdge]:
     """Split an atom-path-free tree into edge pairs plus <= 1 single edge."""
-    if find_atom_paths(tree):
+    if has_atom_path(tree.edges):
         raise SplitError("tree contains an atom-path; use atom_path_split")
     depths = tree.depth_map()
     outgoing = tree.outgoing()
@@ -136,10 +144,6 @@ def simple_split(tree: Tree) -> list[Pair | SingleEdge]:
     return out
 
 
-def _has_atom_path(edges: list[Edge]) -> bool:
-    return len({e.item for e in edges}) < len(edges)
-
-
 def choose_attachment(edges: list[Edge], contact: int) -> Edge:
     """Pick the donated edge of an odd atom-path-free component.
 
@@ -150,7 +154,7 @@ def choose_attachment(edges: list[Edge], contact: int) -> Edge:
     """
     if len(edges) % 2 == 0:
         raise SplitError("component has even size, nothing to donate")
-    if _has_atom_path(edges):
+    if has_atom_path(edges):
         raise SplitError("component contains an atom-path, nothing to donate")
     candidates = []
     for e in edges:
@@ -173,16 +177,15 @@ def atom_path_split(tree: Tree) -> tuple[ExpandedAtomPath, list[Tree]]:
     expanded atom-path; the returned subtrees each contain an atom-path
     or have even size.
     """
-    paths = find_atom_paths(tree)
-    if not paths:
+    path = first_atom_path(tree)
+    if path is None:
         raise SplitError("tree has no atom-path; use simple_split")
-    path = paths[0]
     path_agents = set(path.agents)
-    rest = [e for e in tree.edges if e not in path.edges]
+    rest = [e for e in tree.edges if e.item != path.item]
     attachments: list[tuple[int, Edge]] = []
     good: list[Tree] = []
     for comp in components(rest):
-        if _has_atom_path(comp.edges) or comp.size % 2 == 0:
+        if has_atom_path(comp.edges) or comp.size % 2 == 0:
             good.append(comp)
             continue
         contacts = sorted(path_agents.intersection(comp.nodes))

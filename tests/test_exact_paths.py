@@ -31,6 +31,7 @@ from subsidy_fairdiv import (
     IntegralAllocation,
     ModelError,
     StuckError,
+    SubsidyVector,
     compute_subsidies,
     format_decimal,
     frac,
@@ -234,13 +235,13 @@ def test_instance_caches_are_invisible(inst):
     assert pickle.dumps(inst) == pickled
     again = pickle.loads(pickle.dumps(inst))
     assert again == inst
-    assert "_rows" not in vars(again)
-    assert again._rows == inst._rows
+    assert "_rows" not in vars(again) and "_units" not in vars(again)
+    assert again._rows == inst._rows and again._units == inst._units
     assert [again.total_cost(i) for i in again.agents()] == [
         sum(row, ZERO) for row in inst.costs
     ]
     assert dataclasses.replace(inst) == cold
-    assert "_rows" not in vars(dataclasses.replace(inst))
+    assert not {"_rows", "_units"} & set(vars(dataclasses.replace(inst)))
     assert parse_instance(serialize_instance(inst)) == inst
 
 
@@ -248,8 +249,10 @@ def test_replace_does_not_carry_caches():
     inst = Instance(CHORES, ("1/2", "1/2"), (("1/2", "1/2"), ("1", "1")))
     assert wprop_share(inst, 0) == Fraction(1, 2)
     assert inst._rows == (((1, 1), 2), ((1, 1), 1))
+    assert inst._units == ((2, 2, 4), (2, 2, 2))
     other = dataclasses.replace(inst, costs=(("1", "1"), ("1", "1")))
     assert other._rows == (((1, 1), 1), ((1, 1), 1))
+    assert other._units == ((2, 2, 2), (2, 2, 2))
     assert other.total_cost(0) == 2
     assert wprop_share(other, 0) == 1
 
@@ -273,6 +276,25 @@ def test_fractional_allocation_caches_are_invisible():
     moved = dataclasses.replace(warm, shares=((1, 1, 0), (0, 0, 1)))
     assert moved.sharers(0) == (0,)
     assert moved.shares == ((1, 1, 0), (0, 0, 1))
+
+
+def test_subsidy_and_certificate_totals_are_invisible():
+    cert = run_pipeline(six_agent_reference_instance()).certificate
+    cold = dataclasses.replace(cert)
+    assert cert.holds and cert.rounded_subsidies.total == cert.rounded_total
+    assert "component_subsidy_total" in vars(cert) and "total" in vars(cert.final_subsidies)
+    assert cert == cold and repr(cert) == repr(cold)
+    assert pickle.dumps(cert) == pickle.dumps(cold)
+    again = pickle.loads(pickle.dumps(cert))
+    assert "component_subsidy_total" not in vars(again)
+    assert "total" not in vars(again.final_subsidies)
+    assert again.to_json() == cert.to_json()
+    vector = SubsidyVector(("1/2", "0", "1/3"))
+    assert vector.total == Fraction(5, 6)
+    assert vector == SubsidyVector(("1/2", "0", "1/3"))
+    assert hash(vector) == hash(SubsidyVector(("1/2", "0", "1/3")))
+    assert "total" not in repr(vector)
+    assert dataclasses.replace(vector, amounts=("1",)).total == 1
 
 
 def test_allocation_from_columns_equals_dense_one():

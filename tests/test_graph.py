@@ -154,6 +154,36 @@ def test_cycle_rejected():
         trees(graph)
 
 
+def _successor_trace(n, hand_offs):
+    """A trace whose i-th hand-off ``(agent, successor)`` carries item i."""
+    from subsidy_fairdiv.fbta import AllocationTrace, SuccessorRecord
+
+    return AllocationTrace(
+        kind=CHORES,
+        n=n,
+        m=len(hand_offs),
+        events=(),
+        successors=tuple(SuccessorRecord(a, s, e) for e, (a, s) in enumerate(hand_offs)),
+        last_item=(None,) * n,
+    )
+
+
+def test_cycle_below_a_long_chain_rejected():
+    # 0 -> 1 -> ... -> 2000 runs into the cycle 2000 -> 2001 -> 2000; the
+    # idle agents keep the edge count legal.  Reversed, the walks start at
+    # the cycle instead of the chain's far end.
+    hand_offs = [(v, v + 1) for v in range(2001)] + [(2001, 2000)]
+    for order in (hand_offs, hand_offs[::-1]):
+        with pytest.raises(GraphError, match="cycle"):
+            build_graph(_successor_trace(4000, order))
+
+
+def test_long_path_accepted():
+    n = 5000
+    graph = build_graph(_successor_trace(n, [(v, v + 1) for v in range(n - 1)]))
+    assert len(graph.edges) == n - 1
+
+
 def test_make_tree_needs_single_root():
     with pytest.raises(GraphError):
         make_tree((Edge(0, 1, 0), Edge(2, 3, 1)))

@@ -248,6 +248,7 @@ def test_reduction_carries_rows_and_totals(inst):
     assert ido_inst._rows == again._rows
     assert ido_inst._totals == again._totals
     assert ido_inst._shares == again._shares
+    assert ido_inst._units == again._units
     assert [ido_inst.total_cost(i) for i in ido_inst.agents()] == [
         sum(row, ZERO) for row in inst.costs
     ]
