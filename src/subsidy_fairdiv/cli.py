@@ -92,17 +92,17 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         result.allocation, result.subsidies, extra=extra, decimal_digits=args.decimal
     )
     cert_text = cert.to_json() if args.certificate else None
+    dot_text = (
+        to_dot(result.graph, inst.agent_names, inst.item_names) if args.emit_graph else None
+    )
     if args.out:
         _write(args.out, text)
     else:
         sys.stdout.write(text)
     if cert_text is not None:
         _write(args.certificate, cert_text)
-    if args.emit_graph:
-        _write(
-            args.emit_graph,
-            to_dot(result.graph, inst.agent_names, inst.item_names),
-        )
+    if dot_text is not None:
+        _write(args.emit_graph, dot_text)
     print(
         f"total subsidy {_rational(result.subsidies.total, args.decimal)} "
         f"<= bound {_rational(cert.global_bound, args.decimal)}: "

@@ -61,8 +61,6 @@ class Tree:
             for c in children.get(v, ()):
                 depths[c] = depths[v] + 1
                 frontier.append(c)
-        if len(depths) != len(self.nodes):
-            raise GraphError("tree is not connected from its root")
         return depths
 
     def outgoing(self) -> dict[int, Edge]:
@@ -112,11 +110,7 @@ def build_graph(trace: AllocationTrace) -> ItemSharingGraph:
 def _check_forest(graph: ItemSharingGraph) -> None:
     if len(graph.edges) > max(graph.n - 1, 0):
         raise GraphError(f"{len(graph.edges)} edges for {graph.n} agents")
-    out = {}
-    for e in graph.edges:
-        if e.tail in out:
-            raise GraphError(f"agent {e.tail} has out-degree above one")
-        out[e.tail] = e.head
+    out = {e.tail: e.head for e in graph.edges}
     # each walk stops at an agent an earlier walk reached, so every agent is
     # walked once; meeting an agent of the current walk closes a cycle
     walk_of: dict[int, int] = {}
@@ -134,7 +128,9 @@ def components(edges: Iterable[Edge], nodes: Iterable[int] = ()) -> list[Tree]:
 
     Every agent in ``nodes`` appears, as a one-node tree when no edge
     touches it; other agents appear only through their edges.  Trees are
-    ordered by their smallest agent.
+    ordered by their smallest agent.  A component's root is its unique
+    agent without an outgoing edge; a component without exactly one, or
+    with an edge more than a tree has, is rejected.
     """
     edges = tuple(edges)
     neighbors: dict[int, list[int]] = {v: [] for v in nodes}
@@ -157,10 +153,17 @@ def components(edges: Iterable[Edge], nodes: Iterable[int] = ()) -> list[Tree]:
     members: list[list[Edge]] = [[] for _ in groups]
     for e in edges:
         members[label[e.tail]].append(e)
-    return [
-        make_tree(tuple(es), nodes=tuple(sorted(group)))
-        for group, es in zip(groups, members)
-    ]
+    out = []
+    for group, es in zip(groups, members):
+        tails = {e.tail for e in es}
+        roots = [v for v in group if v not in tails]
+        if len(roots) != 1:
+            raise GraphError(f"edge set has {len(roots)} roots, expected exactly one")
+        if len(es) != len(group) - 1:
+            raise GraphError(f"{len(es)} edges join {len(group)} agents, so no tree")
+        es.sort(key=lambda e: (e.item, e.tail))
+        out.append(Tree(roots[0], tuple(sorted(group)), tuple(es)))
+    return out
 
 
 def trees(graph: ItemSharingGraph) -> list[Tree]:
@@ -171,21 +174,15 @@ def trees(graph: ItemSharingGraph) -> list[Tree]:
     return components(graph.edges, range(graph.n))
 
 
-def make_tree(edges: tuple[Edge, ...], nodes: tuple[int, ...] | None = None) -> Tree:
-    """Build a rooted tree from a connected edge set.
+def make_tree(edges: tuple[Edge, ...], nodes: tuple[int, ...] = ()) -> Tree:
+    """The one tree :func:`components` finds in the edges and ``nodes``.
 
-    The root is the unique node without an outgoing edge.
+    Edges and nodes that form no tree or several trees are rejected.
     """
-    if nodes is None:
-        present = {e.tail for e in edges} | {e.head for e in edges}
-        nodes = tuple(sorted(present))
-    tails = {e.tail for e in edges}
-    roots = [v for v in nodes if v not in tails]
-    if len(roots) != 1:
-        raise GraphError(f"edge set has {len(roots)} roots, expected exactly one")
-    tree = Tree(roots[0], tuple(sorted(nodes)), tuple(sorted(edges, key=lambda e: (e.item, e.tail))))
-    tree.depth_map()  # connectivity check
-    return tree
+    found = components(edges, nodes)
+    if len(found) != 1:
+        raise GraphError(f"edge set forms {len(found)} trees, expected exactly one")
+    return found[0]
 
 
 def has_atom_path(edges: Sequence[Edge]) -> bool:
@@ -193,34 +190,16 @@ def has_atom_path(edges: Sequence[Edge]) -> bool:
     return len({e.item for e in edges}) < len(edges)
 
 
-def _edges_by_item(edges: Iterable[Edge]) -> dict[int, list[Edge]]:
-    by_item: dict[int, list[Edge]] = defaultdict(list)
-    for e in edges:
-        by_item[e.item].append(e)
-    return by_item
-
-
 def find_atom_paths(tree: Tree) -> list[AtomPath]:
     """One atom-path per shattered item of the tree, by item index."""
-    by_item = _edges_by_item(tree.edges)
+    by_item: dict[int, list[Edge]] = defaultdict(list)
+    for e in tree.edges:
+        by_item[e.item].append(e)
     return [
         _chain(item, edges)
         for item, edges in sorted(by_item.items())
         if len(edges) >= 2
     ]
-
-
-def first_atom_path(tree: Tree) -> AtomPath | None:
-    """The atom-path of the tree's smallest shattered item; None when none is.
-
-    Only that item's edges are chained.
-    """
-    by_item = _edges_by_item(tree.edges)
-    shattered = [item for item, edges in by_item.items() if len(edges) >= 2]
-    if not shattered:
-        return None
-    item = min(shattered)
-    return _chain(item, by_item[item])
 
 
 def _chain(item: int, edges: list[Edge]) -> AtomPath:

@@ -143,7 +143,7 @@ class Instance:
     ``costs[i][e]`` is agent ``i``'s cost (chores) or value (goods) for
     item ``e``.  Weights must be positive and sum to one exactly; every
     cost must lie in [0, 1].  Use :func:`validate_instance` to check.
-    The integer rows, row totals and shares are computed once, on first use.
+    The integer rows and units are computed once, on first use.
     """
 
     kind: str
@@ -176,14 +176,6 @@ class Instance:
         return tuple(scaled(row) for row in self.costs)
 
     @cached_property
-    def _totals(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(sum(ints), d) for ints, d in self._rows)
-
-    @cached_property
-    def _shares(self) -> tuple[Fraction, ...]:
-        return tuple(w * t for w, t in zip(self.weights, self._totals))
-
-    @cached_property
     def _units(self) -> tuple[tuple[int, int, int], ...]:
         """Per agent ``i``, ``(q_i, p_i * R_i, q_i * d_i)``.
 
@@ -202,8 +194,7 @@ class Instance:
         """This instance with row ``i`` listing its items in ``orders[i]``.
 
         A permutation changes neither a row's denominator nor its total, so
-        the integer rows, totals, shares and units are carried over, not
-        recomputed.
+        the integer rows and units are carried over, not recomputed.
         """
         costs, rows = [], []
         for order, row, (ints, d) in zip(orders, self.costs, self._rows):
@@ -211,17 +202,13 @@ class Instance:
             costs.append(tuple([row[e] for e in order]))
             rows.append((tuple([ints[e] for e in order]), d))
         out = Instance(kind=self.kind, weights=self.weights, costs=tuple(costs))
-        out.__dict__.update(
-            _rows=tuple(rows),
-            _totals=self._totals,
-            _shares=self._shares,
-            _units=self._units,
-        )
+        out.__dict__.update(_rows=tuple(rows), _units=self._units)
         return out
 
     def total_cost(self, agent: int) -> Fraction:
         """c_i(M): the agent's cost (or value) for the whole item set."""
-        return self._totals[agent]
+        ints, d = self._rows[agent]
+        return Fraction(sum(ints), d)
 
     def agents(self) -> range:
         return range(self.n)
@@ -234,7 +221,8 @@ def wprop_share(inst: Instance, agent: int) -> Fraction:
     """The agent's weighted proportional share ``w_i * c_i(M)``."""
     if not 0 <= agent < inst.n:
         raise IndexError(f"agent index {agent} out of range for n={inst.n}")
-    return inst._shares[agent]
+    _, share, unit = inst._units[agent]
+    return Fraction(share, unit)
 
 
 @dataclass(frozen=True, init=False)
@@ -432,7 +420,10 @@ def validate_instance(inst: Instance) -> ValidationReport:
         violations.append("agent_names length does not match agent count")
     if inst.item_names is not None and len(inst.item_names) != inst.m:
         violations.append("item_names length does not match item count")
-    degenerate = tuple(i for i, total in enumerate(inst._totals) if total == 0)
+    for field, names in (("agent_names", inst.agent_names), ("item_names", inst.item_names)):
+        if names is not None and not all(isinstance(name, str) for name in names):
+            violations.append(f"{field} entries must be strings")
+    degenerate = tuple(i for i, (ints, _) in enumerate(inst._rows) if not any(ints))
     return ValidationReport(tuple(violations), degenerate)
 
 

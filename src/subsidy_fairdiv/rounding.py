@@ -54,13 +54,7 @@ from .model import (
     rational_text,
     require_valid,
 )
-from .split import (
-    ExpandedAtomPath,
-    Pair,
-    SingleEdge,
-    atom_path_split,
-    simple_split,
-)
+from .split import ExpandedAtomPath, Pair, SingleEdge, split_tree
 
 HALF = Fraction(1, 2)
 TWO_THIRDS = Fraction(2, 3)
@@ -342,31 +336,29 @@ class TreeRounding:
 def round_tree(
     inst: Instance, alloc: FractionalAllocation, tree: Tree
 ) -> TreeRounding:
-    """Round one tree: split around atom-paths, else into pairs.
+    """Round each component of :func:`split_tree`, in its order.
 
     A tree of z edges containing an atom-path costs at most z/3; an
     atom-path-free tree costs at most z/3 for even z and z/3 + 1/6 for
-    odd z (the leftover single edge).
+    odd z (the leftover single edge).  Every component's bound is 1/3
+    per edge, plus 1/6 for a single edge, so the one check that the
+    component bounds sum to the tree's bound also catches a single edge
+    split off where none belongs.
     """
+    # looked up on every call, so that wrappers installed on this module's
+    # functions from outside see each component rounding
+    rounders = {
+        SingleEdge: round_single_edge,
+        Pair: round_pair,
+        ExpandedAtomPath: round_expanded_atom_path,
+    }
+    components = [
+        rounders[type(comp)](inst, alloc, comp) for comp in split_tree(tree)
+    ]
     has_ap = has_atom_path(tree.edges)
-    components: list[ComponentRounding] = []
-    if tree.size == 0:
-        bound = ZERO
-    elif has_ap:
-        eap, subtrees = atom_path_split(tree)
-        components.append(round_expanded_atom_path(inst, alloc, eap))
-        for sub in subtrees:
-            components.extend(round_tree(inst, alloc, sub).components)
-        bound = Fraction(tree.size, 3)
-    else:
-        for comp in simple_split(tree):
-            if isinstance(comp, Pair):
-                components.append(round_pair(inst, alloc, comp))
-            else:
-                components.append(round_single_edge(inst, alloc, comp))
-        bound = Fraction(tree.size, 3)
-        if tree.size % 2 == 1:
-            bound += Fraction(1, 6)
+    bound = Fraction(tree.size, 3)
+    if not has_ap and tree.size % 2 == 1:
+        bound += Fraction(1, 6)
     total_bound = exact_sum([c.bound for c in components])
     if total_bound != bound:
         raise RoundingError(

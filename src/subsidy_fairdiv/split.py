@@ -16,6 +16,9 @@ and every odd atom-path-free component donates one edge incident to its
 even-size pieces.  The donated edges attach to the atom-path, at most
 one per path agent, forming an expanded atom-path.  Every component and
 piece is found by :func:`~subsidy_fairdiv.graph.components`.
+
+:func:`split_tree` is the entry point and alone fixes the component
+order that every certificate records.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from .graph import (
     GraphError,
     Tree,
     components,
-    first_atom_path,
+    find_atom_paths,
     has_atom_path,
 )
 from .model import ModelError
@@ -177,9 +180,10 @@ def atom_path_split(tree: Tree) -> tuple[ExpandedAtomPath, list[Tree]]:
     expanded atom-path; the returned subtrees each contain an atom-path
     or have even size.
     """
-    path = first_atom_path(tree)
-    if path is None:
+    paths = find_atom_paths(tree)
+    if not paths:
         raise SplitError("tree has no atom-path; use simple_split")
+    path = paths[0]
     path_agents = set(path.agents)
     rest = [e for e in tree.edges if e.item != path.item]
     attachments: list[tuple[int, Edge]] = []
@@ -208,3 +212,25 @@ def atom_path_split(tree: Tree) -> tuple[ExpandedAtomPath, list[Tree]]:
     if eap.h > eap.k + 1:
         raise GraphError("more attachments than path agents")
     return eap, good
+
+
+def split_tree(tree: Tree) -> list[Component]:
+    """A tree's components in their canonical order.
+
+    A tree with an atom-path yields the expanded atom-path of
+    :func:`atom_path_split`, then the split of each returned subtree in
+    turn; any other tree yields its :func:`simple_split`, an edgeless one
+    nothing.  Subtrees wait on a stack, not in Python frames, so nesting
+    depth is unbounded.
+    """
+    out: list[Component] = []
+    stack = [tree]
+    while stack:
+        tree = stack.pop()
+        if has_atom_path(tree.edges):
+            eap, subtrees = atom_path_split(tree)
+            out.append(eap)
+            stack.extend(reversed(subtrees))
+        elif tree.size:
+            out.extend(simple_split(tree))
+    return out

@@ -23,7 +23,7 @@ from subsidy_fairdiv import (
     BASELINE,
     CHORES,
     GOODS,
-    atom_path_split,
+    ExpandedAtomPath,
     brute_force_rounding,
     build_graph,
     fbta_chores,
@@ -33,6 +33,7 @@ from subsidy_fairdiv import (
     is_ido,
     local_subsidy,
     run_pipeline,
+    split_tree,
     trees,
     wprop_share,
 )
@@ -72,15 +73,6 @@ class Record:
     biased_rule_ok: bool
 
 
-def _walk_expanded_atom_paths(tree):
-    if not find_atom_paths(tree):
-        return
-    eap, subtrees = atom_path_split(tree)
-    yield eap
-    for sub in subtrees:
-        yield from _walk_expanded_atom_paths(sub)
-
-
 def _pair_components_match_enumeration(result) -> bool:
     inst = result.ido_instance
     alloc = result.fractional
@@ -108,7 +100,7 @@ def _atom_path_properties(result) -> tuple[bool, bool]:
     rank_ok = True
     biased_ok = True
     for tree in trees(result.graph):
-        for eap in _walk_expanded_atom_paths(tree):
+        for eap in (c for c in split_tree(tree) if isinstance(c, ExpandedAtomPath)):
             core = eap.path.item
             for agent in eap.path.agents[:-1]:
                 attached = eap.attached_agent(agent)

@@ -90,6 +90,20 @@ def test_allocate_invalid_instance(tmp_path, capsys):
     assert "sum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["agent_names", "item_names"])
+def test_allocate_rejects_non_string_names(field, tmp_path, capsys):
+    path = tmp_path / "named.json"
+    doc = {"kind": "chores", "weights": ["1/2", "1/2"], "costs": [["1", "1"], ["1", "1"]]}
+    doc[field] = [1, 2]
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "alloc.json"
+    dot = tmp_path / "graph.dot"
+    argv = ["allocate", "--input", str(path), "--out", str(out), "--emit-graph", str(dot)]
+    assert main(argv) == 2
+    assert f"{field} entries must be strings" in capsys.readouterr().err
+    assert not out.exists() and not dot.exists()
+
+
 def test_allocate_missing_file(tmp_path):
     assert main(["allocate", "--input", str(tmp_path / "nope.json")]) == 2
 

@@ -50,3 +50,8 @@ def test_golden_corpus_covers_every_tree_shape():
         for t in trees
         for c in t["components"]
     )
+    # nested atom-paths pin the order in which the split emits them
+    assert any(
+        sum(c["kind"] == "expanded_atom_path" for c in t["components"]) >= 2
+        for t in trees
+    )

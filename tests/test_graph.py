@@ -189,6 +189,12 @@ def test_make_tree_needs_single_root():
         make_tree((Edge(0, 1, 0), Edge(2, 3, 1)))
 
 
+def test_make_tree_rejects_a_second_path_to_the_root():
+    # one root and connected, but agent 0 reaches root 3 two ways
+    with pytest.raises(GraphError, match="4 edges join 4 agents"):
+        make_tree((Edge(0, 1, 0), Edge(0, 2, 1), Edge(1, 3, 2), Edge(2, 3, 3)))
+
+
 def test_broken_atom_path_rejected():
     # Same-item edges that fork instead of chaining.
     tree = make_tree((Edge(0, 2, 7), Edge(1, 2, 7)))

@@ -31,7 +31,6 @@ from subsidy_fairdiv import (
     IntegralAllocation,
     RoundingError,
     StuckError,
-    atom_path_split,
     brute_force_rounding,
     build_graph,
     compute_subsidies,
@@ -40,12 +39,11 @@ from subsidy_fairdiv import (
     round_expanded_atom_path,
     round_pair,
     round_single_edge,
-    simple_split,
+    split_tree,
     trees,
     wprop_share,
 )
 from subsidy_fairdiv.fbta import bid_and_take
-from subsidy_fairdiv.graph import has_atom_path
 from subsidy_fairdiv.model import ONE, ZERO
 from subsidy_fairdiv.rounding import threshold_owner
 
@@ -285,16 +283,6 @@ def recosted(inst, values):
     )
 
 
-def split_components(tree):
-    """The split components in the order ``round_tree`` rounds them."""
-    if tree.size == 0:
-        return []
-    if has_atom_path(tree.edges):
-        eap, subtrees = atom_path_split(tree)
-        return [eap] + [c for sub in subtrees for c in split_components(sub)]
-    return list(simple_split(tree))
-
-
 REFERENCES = {
     "single_edge": reference_single_edge,
     "pair": reference_pair,
@@ -397,7 +385,7 @@ def test_component_prices_match_reference(inst, data):
         ido_inst, iter(data.draw(st.lists(st.integers(0, 2), min_size=cells, max_size=cells)))
     )
     for costs in (ido_inst, fresh):
-        for comp in (c for tree in forest for c in split_components(tree)):
+        for comp in (c for tree in forest for c in split_tree(tree)):
             scheme, assignment, local = REFERENCES[comp.kind](costs, alloc, comp)
             try:
                 rounded = ROUNDERS[comp.kind](costs, alloc, comp)

@@ -246,8 +246,12 @@ def test_reduction_carries_rows_and_totals(inst):
     # what the reduction carries over equals a fresh scaling
     again = fresh(ido_inst)
     assert ido_inst._rows == again._rows
-    assert ido_inst._totals == again._totals
-    assert ido_inst._shares == again._shares
+    assert [ido_inst.total_cost(i) for i in ido_inst.agents()] == [
+        again.total_cost(i) for i in again.agents()
+    ]
+    assert [wprop_share(ido_inst, i) for i in ido_inst.agents()] == [
+        wprop_share(again, i) for i in again.agents()
+    ]
     assert ido_inst._units == again._units
     assert [ido_inst.total_cost(i) for i in ido_inst.agents()] == [
         sum(row, ZERO) for row in inst.costs

@@ -1,5 +1,7 @@
 """Component roundings, certificates, and the end-to-end pipeline."""
+import inspect
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,7 @@ from subsidy_fairdiv import (
     round_single_edge,
     round_tree,
     run_pipeline,
+    split_tree,
     trees,
 )
 from subsidy_fairdiv.graph import AtomPath
@@ -289,15 +292,9 @@ def harvest_eaps(kinds, seeds, min_found):
         alloc, trace = fbta(inst)
         graph = build_graph(trace)
         for tree in trees(graph):
-            while True:
-                if not find_atom_paths(tree):
-                    break
-                eap, subtrees = atom_path_split(tree)
-                found.append((inst, alloc, eap))
-                deeper = [t for t in subtrees if find_atom_paths(t)]
-                if not deeper:
-                    break
-                tree = deeper[0]
+            found.extend(
+                (inst, alloc, c) for c in split_tree(tree) if isinstance(c, ExpandedAtomPath)
+            )
     assert len(found) >= min_found
     return found
 
@@ -388,6 +385,36 @@ def test_round_tree_sizes_and_bounds():
     empty = round_tree(inst, alloc, make_tree((), nodes=(0,)))
     assert empty.components == ()
     assert empty.bound == 0
+
+
+def test_round_tree_deeply_nested_atom_paths():
+    # A chain of 200 two-edge atom-paths, item i over agents 2i, 2i+1,
+    # 2i+2, so the smallest item sits deepest and each split leaves one
+    # subtree holding every remaining atom-path.  The split must not
+    # need a Python frame per nesting level.
+    paths = 200
+    n = 2 * paths + 1
+    edges = tuple(
+        Edge(2 * i + j, 2 * i + j + 1, i) for i in range(paths) for j in (0, 1)
+    )
+    tree = make_tree(edges)
+    third = Fraction(1, 3)
+    alloc = FractionalAllocation(
+        tuple(
+            tuple(third if 2 * e <= a <= 2 * e + 2 else 0 for e in range(paths))
+            for a in range(n)
+        )
+    )
+    inst = Instance(CHORES, (Fraction(1, n),) * n, ((0,) * paths,) * n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        rounding = round_tree(inst, alloc, tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [c.kind for c in rounding.components] == ["expanded_atom_path"] * paths
+    assert [c.items for c in rounding.components] == [(i,) for i in range(paths)]
+    assert rounding.bound == Fraction(2 * paths, 3)
 
 
 def test_round_baseline_worked_example(reference_instance, reference_run):

@@ -11,6 +11,7 @@ from subsidy_fairdiv import (
     find_atom_paths,
     make_tree,
     simple_split,
+    split_tree,
 )
 
 
@@ -99,6 +100,22 @@ def test_atom_path_split_worked_example(reference_tree):
         (3, 5, 2),
         (4, 5, 4),
     }
+
+
+def test_split_tree_orders_nested_atom_paths_depth_first():
+    # Peeling item 0's path (0 -> 1 -> 2) leaves two subtrees, the one at
+    # agent 0 (items 1 and 3) before the one at agent 2 (item 2); the
+    # first is split in full, item 3 included, before the second starts.
+    edges = (
+        Edge(0, 1, 0), Edge(1, 2, 0),
+        Edge(3, 4, 1), Edge(4, 0, 1),
+        Edge(5, 6, 3), Edge(6, 3, 3),
+        Edge(7, 8, 2), Edge(8, 2, 2),
+    )
+    parts = split_tree(make_tree(edges))
+    assert [p.kind for p in parts] == ["expanded_atom_path"] * 4
+    assert [p.path.item for p in parts] == [0, 1, 3, 2]
+    assert split_tree(make_tree((), nodes=(3,))) == []
 
 
 def test_atom_path_split_pure_path():

@@ -19,10 +19,11 @@ from subsidy_fairdiv import (
     CHORES,
     GOODS,
     NORMALIZED,
+    ExpandedAtomPath,
     Instance,
     build_graph,
-    find_atom_paths,
     reduce_to_ido,
+    split_tree,
     trees,
     wprop_share,
 )
@@ -37,7 +38,6 @@ from subsidy_fairdiv.rounding import (
     run_pipeline,
     threshold_owner,
 )
-from subsidy_fairdiv.split import atom_path_split
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +138,6 @@ def reference_emit(inst, alloc, forest):
     return emitted, assignment
 
 
-def expanded_atom_paths(tree):
-    """Every expanded atom-path ``round_tree`` cuts out of the tree."""
-    if tree.size == 0 or not find_atom_paths(tree):
-        return []
-    eap, subtrees = atom_path_split(tree)
-    return [eap] + [e for sub in subtrees for e in expanded_atom_paths(sub)]
-
-
 # ---------------------------------------------------------------------------
 # Instances
 # ---------------------------------------------------------------------------
@@ -180,7 +172,9 @@ def fractional_forest(inst):
 @settings(max_examples=300, deadline=None)
 def test_expanded_atom_path_matches_placement_decomposition(inst, data):
     ido_inst, alloc, forest = fractional_forest(inst)
-    eaps = [e for tree in forest for e in expanded_atom_paths(tree)]
+    eaps = [
+        c for tree in forest for c in split_tree(tree) if isinstance(c, ExpandedAtomPath)
+    ]
     # the same shares under fresh costs of 0, 1/2 or 1, which often tie an
     # attached edge's endpoints; the rounding needs only the sharing
     cells = inst.n * inst.m
