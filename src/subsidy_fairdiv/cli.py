@@ -53,11 +53,16 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ModelError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ModelError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _rational(value: Fraction, digits: int | None) -> str:

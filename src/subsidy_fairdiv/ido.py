@@ -5,35 +5,33 @@ the same way.  The canonical order used throughout this package is
 non-decreasing cost (chores) or non-decreasing value (goods): row ``i``
 of an IDO instance satisfies ``c_i(e_0) <= c_i(e_1) <= ...``.
 
-Any instance reduces to an IDO one by sorting each agent's row; an
-integral allocation of the IDO instance then lifts back through a
-picking sequence that never increases any agent's cost (chores) nor
-decreases her value (goods), so subsidies only shrink under lifting.
+Any instance reduces to an IDO one by sorting each agent's row once, into
+her preference order; an integral allocation of the IDO instance lifts
+back through a picking sequence in which each owner takes items in that
+order, which never increases any agent's cost (chores) nor decreases her
+value (goods), so subsidies only shrink under lifting.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import le
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .model import CHORES, Instance, IntegralAllocation, ModelError
 
 
 @dataclass(frozen=True)
 class RankProfile:
-    """Per-agent ranking used by the reduction.
+    """Each agent's preference order over the original items.
 
-    ``sigma[i][r]`` is the r-th most costly (most valuable, for goods)
-    original item under agent ``i``'s row, ties broken by smaller item
-    index.  Slot ``k`` of the reduced instance takes the cost of
-    ``sigma[i][m - 1 - k]``, which makes every reduced row non-decreasing.
+    ``sigma[i]`` lists the items from agent ``i``'s favorite to her least
+    favorite: cheapest first for chores, most valuable first for goods,
+    ties to the smaller item index.  Row ``i`` of the reduced instance is
+    ``sigma[i]`` for chores and ``reversed(sigma[i])`` for goods, which
+    makes every reduced row non-decreasing.
     """
 
     sigma: tuple[tuple[int, ...], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.sigma[0]) if self.sigma else 0
 
 
 def is_ido(inst: Instance) -> bool:
@@ -41,28 +39,22 @@ def is_ido(inst: Instance) -> bool:
     return all(all(map(le, ints, ints[1:])) for ints, _ in inst._rows)
 
 
-def _ranking(items: Sequence[int], keys: Sequence[int], descending: bool) -> list[int]:
-    """The ascending ``items`` ordered by an integer row; ties keep index order.
-
-    The sort is stable, so ties go to the smaller index in either direction.
-    """
-    return sorted(items, key=keys.__getitem__, reverse=descending)
-
-
 def reduce_to_ido(inst: Instance) -> tuple[Instance, RankProfile]:
-    """Sort each agent's row into the canonical non-decreasing order.
+    """Sort each agent's row into her preference order, once.
 
-    The rows are sorted by the instance's integer rows.  The reduced
-    instance keeps kind, weights, every row total and each row's integers
-    (permuted), so each agent's proportional share is unchanged.
+    The rows are sorted by the instance's integer rows; the sort is
+    stable, so ties go to the smaller index.  The reduced instance keeps
+    kind, weights, every row total and each row's integers (permuted), so
+    each agent's proportional share is unchanged.
     """
-    # one set of index objects shared by every row's ranking: 8 bytes per
+    goods = inst.kind != CHORES
+    # one set of index objects shared by every row's order: 8 bytes per
     # sigma entry instead of a new int each
     items = list(range(inst.m))
     sigma = tuple(
-        tuple(_ranking(items, ints, descending=True)) for ints, _ in inst._rows
+        tuple(sorted(items, key=ints.__getitem__, reverse=goods)) for ints, _ in inst._rows
     )
-    ido_inst = inst._permuted(reversed(desc) for desc in sigma)
+    ido_inst = inst._permuted(reversed(order) if goods else order for order in sigma)
     return ido_inst, RankProfile(sigma)
 
 
@@ -73,31 +65,32 @@ def lift_allocation(
 
     Slots are visited from cheapest to costliest for chores (the reverse
     for goods) and each slot's owner picks her favorite still-unallocated
-    original item: minimum cost for chores, maximum value for goods, ties
-    to the smaller item index.  Guarantees, per agent, that the lifted
-    bundle costs at most (is worth at least) the reduced-instance bundle.
+    original item, the first one left in her ``profile.sigma`` row.
+    Guarantees, per agent, that the lifted bundle costs at most (is worth
+    at least) the reduced-instance bundle.
 
-    Each owner's picking order is sorted once, in O(m log m), from the
-    instance's integer row, and read through a cursor that skips items
-    already taken, so the lift costs O(k m log m) time and O(k m) memory
-    for k distinct owners.
+    Each owner's row is checked to be an order of the items when first
+    read, then walked by a cursor that skips items already taken: O(m)
+    per owner, O(k m) for k distinct owners.
     """
     m = inst.m
     if ido_alloc.m != m:
         raise ModelError(
             f"allocation covers {ido_alloc.m} items, instance has {m}"
         )
-    if profile.m != m and m > 0:
+    if len(profile.sigma) != inst.n:
         raise ModelError("rank profile does not match the instance")
-    chores = inst.kind == CHORES
-    order = range(m) if chores else range(m - 1, -1, -1)
+    order = range(m) if inst.kind == CHORES else range(m - 1, -1, -1)
     owner: list[int | None] = [None] * m
-    items = list(range(m))  # shared by every picking order, as in the reduction
+    items = set(range(m))
     favorites: dict[int, Iterator[int]] = {}
     for slot in order:
         agent = ido_alloc.owner[slot]
         if agent not in favorites:
-            favorites[agent] = iter(_ranking(items, inst._rows[agent][0], not chores))
+            row = profile.sigma[agent]
+            if len(row) != m or items.symmetric_difference(row):
+                raise ModelError(f"rank profile row {agent} is not an order of the items")
+            favorites[agent] = iter(row)
         pick = next(e for e in favorites[agent] if owner[e] is None)
         owner[pick] = agent
     return IntegralAllocation(tuple(owner))

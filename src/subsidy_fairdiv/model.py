@@ -442,6 +442,8 @@ def _load_json(text: str, what: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"{what}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep, integer too long
+        raise ModelError(f"{what}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelError(f"{what}: top-level value must be an object")
     return doc

@@ -202,6 +202,16 @@ def _cheapest(pricer: _Pricer, kind, options, bound) -> ComponentRounding:
     return _component(kind, assignment, scheme, pricer.price(score), bound)
 
 
+def _threshold_component(
+    inst: Instance, alloc: FractionalAllocation, item: int, kind: str, bound: Fraction
+) -> ComponentRounding:
+    """The item rounded to its :func:`threshold_owner`, priced and held to ``bound``."""
+    owner = threshold_owner(alloc, item)
+    assignment = {item: owner}
+    local = local_subsidy(inst, alloc, assignment)
+    return _component(kind, assignment, f"threshold->{owner}", local, bound)
+
+
 def round_single_edge(
     inst: Instance, alloc: FractionalAllocation, comp: SingleEdge
 ) -> ComponentRounding:
@@ -213,13 +223,7 @@ def round_single_edge(
             f"single-edge component expects 2 sharers on item {item}, "
             f"found {len(sharers)}"
         )
-    owner = threshold_owner(alloc, item)
-    return _cheapest(
-        _Pricer(inst, alloc, (item,)),
-        "single_edge",
-        [(f"threshold->{owner}", {item: owner})],
-        HALF,
-    )
+    return _threshold_component(inst, alloc, item, "single_edge", HALF)
 
 
 def round_pair(
@@ -406,17 +410,12 @@ def round_baseline(
 def _baseline_components(
     inst: Instance, alloc: FractionalAllocation
 ) -> list[ComponentRounding]:
-    out = []
-    for item, sharers in fractional_items(alloc):
-        owner = threshold_owner(alloc, item)
-        q = len(sharers)
-        option = (f"threshold->{owner}", {item: owner})
-        out.append(
-            _cheapest(
-                _Pricer(inst, alloc, (item,)), "threshold_item", [option], Fraction(q - 1, q)
-            )
+    return [
+        _threshold_component(
+            inst, alloc, item, "threshold_item", Fraction(len(sharers) - 1, len(sharers))
         )
-    return out
+        for item, sharers in fractional_items(alloc)
+    ]
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,39 @@ def test_allocate_rejects_non_string_names(field, tmp_path, capsys):
     assert not out.exists() and not dot.exists()
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+HOSTILE_INPUTS = {
+    "deep_nesting": b"[" * 200_000 + b"]" * 200_000,
+    "long_cost_literal": b'{"kind": "chores", "weights": ["1"], "costs": [[1' + b"0" * 4400 + b"]]}",
+    "not_utf8": b'{"kind": "chores", "weights": ["1"], "costs": [["1"]], "item_names": ["\xe9"]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_INPUTS))
+def test_allocate_rejects_hostile_input(name, tmp_path, capsys):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(HOSTILE_INPUTS[name])
+    assert main(["allocate", "--input", str(path)]) == 2
+    assert_one_error_line(capsys)
+
+
+def test_verify_rejects_long_owner_literal(istar_file, tmp_path, capsys):
+    path = tmp_path / "alloc.json"
+    path.write_text('{"owner": [1' + "0" * 4400 + "]}")
+    assert main(["verify", "--input", str(istar_file), "--allocation", str(path)]) == 2
+    assert_one_error_line(capsys)
+
+
+def test_allocate_unwritable_out(istar_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "alloc.json"
+    assert main(["allocate", "--input", str(istar_file), "--out", str(out)]) == 2
+    assert_one_error_line(capsys)
+
+
 def test_allocate_missing_file(tmp_path):
     assert main(["allocate", "--input", str(tmp_path / "nope.json")]) == 2
 

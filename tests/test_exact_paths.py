@@ -55,13 +55,14 @@ from subsidy_fairdiv.rounding import ComponentRounding, HALF, run_pipeline
 # ---------------------------------------------------------------------------
 
 def reference_reduce(inst):
-    """Sort each row on ``(-cost, index)``: (reduced rows, sigma)."""
+    """Sort each row on ``(cost, index)``, goods on ``(-cost, index)``: (reduced rows, sigma)."""
     m = inst.m
+    sign = 1 if inst.kind == CHORES else -1
     rows, sigma = [], []
     for row in inst.costs:
-        desc = sorted(range(m), key=lambda e: (-row[e], e))
-        sigma.append(tuple(desc))
-        rows.append(tuple(row[desc[m - 1 - k]] for k in range(m)))
+        order = sorted(range(m), key=lambda e: (sign * row[e], e))
+        sigma.append(tuple(order))
+        rows.append(tuple(sorted(row)))
     return tuple(rows), tuple(sigma)
 
 

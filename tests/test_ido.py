@@ -9,6 +9,8 @@ from subsidy_fairdiv import (
     GOODS,
     Instance,
     IntegralAllocation,
+    ModelError,
+    RankProfile,
     compute_subsidies,
     gen_random_instance,
     is_ido,
@@ -46,8 +48,8 @@ def test_reduce_sorts_each_row():
         (Fraction(1, 5), Fraction(1, 2)),
         (Fraction(3, 10), Fraction(3, 5)),
     )
-    # descending ranks, ties by item index
-    assert profile.sigma == ((1, 0), (0, 1))
+    # cheapest first, ties by item index
+    assert profile.sigma == ((0, 1), (1, 0))
 
 
 def test_reduce_preserves_row_totals():
@@ -76,6 +78,34 @@ def test_lift_two_agent_example():
         assert lifted.bundle_cost(inst, agent) <= ido_alloc.bundle_cost(
             ido_inst, agent
         )
+
+
+@pytest.mark.parametrize("kind, ido_owner", [(CHORES, (0, 1)), (GOODS, (1, 0))])
+def test_lift_follows_the_profile_order(kind, ido_owner):
+    # every cost is tied, so either order is a preference order; agent 0
+    # owns the first slot the lift visits and her profile lists item 1
+    # first, where sorting her row would list item 0 first
+    inst = Instance(kind, ("1/2", "1/2"), (("1", "1"), ("1", "1")))
+    profile = RankProfile(((1, 0), (0, 1)))
+    lifted = lift_allocation(inst, profile, IntegralAllocation(ido_owner))
+    assert lifted.owner == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        ((0, 0, 1), (0, 1, 2)),  # a repeated item
+        ((0, 1), (0, 1, 2)),  # too short
+        ((0, 1, 2, 3), (0, 1, 2)),  # too long
+        ((-1, 0, 1), (0, 1, 2)),  # an index outside the items
+        ((0, 1, 3), (0, 1, 2)),
+        ((0, 1, 2),),  # a row missing
+    ],
+)
+def test_lift_rejects_a_malformed_profile(sigma):
+    inst = Instance(CHORES, ("1/2", "1/2"), (("1", "2", "3"), ("1", "2", "3")))
+    with pytest.raises(ModelError):
+        lift_allocation(inst, RankProfile(sigma), IntegralAllocation((0, 1, 0)))
 
 
 def test_lift_single_agent_keeps_total():

@@ -51,12 +51,13 @@ def reference_ranking(items, row, descending):
 
 def reference_reduce(inst):
     """(reduced rows, sigma), every row scaled again for its sort."""
+    goods = inst.kind == GOODS
     items = list(range(inst.m))
     sigma, costs = [], []
     for row in inst.costs:
-        desc = reference_ranking(items, row, descending=True)
-        sigma.append(tuple(desc))
-        costs.append(tuple(row[e] for e in reversed(desc)))
+        order = reference_ranking(items, row, descending=goods)
+        sigma.append(tuple(order))
+        costs.append(tuple(row[e] for e in (reversed(order) if goods else order)))
     return tuple(costs), tuple(sigma)
 
 
