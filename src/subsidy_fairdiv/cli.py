@@ -13,6 +13,9 @@ Output is byte-deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import os
 import sys
 from fractions import Fraction
 
@@ -57,12 +60,25 @@ def _read(path: str) -> str:
         raise ModelError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _write(path: str, text: str) -> None:
+def _write(*docs: tuple[str, str]) -> None:
+    """Write every ``(path, text)`` or none, through temporary files beside them."""
+    temps: list[str] = []
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        for path, text in docs:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            temp = f"{path}.{os.getpid()}.{len(temps)}.tmp"
+            with open(temp, "x", encoding="utf-8", newline="\n") as fh:
+                temps.append(temp)
+                fh.write(text)
+        for (path, _), temp in zip(docs, temps):
+            os.replace(temp, path)
     except OSError as exc:
         raise ModelError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
+        for temp in temps:  # gone once replaced
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 def _rational(value: Fraction, digits: int | None) -> str:
@@ -91,23 +107,18 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         extra["subsidies_decimal"] = [
             format_decimal(s, args.decimal) for s in result.subsidies.amounts
         ]
-    # build every document before writing any, so that one too long to
-    # write leaves no partial output behind
+    # build every document first; a failure then leaves no partial output
     text = serialize_allocation(
         result.allocation, result.subsidies, extra=extra, decimal_digits=args.decimal
     )
-    cert_text = cert.to_json() if args.certificate else None
-    dot_text = (
-        to_dot(result.graph, inst.agent_names, inst.item_names) if args.emit_graph else None
-    )
-    if args.out:
-        _write(args.out, text)
-    else:
+    docs = [(args.out, text)] if args.out else []
+    if args.certificate:
+        docs.append((args.certificate, cert.to_json()))
+    if args.emit_graph:
+        docs.append((args.emit_graph, to_dot(result.graph, inst.agent_names, inst.item_names)))
+    _write(*docs)
+    if not args.out:
         sys.stdout.write(text)
-    if cert_text is not None:
-        _write(args.certificate, cert_text)
-    if dot_text is not None:
-        _write(args.emit_graph, dot_text)
     print(
         f"total subsidy {_rational(result.subsidies.total, args.decimal)} "
         f"<= bound {_rational(cert.global_bound, args.decimal)}: "
@@ -179,7 +190,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     )
     text = serialize_instance(inst)
     if args.out:
-        _write(args.out, text)
+        _write((args.out, text))
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -204,7 +215,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     text = "\n".join(rows) + "\n"
     if args.out:
-        _write(args.out, text)
+        _write((args.out, text))
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

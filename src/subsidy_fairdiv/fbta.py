@@ -21,8 +21,10 @@ Selection keys, chores:
     which case :class:`StuckError` is raised.  Kept because its runs are
     useful reference fixtures; not used by the allocation pipeline.
 
-Goods use the symmetric ``normalized`` rule (maximize ``v_i(e)/v_i(M)``)
-and hand all remaining items to the last active agent.
+Goods use only the symmetric ``normalized`` rule (maximize
+``v_i(e)/v_i(M)``) and hand all remaining items to the last active agent.
+:func:`fbta` checks its input, then runs :func:`bid_and_take`, the
+unchecked core that the pipeline calls.
 
 Agents with an all-zero row have share zero and an undefined ratio; they
 participate with key 0 and never turn inactive, so for chores they soak
@@ -98,12 +100,6 @@ class AllocationTrace:
     successors: tuple[SuccessorRecord, ...]
     last_item: tuple[int | None, ...]
 
-    def successor_of(self, agent: int) -> SuccessorRecord | None:
-        for rec in self.successors:
-            if rec.agent == agent:
-                return rec
-        return None
-
 
 def format_trace(trace: AllocationTrace) -> str:
     """One event per line: item, agent, fraction "p/q", inactivation flag."""
@@ -122,7 +118,7 @@ def bid_and_take(
     """Bid-and-take without precondition checks.
 
     The caller guarantees a valid IDO instance and a known selection rule;
-    :func:`fbta_chores` and :func:`fbta_goods` check both first.
+    :func:`fbta` checks both first.
     """
     n, m = inst.n, inst.m
     goods = inst.kind == GOODS
@@ -142,7 +138,7 @@ def bid_and_take(
     # load) becomes a Fraction only once she takes the rest of a split item
     scale = [q for q, _, _ in inst._units]
     capacity: list[int | Fraction] = [share for _, share, _ in inst._units]
-    active = list(inst.agents())
+    active = list(range(n))
     columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
     events: list[TraceEvent] = []
     successors: list[SuccessorRecord] = []
@@ -216,44 +212,21 @@ def bid_and_take(
     return allocation, trace
 
 
-def fbta_chores(
+def fbta(
     inst: Instance, selection: str = NORMALIZED
 ) -> tuple[FractionalAllocation, AllocationTrace]:
-    """Run bid-and-take on an IDO chores instance.
+    """Check the instance is valid and IDO and the rule known; run bid-and-take.
 
     Returns a complete fractional allocation with ``c_i(x_i) <= share_i``
-    for every agent (equality for every inactivated agent) and at most
-    ``n - 1`` fractional items, plus the trace.
+    (chores) or ``v_i(x_i) >= share_i`` (goods) for every agent and at
+    most ``n - 1`` fractional items, plus the trace.
     """
     require_valid(inst)
-    if inst.kind != CHORES:
-        raise FBTAError(f"expected a chores instance, got kind={inst.kind!r}")
     if not is_ido(inst):
         raise FBTAError("instance is not in canonical non-decreasing order")
-    if selection not in (NORMALIZED, RAW_COST):
-        raise FBTAError(f"unknown selection rule {selection!r}")
+    if selection != NORMALIZED and (selection != RAW_COST or inst.kind != CHORES):
+        raise FBTAError(f"unknown selection rule {selection!r} for {inst.kind}")
     return bid_and_take(inst, selection)
-
-
-def fbta_goods(inst: Instance) -> tuple[FractionalAllocation, AllocationTrace]:
-    """Run bid-and-take on an IDO goods instance.
-
-    Returns a complete fractional allocation with ``v_i(x_i) >= share_i``
-    for every agent and at most ``n - 1`` fractional items, plus the trace.
-    """
-    require_valid(inst)
-    if inst.kind != GOODS:
-        raise FBTAError(f"expected a goods instance, got kind={inst.kind!r}")
-    if not is_ido(inst):
-        raise FBTAError("instance is not in canonical non-decreasing order")
-    return bid_and_take(inst, NORMALIZED)
-
-
-def fbta(inst: Instance) -> tuple[FractionalAllocation, AllocationTrace]:
-    """Dispatch to the chores or goods variant by instance kind."""
-    if inst.kind == CHORES:
-        return fbta_chores(inst)
-    return fbta_goods(inst)
 
 
 def fractional_items(

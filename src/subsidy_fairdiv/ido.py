@@ -69,9 +69,9 @@ def lift_allocation(
     Guarantees, per agent, that the lifted bundle costs at most (is worth
     at least) the reduced-instance bundle.
 
-    Each owner's row is checked to be an order of the items when first
-    read, then walked by a cursor that skips items already taken: O(m)
-    per owner, O(k m) for k distinct owners.
+    Each owner is checked to be an agent, and her row an order of the
+    items, when first read, then walked by a cursor that skips items
+    already taken: O(m) per owner, O(k m) for k distinct owners.
     """
     m = inst.m
     if ido_alloc.m != m:
@@ -87,6 +87,8 @@ def lift_allocation(
     for slot in order:
         agent = ido_alloc.owner[slot]
         if agent not in favorites:
+            if not 0 <= agent < inst.n:
+                raise ModelError(f"item {slot} assigned to unknown agent {agent}")
             row = profile.sigma[agent]
             if len(row) != m or items.symmetric_difference(row):
                 raise ModelError(f"rank profile row {agent} is not an order of the items")

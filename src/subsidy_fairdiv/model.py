@@ -142,7 +142,8 @@ class Instance:
 
     ``costs[i][e]`` is agent ``i``'s cost (chores) or value (goods) for
     item ``e``.  Weights must be positive and sum to one exactly; every
-    cost must lie in [0, 1].  Use :func:`validate_instance` to check.
+    cost must lie in [0, 1].  :func:`validate_instance` lists the rules
+    an instance breaks, and :func:`require_valid` raises on any of them.
     The integer rows and units are computed once, on first use.
     """
 
@@ -210,12 +211,6 @@ class Instance:
         ints, d = self._rows[agent]
         return Fraction(sum(ints), d)
 
-    def agents(self) -> range:
-        return range(self.n)
-
-    def items(self) -> range:
-        return range(self.m)
-
 
 def wprop_share(inst: Instance, agent: int) -> Fraction:
     """The agent's weighted proportional share ``w_i * c_i(M)``."""
@@ -279,14 +274,11 @@ class FractionalAllocation:
     def m(self) -> int:
         return len(self.columns)
 
-    def column_sum(self, item: int) -> Fraction:
-        return sum((x for _, x in self.columns[item]), ZERO)
-
     def is_complete(self) -> bool:
         """Every item's fractions sum to one; a lone holder must hold all of it."""
         return all(
-            column[0][1] == ONE if len(column) == 1 else self.column_sum(e) == ONE
-            for e, column in enumerate(self.columns)
+            column[0][1] == ONE if len(column) == 1 else sum(x for _, x in column) == ONE
+            for column in self.columns
         )
 
     def sharers(self, item: int) -> tuple[int, ...]:
@@ -372,24 +364,11 @@ def compute_subsidies(inst: Instance, alloc: IntegralAllocation) -> SubsidyVecto
     return SubsidyVector(tuple(amounts))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of instance validation: violations and degeneracy flags."""
+def validate_instance(inst: Instance) -> tuple[str, ...]:
+    """Every violated instance invariant, as one message each.
 
-    violations: tuple[str, ...]
-    degenerate_agents: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_instance(inst: Instance) -> ValidationReport:
-    """Check every instance invariant; report all violations at once.
-
-    Agents with an all-zero cost row are flagged as degenerate (their
-    share is zero and the selection ratio is undefined for them), which
-    is not a violation.
+    The tuple is empty exactly when the instance is valid.  An all-zero
+    cost row is valid: that agent's share is zero.
     """
     violations: list[str] = []
     if inst.kind not in KINDS:
@@ -423,14 +402,13 @@ def validate_instance(inst: Instance) -> ValidationReport:
     for field, names in (("agent_names", inst.agent_names), ("item_names", inst.item_names)):
         if names is not None and not all(isinstance(name, str) for name in names):
             violations.append(f"{field} entries must be strings")
-    degenerate = tuple(i for i, (ints, _) in enumerate(inst._rows) if not any(ints))
-    return ValidationReport(tuple(violations), degenerate)
+    return tuple(violations)
 
 
 def require_valid(inst: Instance) -> None:
-    report = validate_instance(inst)
-    if not report.ok:
-        raise ModelError("invalid instance: " + "; ".join(report.violations))
+    violations = validate_instance(inst)
+    if violations:
+        raise ModelError("invalid instance: " + "; ".join(violations))
 
 
 # ---------------------------------------------------------------------------

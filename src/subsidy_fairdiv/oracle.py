@@ -67,7 +67,7 @@ def brute_force_rounding(
     scale = [sign * q * (denominator // unit) for q, _, unit in units]
     base_gap = [-sign * share * (denominator // unit) for _, share, unit in units]
     base_owner: list[int | None] = [None] * inst.m
-    for e in inst.items():
+    for e in range(inst.m):
         sharers = alloc.sharers(e)
         if len(sharers) == 1:
             agent = sharers[0]
@@ -105,11 +105,10 @@ def gen_random_instance(
     dist: str = UNIFORM,
     denominator: int = 10,
     force_ido: bool = False,
-    max_weight: int = 9,
 ) -> Instance:
     """Deterministic random instance on an exact rational grid.
 
-    Weights are positive integers normalized to sum to one exactly.
+    Weights are integers from 1 to 9, normalized to sum to one exactly.
     Costs are drawn from the grid q/denominator.  ``uniform`` draws each
     entry independently; ``correlated`` perturbs a shared base row by at
     most 2 grid steps, clamped to [0, 1].  With ``force_ido`` each row is
@@ -126,7 +125,7 @@ def gen_random_instance(
     if denominator < 1:
         raise ModelError("denominator must be positive")
     rng = random.Random(f"{n}|{m}|{kind}|{dist}|{denominator}|{force_ido}|{seed}")
-    raw = [rng.randint(1, max_weight) for _ in range(n)]
+    raw = [rng.randint(1, 9) for _ in range(n)]
     total = sum(raw)
     weights = tuple(Fraction(w, total) for w in raw)
     rows = []

@@ -332,10 +332,6 @@ class TreeRounding:
     components: tuple[ComponentRounding, ...]
     emitted: str = "split"
 
-    @property
-    def local_total(self) -> Fraction:
-        return sum((c.local_subsidy for c in self.components), ZERO)
-
 
 def round_tree(
     inst: Instance, alloc: FractionalAllocation, tree: Tree

@@ -159,15 +159,18 @@ def choose_attachment(edges: list[Edge], contact: int) -> Edge:
         raise SplitError("component has even size, nothing to donate")
     if has_atom_path(edges):
         raise SplitError("component contains an atom-path, nothing to donate")
-    candidates = []
-    for e in edges:
-        if contact not in (e.tail, e.head):
-            continue
-        far = e.head if e.tail == contact else e.tail
-        rest = [x for x in edges if x != e]
-        far_side = next(t for t in components(rest, (far,)) if far in t.nodes)
-        if far_side.size % 2 == 0:
-            candidates.append(e)
+    # with the contact's edges gone, an edge's far side is its far end's piece
+    far_size = {
+        v: piece.size
+        for piece in components(e for e in edges if contact not in (e.tail, e.head))
+        for v in piece.nodes
+    }
+    candidates = [
+        e
+        for e in edges
+        if contact in (e.tail, e.head)
+        and far_size.get(e.head if e.tail == contact else e.tail, 0) % 2 == 0
+    ]
     if not candidates:
         raise GraphError("no even-side edge at the atom-path agent; parity broken")
     return min(candidates, key=lambda e: (e.item, e.tail))

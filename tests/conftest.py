@@ -7,11 +7,11 @@ from subsidy_fairdiv import (
     RAW_COST,
     Instance,
     build_graph,
-    fbta_chores,
     frac,
     six_agent_reference_instance,
     trees,
 )
+from subsidy_fairdiv.fbta import fbta
 
 # Fractional allocation of the reference instance under the raw-cost
 # selection rule; the canonical worked example for graph and rounding
@@ -37,7 +37,7 @@ def reference_instance() -> Instance:
 @pytest.fixture(scope="session")
 def reference_run(reference_instance):
     """(fractional allocation, trace, graph) of the worked-example run."""
-    alloc, trace = fbta_chores(reference_instance, selection=RAW_COST)
+    alloc, trace = fbta(reference_instance, selection=RAW_COST)
     graph = build_graph(trace)
     return alloc, trace, graph
 

@@ -137,6 +137,24 @@ def test_allocate_unwritable_out(istar_file, tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("flag", ["--certificate", "--emit-graph"])
+@pytest.mark.parametrize("blocked", ["missing_dir", "directory"])
+def test_allocate_leaves_no_partial_output(flag, blocked, istar_file, tmp_path, capsys):
+    # a later document that cannot be written leaves every named file as it was
+    (tmp_path / "dir").mkdir()
+    target = tmp_path / "missing" / "doc" if blocked == "missing_dir" else tmp_path / "dir"
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    for out in (kept, tmp_path / "new.json"):
+        args = ["allocate", "--input", str(istar_file), "--out", str(out), flag, str(target)]
+        assert main(args) == 2
+        assert_one_error_line(capsys)
+    assert kept.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
 def test_allocate_missing_file(tmp_path):
     assert main(["allocate", "--input", str(tmp_path / "nope.json")]) == 2
 

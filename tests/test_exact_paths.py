@@ -216,7 +216,7 @@ def test_pipeline_pieces_match_reference(inst):
 # ---------------------------------------------------------------------------
 
 def _warm_instance(inst):
-    for i in inst.agents():
+    for i in range(inst.n):
         inst.total_cost(i)
         wprop_share(inst, i)
     validate_instance(inst)
@@ -238,7 +238,7 @@ def test_instance_caches_are_invisible(inst):
     assert again == inst
     assert "_rows" not in vars(again) and "_units" not in vars(again)
     assert again._rows == inst._rows and again._units == inst._units
-    assert [again.total_cost(i) for i in again.agents()] == [
+    assert [again.total_cost(i) for i in range(again.n)] == [
         sum(row, ZERO) for row in inst.costs
     ]
     assert dataclasses.replace(inst) == cold

@@ -12,15 +12,13 @@ from subsidy_fairdiv import (
     FBTAError,
     Instance,
     StuckError,
-    fbta,
-    fbta_chores,
-    fbta_goods,
     format_trace,
     fractional_items,
     gen_random_instance,
     reduce_to_ido,
     wprop_share,
 )
+from subsidy_fairdiv.fbta import fbta
 from conftest import REFERENCE_FRACTIONS, fmatrix
 
 
@@ -39,16 +37,17 @@ def test_raw_cost_run_reproduces_worked_example(reference_instance, reference_ru
         (4, 5, 4),
     ]
     assert trace.last_item == (0, 1, 1, 2, 4, 5)
-    rec = trace.successor_of(2)
-    assert rec is not None and (rec.successor, rec.item) == (3, 1)
-    assert trace.successor_of(5) is None
+    successor_of = {r.agent: r for r in trace.successors}
+    rec = successor_of[2]
+    assert (rec.successor, rec.item) == (3, 1)
+    assert 5 not in successor_of
 
 
 def test_normalized_run_on_reference_instance(reference_instance):
     # Exact run of the ratio-key rule, derived by hand-executing the
     # selection loop; differs from the raw-cost run because agents with
     # larger totals bid lower ratios.
-    alloc, trace = fbta_chores(reference_instance)
+    alloc, trace = fbta(reference_instance)
     expected = fmatrix(
         (
             ("4/7", 0, 0, 0, 0, 0),
@@ -79,7 +78,7 @@ def test_exact_fill_leaves_no_successor():
     # Both agents reach their share exactly on whole items: no
     # fractional item, no successor records.
     inst = Instance(CHORES, ("1/2", "1/2"), (("1", "1"), ("1", "1")))
-    alloc, trace = fbta_chores(inst)
+    alloc, trace = fbta(inst)
     assert alloc.shares == fmatrix(((1, 0), (0, 1)))
     assert trace.successors == ()
     assert fractional_items(alloc) == []
@@ -87,7 +86,7 @@ def test_exact_fill_leaves_no_successor():
 
 def test_single_agent_takes_everything():
     inst = Instance(CHORES, ("1",), (("0.3", "0.8"),))
-    alloc, _ = fbta_chores(inst)
+    alloc, _ = fbta(inst)
     assert alloc.agent_load(inst, 0) == inst.total_cost(0)
 
 
@@ -95,7 +94,7 @@ def test_zero_cost_item_taken_whole():
     # A zero-cost selected item cannot trip the overflow branch.
     inst = Instance(CHORES, ("1/2", "1/2"), (("0", "1"), ("0.5", "0.5")))
     ido_inst, _ = reduce_to_ido(inst)
-    alloc, _ = fbta_chores(ido_inst)
+    alloc, _ = fbta(ido_inst)
     assert alloc.is_complete()
 
 
@@ -103,7 +102,7 @@ def test_degenerate_agent_absorbs_for_free():
     # An all-zero row never turns inactive and soaks up whatever the
     # loaded agent may not take; nobody needs a subsidy.
     inst = Instance(CHORES, ("1/2", "1/2"), (("0", "0"), ("1", "1")))
-    alloc, trace = fbta_chores(inst)
+    alloc, trace = fbta(inst)
     assert alloc.is_complete()
     assert alloc.agent_load(inst, 1) <= wprop_share(inst, 1)
 
@@ -111,11 +110,14 @@ def test_degenerate_agent_absorbs_for_free():
 def test_rejects_non_ido_and_wrong_kind(reference_instance):
     bad = Instance(CHORES, ("1/2", "1/2"), (("0.5", "0.2"), ("0.1", "0.9")))
     with pytest.raises(FBTAError):
-        fbta_chores(bad)
+        fbta(bad)
     with pytest.raises(FBTAError):
-        fbta_goods(reference_instance)
+        fbta(reference_instance, selection="greedy")
+    # raw_cost is a chores rule only
+    goods = Instance(GOODS, ("1/2", "1/2"), (("0.2", "0.5"), ("0.1", "0.9")))
     with pytest.raises(FBTAError):
-        fbta_chores(reference_instance, selection="greedy")
+        fbta(goods, selection=RAW_COST)
+    fbta(goods)
 
 
 def test_raw_cost_can_get_stuck_where_normalized_completes():
@@ -123,8 +125,8 @@ def test_raw_cost_can_get_stuck_where_normalized_completes():
         CHORES, ("1/2", "1/2"), (("1/5", "1/2", "1/2"), ("3/10", "1", "1"))
     )
     with pytest.raises(StuckError):
-        fbta_chores(inst, selection=RAW_COST)
-    alloc, _ = fbta_chores(inst, selection=NORMALIZED)
+        fbta(inst, selection=RAW_COST)
+    alloc, _ = fbta(inst, selection=NORMALIZED)
     assert alloc.is_complete()
 
 
@@ -133,7 +135,7 @@ def test_goods_two_agents_unequal_weights():
     # 3/8 and 9/8.  Agent 0 fills on 3/4 of the first item; the lone
     # remaining agent takes everything else.
     inst = Instance(GOODS, ("1/4", "3/4"), (("1/2", "1"), ("1/2", "1")))
-    alloc, trace = fbta_goods(inst)
+    alloc, trace = fbta(inst)
     assert alloc.shares == fmatrix((("3/4", 0), ("1/4", 1)))
     assert [(r.agent, r.successor, r.item) for r in trace.successors] == [(0, 1, 0)]
     assert alloc.agent_load(inst, 0) == wprop_share(inst, 0)
@@ -142,14 +144,14 @@ def test_goods_two_agents_unequal_weights():
 
 def test_goods_exact_fill_no_fractional_item():
     inst = Instance(GOODS, ("1/2", "1/2"), (("1", "1"), ("1", "1")))
-    alloc, trace = fbta_goods(inst)
+    alloc, trace = fbta(inst)
     assert fractional_items(alloc) == []
     assert trace.successors == ()
 
 
 def test_goods_single_agent():
     inst = Instance(GOODS, ("1",), (("0.2", "0.9"),))
-    alloc, _ = fbta_goods(inst)
+    alloc, _ = fbta(inst)
     assert alloc.agent_load(inst, 0) == inst.total_cost(0)
 
 
@@ -165,7 +167,7 @@ def test_fractional_items_of_worked_example(reference_run):
 
 def test_fractional_items_integral_allocation():
     inst = Instance(CHORES, ("1/2", "1/2"), (("1", "1"), ("1", "1")))
-    alloc, _ = fbta_chores(inst)
+    alloc, _ = fbta(inst)
     assert fractional_items(alloc) == []
 
 
@@ -179,8 +181,8 @@ def test_trace_export_is_stable(reference_run):
 
 
 def test_determinism(reference_instance):
-    a1, t1 = fbta_chores(reference_instance)
-    a2, t2 = fbta_chores(reference_instance)
+    a1, t1 = fbta(reference_instance)
+    a2, t2 = fbta(reference_instance)
     assert a1 == a2
     assert t1 == t2
 

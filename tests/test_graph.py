@@ -8,14 +8,13 @@ from subsidy_fairdiv import (
     Instance,
     ItemSharingGraph,
     build_graph,
-    fbta,
-    fbta_chores,
     find_atom_paths,
     gen_random_instance,
     make_tree,
     to_dot,
     trees,
 )
+from subsidy_fairdiv.fbta import fbta
 from conftest import REFERENCE_EDGES
 
 
@@ -40,7 +39,7 @@ def test_worked_example_atom_path(reference_tree):
 
 def test_no_successors_gives_edgeless_graph():
     inst = Instance(CHORES, ("1/2", "1/2"), (("1", "1"), ("1", "1")))
-    _, trace = fbta_chores(inst)
+    _, trace = fbta(inst)
     graph = build_graph(trace)
     assert graph.edges == ()
     forest = trees(graph)
@@ -50,7 +49,7 @@ def test_no_successors_gives_edgeless_graph():
 
 def test_two_agents_sharing_one_item():
     inst = Instance(CHORES, ("1/4", "3/4"), (("1", "1"), ("1", "1")))
-    alloc, trace = fbta_chores(inst)
+    alloc, trace = fbta(inst)
     graph = build_graph(trace)
     assert [(e.tail, e.head, e.item) for e in graph.edges] == [(0, 1, 0)]
 
@@ -81,7 +80,7 @@ def test_four_agent_chain_on_one_item():
         ("1/8", "1/8", "1/8", "5/8"),
         (("1", "1"),) * 4,
     )
-    alloc, trace = fbta_chores(inst)
+    alloc, trace = fbta(inst)
     graph = build_graph(trace)
     assert [(e.tail, e.head, e.item) for e in graph.edges] == [
         (0, 1, 0),

@@ -108,6 +108,14 @@ def test_lift_rejects_a_malformed_profile(sigma):
         lift_allocation(inst, RankProfile(sigma), IntegralAllocation((0, 1, 0)))
 
 
+@pytest.mark.parametrize("owner", [(-1, 0), (5, 0)])
+def test_lift_rejects_an_owner_outside_the_agents(owner):
+    inst = Instance(CHORES, ("1/2", "1/2"), (("1/2", "1"), ("1/2", "1")))
+    ido_inst, profile = reduce_to_ido(inst)
+    with pytest.raises(ModelError, match="unknown agent"):
+        lift_allocation(ido_inst, profile, IntegralAllocation(owner))
+
+
 def test_lift_single_agent_keeps_total():
     inst = Instance(CHORES, ("1",), (("0.9", "0.1"),))
     ido_inst, profile = reduce_to_ido(inst)

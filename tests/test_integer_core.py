@@ -247,14 +247,14 @@ def test_reduction_carries_rows_and_totals(inst):
     # what the reduction carries over equals a fresh scaling
     again = fresh(ido_inst)
     assert ido_inst._rows == again._rows
-    assert [ido_inst.total_cost(i) for i in ido_inst.agents()] == [
-        again.total_cost(i) for i in again.agents()
+    assert [ido_inst.total_cost(i) for i in range(ido_inst.n)] == [
+        again.total_cost(i) for i in range(again.n)
     ]
-    assert [wprop_share(ido_inst, i) for i in ido_inst.agents()] == [
-        wprop_share(again, i) for i in again.agents()
+    assert [wprop_share(ido_inst, i) for i in range(ido_inst.n)] == [
+        wprop_share(again, i) for i in range(again.n)
     ]
     assert ido_inst._units == again._units
-    assert [ido_inst.total_cost(i) for i in ido_inst.agents()] == [
+    assert [ido_inst.total_cost(i) for i in range(ido_inst.n)] == [
         sum(row, ZERO) for row in inst.costs
     ]
     assert is_ido(ido_inst) and reference_is_ido(ido_inst)

@@ -10,7 +10,6 @@ from subsidy_fairdiv import (
     FractionalAllocation,
     Instance,
     brute_force_rounding,
-    fbta,
     gen_random_instance,
     is_ido,
     run_pipeline,
@@ -18,6 +17,7 @@ from subsidy_fairdiv import (
     validate_instance,
     wprop_share,
 )
+from subsidy_fairdiv.fbta import fbta
 
 
 def test_brute_force_worked_example(reference_instance, reference_run):
@@ -86,7 +86,7 @@ def test_generator_outputs_valid_instances():
             seed=seed,
             dist=("uniform", "correlated")[seed // 2 % 2],
         )
-        assert validate_instance(inst).ok
+        assert not validate_instance(inst)
         assert sum(inst.weights) == 1
 
 

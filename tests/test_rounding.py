@@ -23,7 +23,6 @@ from subsidy_fairdiv import (
     brute_force_rounding,
     build_graph,
     compute_subsidies,
-    fbta,
     find_atom_paths,
     gen_random_instance,
     local_subsidy,
@@ -37,6 +36,7 @@ from subsidy_fairdiv import (
     split_tree,
     trees,
 )
+from subsidy_fairdiv.fbta import fbta
 from subsidy_fairdiv.graph import AtomPath
 
 
@@ -373,7 +373,7 @@ def test_round_tree_worked_example(reference_instance, reference_run, reference_
     assert rounding.has_atom_path
     assert [c.kind for c in rounding.components] == ["expanded_atom_path", "pair"]
     assert sum(c.bound for c in rounding.components) == Fraction(5, 3)
-    assert rounding.local_total <= rounding.bound
+    assert sum(c.local_subsidy for c in rounding.components) <= rounding.bound
 
 
 def test_round_tree_sizes_and_bounds():

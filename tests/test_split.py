@@ -1,4 +1,6 @@
 """Tree splitting: pairs, atom-path extraction, and attachment donation."""
+import random
+
 import pytest
 
 from subsidy_fairdiv import (
@@ -13,6 +15,7 @@ from subsidy_fairdiv import (
     simple_split,
     split_tree,
 )
+from subsidy_fairdiv.graph import components
 
 
 def edge_ids(component):
@@ -191,7 +194,8 @@ def test_atom_path_split_picks_smallest_item_core():
 
 
 def test_simple_split_properties_on_random_trees():
-    from subsidy_fairdiv import build_graph, fbta, gen_random_instance, trees
+    from subsidy_fairdiv import build_graph, gen_random_instance, trees
+    from subsidy_fairdiv.fbta import fbta
 
     checked = 0
     for seed in range(150):
@@ -238,3 +242,38 @@ def test_choose_attachment_star_prefers_smallest_item():
 def test_choose_attachment_rejects_even_component():
     with pytest.raises(SplitError):
         choose_attachment([Edge(10, 1, 0), Edge(11, 1, 1)], contact=1)
+
+
+def reference_choose_attachment(edges, contact):
+    """The per-edge walk: one component search per candidate edge."""
+    candidates = []
+    for e in edges:
+        if contact not in (e.tail, e.head):
+            continue
+        far = e.head if e.tail == contact else e.tail
+        rest = [x for x in edges if x != e]
+        far_side = next(t for t in components(rest, (far,)) if far in t.nodes)
+        if far_side.size % 2 == 0:
+            candidates.append(e)
+    return min(candidates, key=lambda e: (e.item, e.tail))
+
+
+def test_choose_attachment_matches_the_per_edge_walk():
+    # random odd atom-path-free trees: every node touches an edge whose far
+    # side is even, so every node is a valid contact
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(200):
+        size = rng.choice(range(1, 16, 2))
+        items = rng.sample(range(40), size)
+        label = rng.sample(range(size + 1), size + 1)
+        edges = [
+            Edge(label[v], label[rng.randrange(v)], items[v - 1])
+            for v in range(1, size + 1)
+        ]
+        rng.shuffle(edges)
+        for contact in range(size + 1):
+            got = choose_attachment(edges, contact)
+            assert got == reference_choose_attachment(edges, contact)
+            checked += 1
+    assert checked > 1000

@@ -94,7 +94,7 @@ def reference_expanded_atom_path(inst, alloc, eap):
 
 def reference_whole_item_loads(inst, alloc):
     """Per agent, the cost (or value) of the items she holds whole."""
-    whole = [[] for _ in inst.agents()]
+    whole = [[] for _ in range(inst.n)]
     for e in range(alloc.m):
         for agent in alloc.sharers(e):
             if alloc.shares[agent][e] == ONE:
