@@ -4,34 +4,17 @@ Pipeline: reduce any instance to identical ordering, run fractional
 bid-and-take, build the item-sharing forest, split each tree into
 canonical components, round each component by exact minimization, lift
 back, and certify every subsidy bound as an exact rational inequality.
+
+The package exports what the command line is built from: the file
+formats, :func:`run_pipeline` and the types its result holds, the oracle
+and the generator.  Every other name is imported from its own submodule.
 """
 
 __version__ = "0.1.0"
 
-from .fbta import (
-    NORMALIZED,
-    RAW_COST,
-    AllocationTrace,
-    FBTAError,
-    StuckError,
-    SuccessorRecord,
-    TraceEvent,
-    format_trace,
-    fractional_items,
-)
-from .graph import (
-    AtomPath,
-    Edge,
-    GraphError,
-    ItemSharingGraph,
-    Tree,
-    build_graph,
-    find_atom_paths,
-    make_tree,
-    to_dot,
-    trees,
-)
-from .ido import RankProfile, is_ido, lift_allocation, reduce_to_ido
+from .fbta import AllocationTrace, SuccessorRecord, TraceEvent
+from .graph import Edge, ItemSharingGraph, to_dot
+from .ido import RankProfile
 from .model import (
     CHORES,
     GOODS,
@@ -42,7 +25,6 @@ from .model import (
     SubsidyVector,
     compute_subsidies,
     format_decimal,
-    frac,
     parse_allocation,
     parse_instance,
     serialize_allocation,
@@ -50,105 +32,48 @@ from .model import (
     validate_instance,
     wprop_share,
 )
-from .oracle import (
-    EnumerationCapExceeded,
-    brute_force_rounding,
-    gen_random_instance,
-    six_agent_reference_instance,
-)
+from .oracle import EnumerationCapExceeded, brute_force_rounding, gen_random_instance
 from .rounding import (
     BASELINE,
     TREE,
     ComponentRounding,
     PipelineResult,
     RoundingCertificate,
-    RoundingError,
     TreeRounding,
-    allocate_with_subsidy,
-    local_subsidy,
-    round_baseline,
-    round_expanded_atom_path,
-    round_pair,
-    round_single_edge,
-    round_tree,
     run_pipeline,
-)
-from .split import (
-    ExpandedAtomPath,
-    Pair,
-    SingleEdge,
-    SplitError,
-    atom_path_split,
-    choose_attachment,
-    simple_split,
-    split_tree,
 )
 
 __all__ = [
-    "AllocationTrace",
-    "AtomPath",
-    "BASELINE",
     "CHORES",
-    "ComponentRounding",
-    "Edge",
-    "EnumerationCapExceeded",
-    "ExpandedAtomPath",
-    "FBTAError",
-    "FractionalAllocation",
     "GOODS",
-    "GraphError",
-    "Instance",
-    "IntegralAllocation",
-    "ItemSharingGraph",
-    "ModelError",
-    "NORMALIZED",
-    "Pair",
-    "PipelineResult",
-    "RAW_COST",
-    "RankProfile",
-    "RoundingCertificate",
-    "RoundingError",
-    "SingleEdge",
-    "SplitError",
-    "StuckError",
-    "SubsidyVector",
-    "SuccessorRecord",
     "TREE",
+    "BASELINE",
+    "ModelError",
+    "EnumerationCapExceeded",
+    "Instance",
+    "FractionalAllocation",
+    "IntegralAllocation",
+    "SubsidyVector",
+    "RankProfile",
+    "AllocationTrace",
+    "SuccessorRecord",
     "TraceEvent",
-    "Tree",
+    "ItemSharingGraph",
+    "Edge",
+    "PipelineResult",
+    "RoundingCertificate",
     "TreeRounding",
-    "allocate_with_subsidy",
-    "atom_path_split",
-    "brute_force_rounding",
-    "build_graph",
-    "choose_attachment",
-    "compute_subsidies",
-    "find_atom_paths",
-    "format_decimal",
-    "format_trace",
-    "frac",
-    "fractional_items",
-    "gen_random_instance",
-    "is_ido",
-    "lift_allocation",
-    "local_subsidy",
-    "make_tree",
-    "parse_allocation",
-    "parse_instance",
-    "reduce_to_ido",
-    "round_baseline",
-    "round_expanded_atom_path",
-    "round_pair",
-    "round_single_edge",
-    "round_tree",
+    "ComponentRounding",
     "run_pipeline",
-    "serialize_allocation",
+    "parse_instance",
     "serialize_instance",
-    "simple_split",
-    "six_agent_reference_instance",
-    "split_tree",
-    "to_dot",
-    "trees",
+    "parse_allocation",
+    "serialize_allocation",
     "validate_instance",
+    "compute_subsidies",
     "wprop_share",
+    "format_decimal",
+    "to_dot",
+    "brute_force_rounding",
+    "gen_random_instance",
 ]

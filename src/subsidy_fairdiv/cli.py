@@ -1,4 +1,4 @@
-"""Command-line front end: allocate, verify, oracle, gen, and bench.
+"""Command-line front end: allocate, verify, oracle, and gen.
 
 Exit codes: 0 success, 1 a checked guarantee failed (would indicate an
 implementation bug for `allocate`, or bad subsidies for `verify`),
@@ -61,7 +61,16 @@ def _read(path: str) -> str:
 
 
 def _write(*docs: tuple[str, str]) -> None:
-    """Write every ``(path, text)`` or none, through temporary files beside them."""
+    """Write every ``(path, text)`` or none, through temporary files beside them.
+
+    Two paths that resolve to one file are refused before anything is written.
+    """
+    named: dict[str, str] = {}
+    for path, _ in docs:
+        real = os.path.realpath(path)
+        if real in named:
+            raise ModelError(f"{named[real]} and {path} name the same file")
+        named[real] = path
     temps: list[str] = []
     try:
         for path, text in docs:
@@ -197,31 +206,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    rows = ["n,total_subsidy,bound"]
-    for index in range(args.count):
-        rng_seed = args.seed + index
-        n = 2 + (rng_seed % (args.max_agents - 1)) if args.max_agents > 2 else 2
-        inst = gen_random_instance(
-            n=n,
-            m=max(n, args.items),
-            kind=args.kind,
-            seed=rng_seed,
-            dist=args.dist,
-        )
-        result = run_pipeline(inst)
-        rows.append(
-            f"{n},{result.subsidies.total},{result.certificate.global_bound}"
-        )
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        _write((args.out, text))
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subsidy-fairdiv",
@@ -269,15 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bench", help="CSV of (n, total subsidy, bound) over random runs")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-agents", type=int, default=10)
-    p.add_argument("--items", type=int, default=12)
-    p.add_argument("--kind", choices=KINDS, default="chores")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dist", choices=DISTRIBUTIONS, default=UNIFORM)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

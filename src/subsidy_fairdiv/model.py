@@ -400,9 +400,22 @@ def validate_instance(inst: Instance) -> tuple[str, ...]:
     if inst.item_names is not None and len(inst.item_names) != inst.m:
         violations.append("item_names length does not match item count")
     for field, names in (("agent_names", inst.agent_names), ("item_names", inst.item_names)):
-        if names is not None and not all(isinstance(name, str) for name in names):
+        if names is None:
+            continue
+        if not all(isinstance(name, str) for name in names):
             violations.append(f"{field} entries must be strings")
+        elif not all(_encodes_as_utf8(name) for name in names):
+            violations.append(f"{field} entries must be encodable as UTF-8")
     return tuple(violations)
+
+
+def _encodes_as_utf8(text: str) -> bool:
+    """False for a string holding a lone surrogate, the one thing UTF-8 cannot encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def require_valid(inst: Instance) -> None:

@@ -25,7 +25,6 @@ from .model import (
     ModelError,
     SubsidyVector,
     compute_subsidies,
-    frac,
 )
 
 DEFAULT_CAP = 1 << 20
@@ -144,21 +143,3 @@ def gen_random_instance(
             row.sort()
         rows.append(tuple(row))
     return Instance(kind=kind, weights=weights, costs=tuple(rows))
-
-
-def six_agent_reference_instance() -> Instance:
-    """The 6-agent, 6-item chores instance used as the worked fixture.
-
-    Weights 1/12, 1/12, 1/12, 1/6, 1/4, 1/3; costs on the tenths grid;
-    already in canonical non-decreasing order.
-    """
-    weights = ("1/12", "1/12", "1/12", "1/6", "1/4", "1/3")
-    costs = (
-        ("0.7", "0.7", "0.7", "0.7", "1", "1"),
-        ("0.8", "0.8", "0.8", "0.8", "0.8", "0.8"),
-        ("0.7", "0.8", "0.8", "0.8", "0.8", "0.9"),
-        ("0.8", "0.8", "0.8", "1", "1", "1"),
-        ("1", "1", "1", "1", "1", "1"),
-        ("0.8", "0.8", "0.8", "1", "1", "1"),
-    )
-    return Instance(kind=CHORES, weights=[frac(w) for w in weights], costs=costs)

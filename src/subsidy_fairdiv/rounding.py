@@ -395,25 +395,6 @@ def _merged_assignment(components) -> dict[int, int]:
     return assignment
 
 
-def round_baseline(
-    inst: Instance, alloc: FractionalAllocation
-) -> tuple[IntegralAllocation, SubsidyVector]:
-    """Per-item threshold rounding; total subsidy at most (n - 1) / 2."""
-    allocation = integralize(alloc, _merged_assignment(_baseline_components(inst, alloc)))
-    return allocation, compute_subsidies(inst, allocation)
-
-
-def _baseline_components(
-    inst: Instance, alloc: FractionalAllocation
-) -> list[ComponentRounding]:
-    return [
-        _threshold_component(
-            inst, alloc, item, "threshold_item", Fraction(len(sharers) - 1, len(sharers))
-        )
-        for item, sharers in fractional_items(alloc)
-    ]
-
-
 @dataclass(frozen=True)
 class RoundingCertificate:
     """Machine-checkable record of every subsidy bound, all exact.
@@ -636,7 +617,13 @@ def run_pipeline(inst: Instance, method: str = TREE) -> PipelineResult:
         ido_allocation = integralize(alloc, assignment)
         rounded = SubsidyVector(tuple(rounded_amounts))
     else:
-        components = tuple(_baseline_components(ido_inst, alloc))
+        components = tuple(
+            _threshold_component(
+                ido_inst, alloc, item, "threshold_item",
+                Fraction(len(sharers) - 1, len(sharers)),
+            )
+            for item, sharers in fractional_items(alloc)
+        )
         ido_allocation = integralize(alloc, _merged_assignment(components))
         rounded = compute_subsidies(ido_inst, ido_allocation)
     allocation = lift_allocation(inst, profile, ido_allocation)
@@ -675,11 +662,3 @@ def run_pipeline(inst: Instance, method: str = TREE) -> PipelineResult:
         subsidies=subsidies,
         certificate=certificate,
     )
-
-
-def allocate_with_subsidy(
-    inst: Instance, method: str = TREE
-) -> tuple[IntegralAllocation, SubsidyVector, RoundingCertificate]:
-    """Full pipeline: returns the allocation, subsidies, and certificate."""
-    result = run_pipeline(inst, method)
-    return result.allocation, result.subsidies, result.certificate

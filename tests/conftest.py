@@ -1,17 +1,16 @@
 """Shared fixtures: the 6-agent reference instance and its worked run."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from subsidy_fairdiv import (
-    RAW_COST,
-    Instance,
-    build_graph,
-    frac,
-    six_agent_reference_instance,
-    trees,
-)
-from subsidy_fairdiv.fbta import fbta
+from subsidy_fairdiv import Instance, parse_instance
+from subsidy_fairdiv.fbta import RAW_COST, fbta
+from subsidy_fairdiv.graph import build_graph, trees
+from subsidy_fairdiv.model import frac
+
+REFERENCE_FILE = Path(__file__).resolve().parents[1] / "fixtures" / "reference_6x6.json"
 
 # Fractional allocation of the reference instance under the raw-cost
 # selection rule; the canonical worked example for graph and rounding
@@ -31,7 +30,7 @@ REFERENCE_EDGES = ((0, 2, 0), (1, 2, 1), (2, 3, 1), (3, 5, 2), (4, 5, 4))
 
 @pytest.fixture(scope="session")
 def reference_instance() -> Instance:
-    return six_agent_reference_instance()
+    return parse_instance(REFERENCE_FILE.read_text())
 
 
 @pytest.fixture(scope="session")

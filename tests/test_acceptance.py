@@ -23,19 +23,16 @@ from subsidy_fairdiv import (
     BASELINE,
     CHORES,
     GOODS,
-    ExpandedAtomPath,
     brute_force_rounding,
-    build_graph,
-    find_atom_paths,
-    fractional_items,
     gen_random_instance,
-    is_ido,
-    local_subsidy,
     run_pipeline,
-    split_tree,
-    trees,
     wprop_share,
 )
+from subsidy_fairdiv.fbta import fractional_items
+from subsidy_fairdiv.graph import build_graph, find_atom_paths, trees
+from subsidy_fairdiv.ido import is_ido
+from subsidy_fairdiv.rounding import local_subsidy
+from subsidy_fairdiv.split import ExpandedAtomPath, split_tree
 # criteria 01 and 02 keep their text: their calls run the checked entry
 from subsidy_fairdiv.fbta import fbta as fbta_chores
 from conftest import REFERENCE_EDGES, REFERENCE_FRACTIONS, fmatrix

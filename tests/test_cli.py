@@ -1,22 +1,29 @@
 """Command-line interface: flows, exit codes, and determinism."""
+import importlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from subsidy_fairdiv import (
+    CHORES,
+    Instance,
     ModelError,
     parse_allocation,
     parse_instance,
     serialize_instance,
-    six_agent_reference_instance,
+    validate_instance,
 )
 from subsidy_fairdiv.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 @pytest.fixture()
-def istar_file(tmp_path):
+def istar_file(reference_instance, tmp_path):
     path = tmp_path / "reference.json"
-    path.write_text(serialize_instance(six_agent_reference_instance()))
+    path.write_text(serialize_instance(reference_instance))
     return path
 
 
@@ -104,6 +111,25 @@ def test_allocate_rejects_non_string_names(field, tmp_path, capsys):
     assert not out.exists() and not dot.exists()
 
 
+@pytest.mark.parametrize("field", ["agent_names", "item_names"])
+def test_allocate_rejects_names_with_a_lone_surrogate(field, tmp_path, capsys):
+    # JSON can spell a lone surrogate ("\ud800"), which UTF-8 cannot encode
+    message = f"{field} entries must be encodable as UTF-8"
+    names = {field: ("\ud800", "b")}
+    inst = Instance(CHORES, ("1/2", "1/2"), (("1", "1"), ("1", "1")), **names)
+    assert validate_instance(inst) == (message,)
+    path = tmp_path / "named.json"
+    doc = {"kind": "chores", "weights": ["1/2", "1/2"], "costs": [["1", "1"], ["1", "1"]]}
+    doc[field] = list(names[field])
+    path.write_text(json.dumps(doc))
+    argv = ["allocate", "--input", str(path), "--out", str(tmp_path / "alloc.json")]
+    argv += ["--certificate", str(tmp_path / "cert.json")]
+    argv += ["--emit-graph", str(tmp_path / "graph.dot")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: invalid instance: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
@@ -153,6 +179,25 @@ def test_allocate_leaves_no_partial_output(flag, blocked, istar_file, tmp_path, 
     assert kept.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert list((tmp_path / "dir").iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--certificate", "--emit-graph"])
+@pytest.mark.parametrize("spelling", ["x.json", "./x.json"])
+def test_allocate_rejects_two_outputs_naming_one_file(
+    flag, spelling, istar_file, tmp_path, capsys, monkeypatch
+):
+    # writing both would leave only the later document in the file
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "x.json"
+    args = ["allocate", "--input", str(istar_file), "--out", str(target), flag, spelling]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(args) == 2
+    assert_one_error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    target.write_text("old\n")
+    assert main(args) == 2
+    assert_one_error_line(capsys)
+    assert target.read_text() == "old\n"
 
 
 def test_allocate_missing_file(tmp_path):
@@ -299,9 +344,22 @@ def test_gen_rejects_bad_params(capsys):
     assert main(["gen", "--agents", "0", "--items", "3"]) == 2
 
 
-def test_bench_writes_csv(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--count", "5", "--seed", "1", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "n,total_subsidy,bound"
-    assert len(lines) == 6
+def test_console_script_resolves_to_main():
+    text = (ROOT / "pyproject.toml").read_text()
+    module, attr = re.search(r'^subsidy-fairdiv = "([\w.]+):(\w+)"$', text, re.M).groups()
+    assert (module, attr) == ("subsidy_fairdiv.cli", "main")
+    assert getattr(importlib.import_module(module), attr) is main
+
+
+def test_help_lists_the_four_subcommands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{allocate,verify,oracle,gen}" in capsys.readouterr().out
+
+
+def test_bench_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err

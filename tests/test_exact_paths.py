@@ -24,29 +24,22 @@ from hypothesis import example, given, settings, strategies as st
 from subsidy_fairdiv import (
     CHORES,
     GOODS,
-    NORMALIZED,
-    RAW_COST,
     FractionalAllocation,
     Instance,
     IntegralAllocation,
     ModelError,
-    StuckError,
     SubsidyVector,
     compute_subsidies,
     format_decimal,
-    frac,
-    is_ido,
-    lift_allocation,
     parse_instance,
-    reduce_to_ido,
     serialize_instance,
-    six_agent_reference_instance,
     validate_instance,
     wprop_share,
 )
 from subsidy_fairdiv.cli import main
-from subsidy_fairdiv.fbta import bid_and_take
-from subsidy_fairdiv.model import ZERO
+from subsidy_fairdiv.fbta import NORMALIZED, RAW_COST, StuckError, bid_and_take
+from subsidy_fairdiv.ido import is_ido, lift_allocation, reduce_to_ido
+from subsidy_fairdiv.model import ZERO, frac
 from subsidy_fairdiv.rounding import ComponentRounding, HALF, run_pipeline
 
 
@@ -279,8 +272,8 @@ def test_fractional_allocation_caches_are_invisible():
     assert moved.shares == ((1, 1, 0), (0, 0, 1))
 
 
-def test_subsidy_and_certificate_totals_are_invisible():
-    cert = run_pipeline(six_agent_reference_instance()).certificate
+def test_subsidy_and_certificate_totals_are_invisible(reference_instance):
+    cert = run_pipeline(reference_instance).certificate
     cold = dataclasses.replace(cert)
     assert cert.holds and cert.rounded_subsidies.total == cert.rounded_total
     assert "component_subsidy_total" in vars(cert) and "total" in vars(cert.final_subsidies)
@@ -298,8 +291,8 @@ def test_subsidy_and_certificate_totals_are_invisible():
     assert dataclasses.replace(vector, amounts=("1",)).total == 1
 
 
-def test_allocation_from_columns_equals_dense_one():
-    alloc, _ = bid_and_take(reduce_to_ido(six_agent_reference_instance())[0], NORMALIZED)
+def test_allocation_from_columns_equals_dense_one(reference_instance):
+    alloc, _ = bid_and_take(reduce_to_ido(reference_instance)[0], NORMALIZED)
     assert "shares" not in vars(alloc)
     dense = FractionalAllocation(alloc.shares)
     assert dense == alloc and hash(dense) == hash(alloc) and repr(dense) == repr(alloc)
@@ -338,21 +331,21 @@ def test_parse_names_the_field_with_a_huge_exponent(text, tmp_path, capsys):
     assert "costs[0][1]" in capsys.readouterr().err
 
 
-def test_component_too_long_to_write_raises_model_error():
+def test_component_too_long_to_write_raises_model_error(reference_instance):
     tiny = Fraction(1, 10**4300)  # a 4,301-digit denominator
     comp = ComponentRounding("single_edge", (0,), ((0, 0),), "threshold->0", tiny, HALF)
     with pytest.raises(ModelError, match="too long"):
         comp.to_doc()
-    cert = run_pipeline(six_agent_reference_instance()).certificate
+    cert = run_pipeline(reference_instance).certificate
     with pytest.raises(ModelError, match="too long"):
         dataclasses.replace(cert, components=(comp,)).to_json()
 
 
-def test_failing_certificate_with_a_rational_too_long_to_write():
+def test_failing_certificate_with_a_rational_too_long_to_write(reference_instance):
     # holds compares exactly and formats nothing; failures() cannot be written
     tiny = Fraction(1, 10**4300)
     comp = ComponentRounding("single_edge", (0,), ((0, 0),), "threshold->0", 1 + tiny, HALF)
-    cert = run_pipeline(six_agent_reference_instance()).certificate
+    cert = run_pipeline(reference_instance).certificate
     failing = dataclasses.replace(cert, components=(comp,))
     assert failing.holds is False
     with pytest.raises(ModelError, match="too long"):
@@ -362,11 +355,13 @@ def test_failing_certificate_with_a_rational_too_long_to_write():
     assert cert.holds and cert.failures() == []
 
 
-def test_decimal_rendering_too_long_to_write_raises_model_error(tmp_path, capsys):
+def test_decimal_rendering_too_long_to_write_raises_model_error(
+    reference_instance, tmp_path, capsys
+):
     with pytest.raises(ModelError, match="too long"):
         format_decimal(Fraction(1, 3), 5000)
     path = tmp_path / "instance.json"
-    path.write_text(serialize_instance(six_agent_reference_instance()))
+    path.write_text(serialize_instance(reference_instance))
     assert main(["allocate", "--input", str(path), "--decimal", "5000"]) == 2
     assert capsys.readouterr().err.count("\n") == 1
 

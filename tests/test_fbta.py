@@ -4,21 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subsidy_fairdiv import (
-    CHORES,
-    GOODS,
+from subsidy_fairdiv import CHORES, GOODS, Instance, gen_random_instance, wprop_share
+from subsidy_fairdiv.fbta import (
     NORMALIZED,
     RAW_COST,
     FBTAError,
-    Instance,
     StuckError,
+    fbta,
     format_trace,
     fractional_items,
-    gen_random_instance,
-    reduce_to_ido,
-    wprop_share,
 )
-from subsidy_fairdiv.fbta import fbta
+from subsidy_fairdiv.ido import reduce_to_ido
 from conftest import REFERENCE_FRACTIONS, fmatrix
 
 

@@ -4,17 +4,19 @@ import pytest
 from subsidy_fairdiv import (
     CHORES,
     Edge,
-    GraphError,
     Instance,
     ItemSharingGraph,
-    build_graph,
-    find_atom_paths,
     gen_random_instance,
-    make_tree,
     to_dot,
-    trees,
 )
 from subsidy_fairdiv.fbta import fbta
+from subsidy_fairdiv.graph import (
+    GraphError,
+    build_graph,
+    find_atom_paths,
+    make_tree,
+    trees,
+)
 from conftest import REFERENCE_EDGES
 
 

@@ -13,10 +13,8 @@ from subsidy_fairdiv import (
     RankProfile,
     compute_subsidies,
     gen_random_instance,
-    is_ido,
-    lift_allocation,
-    reduce_to_ido,
 )
+from subsidy_fairdiv.ido import is_ido, lift_allocation, reduce_to_ido
 
 
 def test_reference_instance_is_ido(reference_instance):

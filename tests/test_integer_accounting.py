@@ -24,28 +24,26 @@ from hypothesis import example, given, settings, strategies as st
 from subsidy_fairdiv import (
     CHORES,
     GOODS,
-    NORMALIZED,
-    RAW_COST,
     EnumerationCapExceeded,
     Instance,
     IntegralAllocation,
-    RoundingError,
-    StuckError,
     brute_force_rounding,
-    build_graph,
     compute_subsidies,
+    wprop_share,
+)
+from subsidy_fairdiv.fbta import NORMALIZED, RAW_COST, StuckError, bid_and_take
+from subsidy_fairdiv.graph import build_graph, trees
+from subsidy_fairdiv.ido import reduce_to_ido
+from subsidy_fairdiv.model import ONE, ZERO
+from subsidy_fairdiv.rounding import (
+    RoundingError,
     local_subsidy,
-    reduce_to_ido,
     round_expanded_atom_path,
     round_pair,
     round_single_edge,
-    split_tree,
-    trees,
-    wprop_share,
+    threshold_owner,
 )
-from subsidy_fairdiv.fbta import bid_and_take
-from subsidy_fairdiv.model import ONE, ZERO
-from subsidy_fairdiv.rounding import threshold_owner
+from subsidy_fairdiv.split import split_tree
 
 
 # ---------------------------------------------------------------------------

@@ -17,20 +17,9 @@ from math import lcm
 
 from hypothesis import example, given, settings, strategies as st
 
-from subsidy_fairdiv import (
-    CHORES,
-    GOODS,
-    NORMALIZED,
-    RAW_COST,
-    Instance,
-    IntegralAllocation,
-    StuckError,
-    is_ido,
-    lift_allocation,
-    reduce_to_ido,
-    wprop_share,
-)
-from subsidy_fairdiv.fbta import bid_and_take
+from subsidy_fairdiv import CHORES, GOODS, Instance, IntegralAllocation, wprop_share
+from subsidy_fairdiv.fbta import NORMALIZED, RAW_COST, StuckError, bid_and_take
+from subsidy_fairdiv.ido import is_ido, lift_allocation, reduce_to_ido
 from subsidy_fairdiv.model import ZERO
 
 

@@ -12,7 +12,6 @@ from subsidy_fairdiv import (
     ModelError,
     compute_subsidies,
     format_decimal,
-    frac,
     parse_allocation,
     parse_instance,
     serialize_allocation,
@@ -20,6 +19,7 @@ from subsidy_fairdiv import (
     validate_instance,
     wprop_share,
 )
+from subsidy_fairdiv.model import frac
 
 
 def test_frac_parses_decimals_exactly():

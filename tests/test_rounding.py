@@ -11,33 +11,39 @@ from subsidy_fairdiv import (
     CHORES,
     GOODS,
     Edge,
-    ExpandedAtomPath,
     FractionalAllocation,
     Instance,
     ModelError,
-    Pair,
-    RoundingError,
-    SingleEdge,
-    allocate_with_subsidy,
-    atom_path_split,
     brute_force_rounding,
-    build_graph,
     compute_subsidies,
-    find_atom_paths,
     gen_random_instance,
-    local_subsidy,
+    run_pipeline,
+)
+from subsidy_fairdiv.fbta import fbta, fractional_items
+from subsidy_fairdiv.graph import (
+    AtomPath,
+    build_graph,
+    find_atom_paths,
     make_tree,
-    round_baseline,
+    trees,
+)
+from subsidy_fairdiv.rounding import (
+    RoundingError,
+    integralize,
+    local_subsidy,
     round_expanded_atom_path,
     round_pair,
     round_single_edge,
     round_tree,
-    run_pipeline,
-    split_tree,
-    trees,
+    threshold_owner,
 )
-from subsidy_fairdiv.fbta import fbta
-from subsidy_fairdiv.graph import AtomPath
+from subsidy_fairdiv.split import (
+    ExpandedAtomPath,
+    Pair,
+    SingleEdge,
+    atom_path_split,
+    split_tree,
+)
 
 
 def enumerate_minimum(inst, alloc, choices):
@@ -183,7 +189,7 @@ def test_round_pair_equals_four_way_enumeration_on_random_components():
         for tree in trees(graph):
             if find_atom_paths(tree):
                 continue
-            from subsidy_fairdiv import simple_split
+            from subsidy_fairdiv.split import simple_split
 
             for comp in simple_split(tree):
                 if not isinstance(comp, Pair):
@@ -417,9 +423,16 @@ def test_round_tree_deeply_nested_atom_paths():
     assert rounding.bound == Fraction(2 * paths, 3)
 
 
+def threshold_rounding(inst, alloc):
+    """Each fractional item to its threshold owner, with the minimal subsidies."""
+    assignment = {e: threshold_owner(alloc, e) for e, _ in fractional_items(alloc)}
+    allocation = integralize(alloc, assignment)
+    return allocation, compute_subsidies(inst, allocation)
+
+
 def test_round_baseline_worked_example(reference_instance, reference_run):
     alloc, _, _ = reference_run
-    allocation, subsidies = round_baseline(reference_instance, alloc)
+    allocation, subsidies = threshold_rounding(reference_instance, alloc)
     # thresholds: item0 -> agent0 (4/7), item1 -> agent1 (1/2),
     # item2 -> agent3 (3/4), item4 tie 1/2 -> agent4; whole items stay
     assert allocation.owner == (0, 1, 3, 4, 4, 5)
@@ -429,14 +442,14 @@ def test_round_baseline_worked_example(reference_instance, reference_run):
 def test_round_baseline_integral_input_is_noop():
     inst = Instance(CHORES, ("1/2", "1/2"), (("1", "1"), ("1", "1")))
     alloc, _ = fbta(inst)
-    allocation, subsidies = round_baseline(inst, alloc)
+    allocation, subsidies = threshold_rounding(inst, alloc)
     assert subsidies.total == 0
 
 
 def test_round_baseline_tight_two_agent_bound():
     inst = Instance(CHORES, ("1/2", "1/2"), (("1",), ("1",)))
     alloc = FractionalAllocation((("1/2",), ("1/2",)))
-    allocation, subsidies = round_baseline(inst, alloc)
+    allocation, subsidies = threshold_rounding(inst, alloc)
     assert subsidies.total == Fraction(1, 2)
 
 
@@ -445,7 +458,8 @@ def test_round_baseline_tight_two_agent_bound():
 # ---------------------------------------------------------------------------
 
 def test_pipeline_reference_instance(reference_instance):
-    allocation, subsidies, cert = allocate_with_subsidy(reference_instance)
+    result = run_pipeline(reference_instance)
+    subsidies, cert = result.subsidies, result.certificate
     assert cert.holds
     assert subsidies.total <= Fraction(11, 6)
     assert cert.strong_bound == Fraction(5, 3)
@@ -458,7 +472,8 @@ def test_pipeline_reference_instance(reference_instance):
 
 def test_pipeline_single_agent():
     inst = Instance(CHORES, ("1",), (("0.4", "0.9"),))
-    allocation, subsidies, cert = allocate_with_subsidy(inst)
+    result = run_pipeline(inst)
+    allocation, subsidies, cert = result.allocation, result.subsidies, result.certificate
     assert allocation.owner == (0, 0)
     assert subsidies.total == 0
     assert cert.global_bound == 0
@@ -468,12 +483,13 @@ def test_pipeline_single_agent():
 def test_pipeline_rejects_invalid_instance():
     inst = Instance(CHORES, ("1/2", "1/3"), (("1", "1"), ("1", "1")))
     with pytest.raises(ModelError):
-        allocate_with_subsidy(inst)
+        run_pipeline(inst)
 
 
 def test_pipeline_non_ido_instance_lifts_back():
     inst = Instance(CHORES, ("1/2", "1/2"), (("0.9", "0.1"), ("0.2", "0.8")))
-    allocation, subsidies, cert = allocate_with_subsidy(inst)
+    result = run_pipeline(inst)
+    allocation, subsidies, cert = result.allocation, result.subsidies, result.certificate
     assert cert.holds
     assert sorted(allocation.owner) != []
     recomputed = compute_subsidies(inst, allocation)
@@ -483,7 +499,8 @@ def test_pipeline_non_ido_instance_lifts_back():
 def test_pipeline_goods_bound():
     for seed in range(30):
         inst = gen_random_instance(n=2 + seed % 7, m=3 + seed % 9, kind=GOODS, seed=seed)
-        allocation, subsidies, cert = allocate_with_subsidy(inst)
+        result = run_pipeline(inst)
+        subsidies, cert = result.subsidies, result.certificate
         assert cert.holds
         assert subsidies.total <= Fraction(inst.n, 3)
 
@@ -505,7 +522,7 @@ def test_pipeline_chores_bounds_and_oracle():
 
 def test_pipeline_baseline_method():
     inst = gen_random_instance(n=6, m=10, seed=3)
-    allocation, subsidies, cert = allocate_with_subsidy(inst, method=BASELINE)
+    cert = run_pipeline(inst, method=BASELINE).certificate
     assert cert.method == BASELINE
     assert cert.global_bound == Fraction(5, 2)
     assert cert.holds
@@ -513,7 +530,7 @@ def test_pipeline_baseline_method():
 
 
 def test_certificate_failure_reporting(reference_instance):
-    _, _, cert = allocate_with_subsidy(reference_instance)
+    cert = run_pipeline(reference_instance).certificate
     from dataclasses import replace
 
     broken = replace(cert, global_bound=Fraction(1, 100))
@@ -522,7 +539,7 @@ def test_certificate_failure_reporting(reference_instance):
 
 
 def test_certificate_document(reference_instance):
-    _, _, cert = allocate_with_subsidy(reference_instance)
+    cert = run_pipeline(reference_instance).certificate
     doc = cert.to_doc()
     assert doc["holds"] is True
     assert doc["global_bound"] == "11/6"

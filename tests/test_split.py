@@ -3,19 +3,17 @@ import random
 
 import pytest
 
-from subsidy_fairdiv import (
-    Edge,
+from subsidy_fairdiv import Edge
+from subsidy_fairdiv.graph import components, find_atom_paths, make_tree
+from subsidy_fairdiv.split import (
     Pair,
     SingleEdge,
     SplitError,
     atom_path_split,
     choose_attachment,
-    find_atom_paths,
-    make_tree,
     simple_split,
     split_tree,
 )
-from subsidy_fairdiv.graph import components
 
 
 def edge_ids(component):
@@ -194,7 +192,8 @@ def test_atom_path_split_picks_smallest_item_core():
 
 
 def test_simple_split_properties_on_random_trees():
-    from subsidy_fairdiv import build_graph, gen_random_instance, trees
+    from subsidy_fairdiv import gen_random_instance
+    from subsidy_fairdiv.graph import build_graph, trees
     from subsidy_fairdiv.fbta import fbta
 
     checked = 0

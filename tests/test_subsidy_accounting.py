@@ -15,19 +15,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from subsidy_fairdiv import (
-    CHORES,
-    GOODS,
-    NORMALIZED,
-    ExpandedAtomPath,
-    Instance,
-    build_graph,
-    reduce_to_ido,
-    split_tree,
-    trees,
-    wprop_share,
-)
-from subsidy_fairdiv.fbta import bid_and_take
+from subsidy_fairdiv import CHORES, GOODS, Instance, wprop_share
+from subsidy_fairdiv.fbta import NORMALIZED, bid_and_take
+from subsidy_fairdiv.graph import build_graph, trees
+from subsidy_fairdiv.ido import reduce_to_ido
 from subsidy_fairdiv.model import ONE, ZERO, exact_sum
 from subsidy_fairdiv.rounding import (
     RoundingError,
@@ -38,6 +29,7 @@ from subsidy_fairdiv.rounding import (
     run_pipeline,
     threshold_owner,
 )
+from subsidy_fairdiv.split import ExpandedAtomPath, split_tree
 
 
 # ---------------------------------------------------------------------------
