@@ -63,7 +63,9 @@ def _read(path: str) -> str:
 def _write(*docs: tuple[str, str]) -> None:
     """Write every ``(path, text)`` or none, through temporary files beside them.
 
-    Two paths that resolve to one file are refused before anything is written.
+    A symbolic link is written through: the file it resolves to is
+    replaced and the link stays.  Two paths that resolve to one file are
+    refused before anything is written.
     """
     named: dict[str, str] = {}
     for path, _ in docs:
@@ -73,15 +75,15 @@ def _write(*docs: tuple[str, str]) -> None:
         named[real] = path
     temps: list[str] = []
     try:
-        for path, text in docs:
-            if os.path.isdir(path):
+        for (path, text), real in zip(docs, named):
+            if os.path.isdir(real):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            temp = f"{path}.{os.getpid()}.{len(temps)}.tmp"
+            temp = f"{real}.{os.getpid()}.{len(temps)}.tmp"
             with open(temp, "x", encoding="utf-8", newline="\n") as fh:
                 temps.append(temp)
                 fh.write(text)
-        for (path, _), temp in zip(docs, temps):
-            os.replace(temp, path)
+        for (path, _), real, temp in zip(docs, named, temps):
+            os.replace(temp, real)
     except OSError as exc:
         raise ModelError(f"cannot write {path}: {exc.strerror}") from exc
     finally:

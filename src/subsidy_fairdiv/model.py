@@ -206,11 +206,6 @@ class Instance:
         out.__dict__.update(_rows=tuple(rows), _units=self._units)
         return out
 
-    def total_cost(self, agent: int) -> Fraction:
-        """c_i(M): the agent's cost (or value) for the whole item set."""
-        ints, d = self._rows[agent]
-        return Fraction(sum(ints), d)
-
 
 def wprop_share(inst: Instance, agent: int) -> Fraction:
     """The agent's weighted proportional share ``w_i * c_i(M)``."""
@@ -285,12 +280,6 @@ class FractionalAllocation:
         """Agents holding a positive fraction of the item, by index."""
         return tuple([a for a, _ in self.columns[item]])
 
-    def agent_load(self, inst: Instance, agent: int) -> Fraction:
-        """c_i(x_i): cost (or value) of the agent's fractional bundle."""
-        costs = inst.costs[agent]
-        held = ((e, x) for e, column in enumerate(self.columns) for a, x in column if a == agent)
-        return sum((x * costs[e] for e, x in held), ZERO)
-
 
 @dataclass(frozen=True)
 class IntegralAllocation:
@@ -304,10 +293,6 @@ class IntegralAllocation:
     @property
     def m(self) -> int:
         return len(self.owner)
-
-    def bundle_cost(self, inst: Instance, agent: int) -> Fraction:
-        costs = inst.costs[agent]
-        return sum((costs[e] for e, o in enumerate(self.owner) if o == agent), ZERO)
 
     def _bundle_ints(self, inst: Instance) -> list[int]:
         """Every agent's bundle as the sum of its row integers ``r_i``."""
@@ -505,7 +490,10 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def parse_allocation(text: str) -> tuple[IntegralAllocation, SubsidyVector | None]:
-    """Parse an allocation document: ``owner`` plus optional ``subsidies``."""
+    """Parse an allocation document: ``owner`` plus optional ``subsidies``.
+
+    A subsidy is paid to an agent, so a negative entry is refused.
+    """
     doc = _load_json(text, "allocation")
     owner = doc.get("owner")
     # JSON booleans are ints to Python; no writer produces them as owners
@@ -516,9 +504,11 @@ def parse_allocation(text: str) -> tuple[IntegralAllocation, SubsidyVector | Non
         raw = doc["subsidies"]
         if not isinstance(raw, list):
             raise ModelError("allocation: subsidies must be an array")
-        subsidies = SubsidyVector(
-            tuple(_exact_field(s, f"subsidies[{i}]") for i, s in enumerate(raw))
-        )
+        amounts = tuple(_exact_field(s, f"subsidies[{i}]") for i, s in enumerate(raw))
+        for i, s in enumerate(amounts):
+            if s < 0:
+                raise ModelError(f"subsidies[{i}]: {s} is negative")
+        subsidies = SubsidyVector(amounts)
     return IntegralAllocation(tuple(owner)), subsidies
 
 

@@ -100,12 +100,6 @@ class ExpandedAtomPath:
     def edges(self) -> tuple[Edge, ...]:
         return self.path.edges + tuple(e for _, e in self.attachments)
 
-    def attached_agent(self, path_agent: int) -> int | None:
-        for agent, edge in self.attachments:
-            if agent == path_agent:
-                return edge.head if edge.tail == agent else edge.tail
-        return None
-
 
 Component = SingleEdge | Pair | ExpandedAtomPath
 

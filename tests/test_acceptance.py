@@ -36,6 +36,7 @@ from subsidy_fairdiv.split import ExpandedAtomPath, split_tree
 # criteria 01 and 02 keep their text: their calls run the checked entry
 from subsidy_fairdiv.fbta import fbta as fbta_chores
 from conftest import REFERENCE_EDGES, REFERENCE_FRACTIONS, fmatrix
+from reference import agent_load, attached_agent, bundle_cost
 
 SUITE_SIZE = 10_000
 POS = lambda v: v if v > 0 else Fraction(0)
@@ -101,7 +102,7 @@ def _atom_path_properties(result) -> tuple[bool, bool]:
         for eap in (c for c in split_tree(tree) if isinstance(c, ExpandedAtomPath)):
             core = eap.path.item
             for agent in eap.path.agents[:-1]:
-                attached = eap.attached_agent(agent)
+                attached = attached_agent(eap, agent)
                 if attached is None:
                     continue
                 item = next(
@@ -140,7 +141,7 @@ def _build_record(seed: int) -> Record:
 
     frac_ok = True
     for i in range(n):
-        load = alloc.agent_load(ido_inst, i)
+        load = agent_load(ido_inst, alloc, i)
         share = wprop_share(ido_inst, i)
         if kind == CHORES and load > share:
             frac_ok = False
@@ -178,8 +179,8 @@ def _build_record(seed: int) -> Record:
 
     lift_ok = result.subsidies.total <= cert.rounded_total
     for agent in range(n):
-        lifted = result.allocation.bundle_cost(inst, agent)
-        reduced = result.ido_allocation.bundle_cost(ido_inst, agent)
+        lifted = bundle_cost(inst, result.allocation, agent)
+        reduced = bundle_cost(ido_inst, result.ido_allocation, agent)
         if kind == CHORES and lifted > reduced:
             lift_ok = False
         if kind == GOODS and lifted < reduced:

@@ -1,6 +1,7 @@
 """Command-line interface: flows, exit codes, and determinism."""
 import importlib
 import json
+import os
 import re
 from pathlib import Path
 
@@ -200,6 +201,24 @@ def test_allocate_rejects_two_outputs_naming_one_file(
     assert target.read_text() == "old\n"
 
 
+@pytest.mark.parametrize("target", ["existing", "dangling"])
+def test_allocate_writes_through_a_symlink(target, istar_file, tmp_path):
+    # the link stays a link and the file it names gets the allocation
+    real = tmp_path / "real.json"
+    if target == "existing":
+        real.write_text("{}\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(real.name)
+    plain = tmp_path / "plain.json"
+    assert main(["allocate", "--input", str(istar_file), "--out", str(plain)]) == 0
+    assert main(["allocate", "--input", str(istar_file), "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert real.read_bytes() == plain.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.json", "plain.json", "real.json", "reference.json"
+    ]
+
+
 def test_allocate_missing_file(tmp_path):
     assert main(["allocate", "--input", str(tmp_path / "nope.json")]) == 2
 
@@ -289,6 +308,21 @@ def test_verify_reports_underfunded_agent(istar_file, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "VIOLATED" in text
     assert "agent 0" in text
+
+
+def test_verify_rejects_negative_subsidies(tmp_path, capsys):
+    # without the check every agent reads ok and the total 1/2 is below the 7/10 minimum
+    fixture = str(ROOT / "fixtures" / "reference_6x6.json")
+    path = tmp_path / "alloc.json"
+    assert main(["allocate", "--input", fixture, "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["subsidies"] = ["3/10", "2/5", "-1/5", "0", "0", "0"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError, match=r"subsidies\[2\]"):
+        parse_allocation(path.read_text())
+    capsys.readouterr()
+    assert main(["verify", "--input", fixture, "--allocation", str(path)]) == 2
+    assert capsys.readouterr().err == "error: subsidies[2]: -1/5 is negative\n"
 
 
 def test_verify_recomputes_minimum_subsidies(istar_file, tmp_path, capsys):

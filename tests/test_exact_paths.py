@@ -1,29 +1,23 @@
-"""The integer fast paths against the Fraction code they replaced.
+"""The pipeline's pieces together, invisible caches and bounded parse cost.
 
-Reduction, lifting and bid-and-take selection sort and compare integers
-scaled over a common denominator.  The reference copies below are the
-Fraction-key versions they replaced.  The properties require identical
-sigma, reduced rows and lifted owners, and require every take of a
-bid-and-take run to go to the agent the reference rule picks in that
-state; the rest of the run is unchanged Fraction code, so equal picks
-mean equal fractional shares and trace events.  Instances are tie-heavy
-grids with all-zero rows, fewer items than agents (m = 0 included), a
-single agent, weights with denominators near 10^6, and both kinds.  The
-caches on ``Instance`` (integer rows, totals, shares) and on
-``FractionalAllocation`` (its dense ``shares`` view) must not show in
-equality, hashing, ``repr``, ``dataclasses.replace``, pickling or the
-file format.
+One run of ``run_pipeline`` must agree with the plain-Fraction references
+of ``tests/reference.py`` at every stage it exposes: sigma and reduced
+rows, the bid-and-take events, the lifted owners.  The caches on
+``Instance`` (integer rows and units) and on ``FractionalAllocation``
+(its dense ``shares`` view) must not show in equality, hashing, ``repr``,
+``dataclasses.replace``, pickling or the file format.  A decimal exponent
+too large to write back, and a rational too long to write, fail with a
+``ModelError`` (exit 2 at the command line), not a traceback.
 """
 import dataclasses
 import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings
 
 from subsidy_fairdiv import (
     CHORES,
-    GOODS,
     FractionalAllocation,
     Instance,
     IntegralAllocation,
@@ -37,154 +31,18 @@ from subsidy_fairdiv import (
     wprop_share,
 )
 from subsidy_fairdiv.cli import main
-from subsidy_fairdiv.fbta import NORMALIZED, RAW_COST, StuckError, bid_and_take
-from subsidy_fairdiv.ido import is_ido, lift_allocation, reduce_to_ido
-from subsidy_fairdiv.model import ZERO, frac
+from subsidy_fairdiv.fbta import NORMALIZED, bid_and_take
+from subsidy_fairdiv.ido import is_ido, reduce_to_ido
+from subsidy_fairdiv.model import frac
 from subsidy_fairdiv.rounding import ComponentRounding, HALF, run_pipeline
-
-
-# ---------------------------------------------------------------------------
-# Reference copies of the replaced Fraction code
-# ---------------------------------------------------------------------------
-
-def reference_reduce(inst):
-    """Sort each row on ``(cost, index)``, goods on ``(-cost, index)``: (reduced rows, sigma)."""
-    m = inst.m
-    sign = 1 if inst.kind == CHORES else -1
-    rows, sigma = [], []
-    for row in inst.costs:
-        order = sorted(range(m), key=lambda e: (sign * row[e], e))
-        sigma.append(tuple(order))
-        rows.append(tuple(sorted(row)))
-    return tuple(rows), tuple(sigma)
-
-
-def reference_lift(inst, ido_owner):
-    """Each slot's owner takes her favorite remaining item by a min/max scan."""
-    m = inst.m
-    order = range(m) if inst.kind == CHORES else range(m - 1, -1, -1)
-    remaining = set(range(m))
-    owner = [0] * m
-    for slot in order:
-        agent = ido_owner[slot]
-        row = inst.costs[agent]
-        if inst.kind == CHORES:
-            pick = min(remaining, key=lambda e: (row[e], e))
-        else:
-            pick = max(remaining, key=lambda e: (row[e], -e))
-        remaining.remove(pick)
-        owner[pick] = agent
-    return tuple(owner)
-
-
-def reference_choose(inst, selection, active, item):
-    """The active agent with the best Fraction key, ties to the lower index."""
-
-    def key(agent):
-        cost = inst.costs[agent][item]
-        if selection == RAW_COST:
-            return cost
-        total = sum(inst.costs[agent], ZERO)
-        return cost / total if total else ZERO
-
-    if inst.kind == GOODS:
-        return max(active, key=lambda a: (key(a), -a))
-    return min(active, key=lambda a: (key(a), a))
-
-
-# ---------------------------------------------------------------------------
-# Instances
-# ---------------------------------------------------------------------------
-
-@st.composite
-def instances(draw, max_n=6, max_m=8):
-    """Small instances built to tie: grids of 1/2, 1/3 or 1/6, zero rows,
-    m < n and m = 0, a single agent, and weights near 10^6 in denominator."""
-    kind = draw(st.sampled_from([CHORES, GOODS]))
-    n = draw(st.integers(1, max_n))
-    m = draw(st.integers(0, max_m))
-    grid = draw(st.sampled_from([2, 3, 6]))
-    wide = draw(st.booleans())
-    top = 10**6 if wide else 9
-    raw = [draw(st.integers(max(1, top - 50), top)) if wide else draw(st.integers(1, top))
-           for _ in range(n)]
-    weights = tuple(Fraction(w, sum(raw)) for w in raw)
-    costs = []
-    for _ in range(n):
-        if draw(st.integers(0, 4)) == 0:
-            costs.append((Fraction(0),) * m)
-        else:
-            costs.append(tuple(Fraction(draw(st.integers(0, grid)), grid) for _ in range(m)))
-    return Instance(kind, weights, tuple(costs))
-
-
-EDGE_CASES = (
-    Instance(CHORES, ("1/2", "1/2"), ((), ())),
-    Instance(GOODS, ("1",), (("1/2", "1/2", "0"),)),
-    Instance(CHORES, ("1/3", "2/3"), (("0", "0"), ("1/2", "1/2"))),
-    Instance(GOODS, ("1/4", "3/4"), (("0", "0"), ("0", "0"))),
-    Instance(CHORES, ("1/3", "1/3", "1/3"), (("1/2",), ("1/2",), ("1/2",))),
+from reference import (
+    instances,
+    reference_bid_and_take,
+    reference_lift,
+    reference_reduce,
+    share,
+    with_edge_cases,
 )
-
-
-def with_edge_cases(test):
-    """Always try m = 0, one agent, zero rows and m < n, whatever is drawn."""
-    for inst in EDGE_CASES:
-        test = example(inst)(test)
-    return test
-
-
-def replay_selections(inst, selection, trace):
-    """Every take of the run went to the agent the reference rule picks."""
-    active = list(range(inst.n))
-    for event in trace.events:
-        assert event.agent == reference_choose(inst, selection, active, event.item)
-        if event.inactivated:
-            active.remove(event.agent)
-
-
-# ---------------------------------------------------------------------------
-# Equivalence with the reference copies
-# ---------------------------------------------------------------------------
-
-@with_edge_cases
-@given(instances())
-@settings(max_examples=300, deadline=None)
-def test_reduction_matches_reference(inst):
-    ido_inst, profile = reduce_to_ido(inst)
-    rows, sigma = reference_reduce(inst)
-    assert ido_inst.costs == rows
-    assert profile.sigma == sigma
-
-
-@given(instances(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_lift_matches_reference(inst, data):
-    _, profile = reduce_to_ido(inst)
-    ido_owner = tuple(data.draw(st.integers(0, inst.n - 1)) for _ in range(inst.m))
-    lifted = lift_allocation(inst, profile, IntegralAllocation(ido_owner))
-    assert lifted.owner == reference_lift(inst, ido_owner)
-
-
-@with_edge_cases
-@given(instances())
-@settings(max_examples=300, deadline=None)
-def test_normalized_selection_matches_reference(inst):
-    ido_inst, _ = reduce_to_ido(inst)
-    alloc, trace = bid_and_take(ido_inst, NORMALIZED)
-    replay_selections(ido_inst, NORMALIZED, trace)
-    assert alloc.is_complete()
-
-
-@given(instances().filter(lambda inst: inst.kind == CHORES))
-@settings(max_examples=150, deadline=None)
-def test_raw_cost_selection_matches_reference(inst):
-    ido_inst, _ = reduce_to_ido(inst)
-    try:
-        _, trace = bid_and_take(ido_inst, RAW_COST)
-    except StuckError:
-        return
-    replay_selections(ido_inst, RAW_COST, trace)
 
 
 @with_edge_cases
@@ -195,7 +53,10 @@ def test_pipeline_pieces_match_reference(inst):
     rows, sigma = reference_reduce(inst)
     assert result.ido_instance.costs == rows
     assert result.profile.sigma == sigma
-    replay_selections(result.ido_instance, NORMALIZED, result.trace)
+    _, events, _, _ = reference_bid_and_take(result.ido_instance, NORMALIZED)
+    assert [
+        (ev.item, ev.agent, ev.fraction, ev.inactivated) for ev in result.trace.events
+    ] == events
     assert result.allocation.owner == reference_lift(inst, result.ido_allocation.owner)
     for e in range(inst.m):
         assert result.fractional.sharers(e) == tuple(
@@ -210,7 +71,6 @@ def test_pipeline_pieces_match_reference(inst):
 
 def _warm_instance(inst):
     for i in range(inst.n):
-        inst.total_cost(i)
         wprop_share(inst, i)
     validate_instance(inst)
     compute_subsidies(inst, IntegralAllocation((0,) * inst.m))
@@ -231,8 +91,8 @@ def test_instance_caches_are_invisible(inst):
     assert again == inst
     assert "_rows" not in vars(again) and "_units" not in vars(again)
     assert again._rows == inst._rows and again._units == inst._units
-    assert [again.total_cost(i) for i in range(again.n)] == [
-        sum(row, ZERO) for row in inst.costs
+    assert [wprop_share(again, i) for i in range(again.n)] == [
+        share(inst, i) for i in range(inst.n)
     ]
     assert dataclasses.replace(inst) == cold
     assert not {"_rows", "_units"} & set(vars(dataclasses.replace(inst)))
@@ -247,7 +107,6 @@ def test_replace_does_not_carry_caches():
     other = dataclasses.replace(inst, costs=(("1", "1"), ("1", "1")))
     assert other._rows == (((1, 1), 1), ((1, 1), 1))
     assert other._units == ((2, 2, 2), (2, 2, 2))
-    assert other.total_cost(0) == 2
     assert wprop_share(other, 0) == 1
 
 

@@ -16,10 +16,11 @@ from subsidy_fairdiv.fbta import (
 )
 from subsidy_fairdiv.ido import reduce_to_ido
 from conftest import REFERENCE_FRACTIONS, fmatrix
+from reference import agent_load, total_cost
 
 
 def loads(inst, alloc):
-    return [alloc.agent_load(inst, i) for i in range(inst.n)]
+    return [agent_load(inst, alloc, i) for i in range(inst.n)]
 
 
 def test_raw_cost_run_reproduces_worked_example(reference_instance, reference_run):
@@ -65,7 +66,7 @@ def test_normalized_run_on_reference_instance(reference_instance):
     # every inactivated agent sits exactly at her share
     inactivated = {ev.agent for ev in trace.events if ev.inactivated}
     for i in inactivated:
-        assert alloc.agent_load(reference_instance, i) == wprop_share(
+        assert agent_load(reference_instance, alloc, i) == wprop_share(
             reference_instance, i
         )
 
@@ -83,7 +84,7 @@ def test_exact_fill_leaves_no_successor():
 def test_single_agent_takes_everything():
     inst = Instance(CHORES, ("1",), (("0.3", "0.8"),))
     alloc, _ = fbta(inst)
-    assert alloc.agent_load(inst, 0) == inst.total_cost(0)
+    assert agent_load(inst, alloc, 0) == total_cost(inst, 0)
 
 
 def test_zero_cost_item_taken_whole():
@@ -100,7 +101,7 @@ def test_degenerate_agent_absorbs_for_free():
     inst = Instance(CHORES, ("1/2", "1/2"), (("0", "0"), ("1", "1")))
     alloc, trace = fbta(inst)
     assert alloc.is_complete()
-    assert alloc.agent_load(inst, 1) <= wprop_share(inst, 1)
+    assert agent_load(inst, alloc, 1) <= wprop_share(inst, 1)
 
 
 def test_rejects_non_ido_and_wrong_kind(reference_instance):
@@ -134,8 +135,8 @@ def test_goods_two_agents_unequal_weights():
     alloc, trace = fbta(inst)
     assert alloc.shares == fmatrix((("3/4", 0), ("1/4", 1)))
     assert [(r.agent, r.successor, r.item) for r in trace.successors] == [(0, 1, 0)]
-    assert alloc.agent_load(inst, 0) == wprop_share(inst, 0)
-    assert alloc.agent_load(inst, 1) == wprop_share(inst, 1)
+    assert agent_load(inst, alloc, 0) == wprop_share(inst, 0)
+    assert agent_load(inst, alloc, 1) == wprop_share(inst, 1)
 
 
 def test_goods_exact_fill_no_fractional_item():
@@ -148,7 +149,7 @@ def test_goods_exact_fill_no_fractional_item():
 def test_goods_single_agent():
     inst = Instance(GOODS, ("1",), (("0.2", "0.9"),))
     alloc, _ = fbta(inst)
-    assert alloc.agent_load(inst, 0) == inst.total_cost(0)
+    assert agent_load(inst, alloc, 0) == total_cost(inst, 0)
 
 
 def test_fractional_items_of_worked_example(reference_run):
@@ -194,7 +195,7 @@ def test_invariants_on_random_instances(kind, seed):
     fracs = fractional_items(alloc)
     assert len(fracs) <= max(inst.n - 1, 0)
     for i in range(inst.n):
-        load = alloc.agent_load(inst, i)
+        load = agent_load(inst, alloc, i)
         share = wprop_share(inst, i)
         assert load <= share if kind == CHORES else load >= share
     # at most one successor per agent, and edges connect positive sharers
@@ -228,6 +229,6 @@ def test_wprop_property(data):
     alloc, _ = fbta(inst)
     assert alloc.is_complete()
     for i in range(n):
-        load = alloc.agent_load(inst, i)
+        load = agent_load(inst, alloc, i)
         share = wprop_share(inst, i)
         assert load <= share if kind == CHORES else load >= share

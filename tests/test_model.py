@@ -20,6 +20,7 @@ from subsidy_fairdiv import (
     wprop_share,
 )
 from subsidy_fairdiv.model import frac
+from reference import bundle_cost
 
 
 def test_frac_parses_decimals_exactly():
@@ -94,7 +95,7 @@ def test_subsidies_are_pointwise_minimal(reference_instance):
     alloc = IntegralAllocation((0, 3, 5, 1, 4, 5))
     subs = compute_subsidies(reference_instance, alloc)
     for i, s in enumerate(subs.amounts):
-        load = alloc.bundle_cost(reference_instance, i)
+        load = bundle_cost(reference_instance, alloc, i)
         share = wprop_share(reference_instance, i)
         assert load - s <= share
         if s > 0:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from subsidy_fairdiv import Edge
-from subsidy_fairdiv.graph import components, find_atom_paths, make_tree
+from subsidy_fairdiv.graph import find_atom_paths, make_tree
 from subsidy_fairdiv.split import (
     Pair,
     SingleEdge,
@@ -14,6 +14,7 @@ from subsidy_fairdiv.split import (
     simple_split,
     split_tree,
 )
+from reference import attached_agent, reference_choose_attachment
 
 
 def edge_ids(component):
@@ -93,8 +94,8 @@ def test_atom_path_split_worked_example(reference_tree):
         eap.attachments[0][1].head,
         eap.attachments[0][1].item,
     ) == (0, 2, 0)
-    assert eap.attached_agent(2) == 0
-    assert eap.attached_agent(1) is None
+    assert attached_agent(eap, 2) == 0
+    assert attached_agent(eap, 1) is None
     assert len(good) == 1
     assert good[0].size == 2
     assert {(e.tail, e.head, e.item) for e in good[0].edges} == {
@@ -241,20 +242,6 @@ def test_choose_attachment_star_prefers_smallest_item():
 def test_choose_attachment_rejects_even_component():
     with pytest.raises(SplitError):
         choose_attachment([Edge(10, 1, 0), Edge(11, 1, 1)], contact=1)
-
-
-def reference_choose_attachment(edges, contact):
-    """The per-edge walk: one component search per candidate edge."""
-    candidates = []
-    for e in edges:
-        if contact not in (e.tail, e.head):
-            continue
-        far = e.head if e.tail == contact else e.tail
-        rest = [x for x in edges if x != e]
-        far_side = next(t for t in components(rest, (far,)) if far in t.nodes)
-        if far_side.size % 2 == 0:
-            candidates.append(e)
-    return min(candidates, key=lambda e: (e.item, e.tail))
 
 
 def test_choose_attachment_matches_the_per_edge_walk():
