@@ -180,13 +180,27 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    pipeline_total = result.subsidies.total
-    gap = pipeline_total - optimum.total
+    # the optimum ranges over roundings of the reduced instance, so it is
+    # compared with the pipeline's rounding there; lifting can only lower
+    # the total further
+    rounded_total = result.certificate.rounded_total
+    gap = rounded_total - optimum.total
     print(f"optimum subsidy {_rational(optimum.total, args.decimal)}")
-    print(f"pipeline subsidy {_rational(pipeline_total, args.decimal)}")
+    print(f"pipeline subsidy {_rational(rounded_total, args.decimal)}")
     print(f"gap {_rational(gap, args.decimal)}")
+    print(f"lifted subsidy {_rational(result.subsidies.total, args.decimal)}")
     print(f"certificate bound {_rational(result.certificate.global_bound, args.decimal)}")
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -240,7 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force optimum and gap to the pipeline")
     p.add_argument("--input", required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument(
+        "--cap",
+        type=_positive_int,
+        default=DEFAULT_CAP,
+        help="most rounding combinations to enumerate (at least 1)",
+    )
     p.add_argument("--decimal", type=int)
     p.set_defaults(func=cmd_oracle)
 

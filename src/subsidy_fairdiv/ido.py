@@ -45,7 +45,8 @@ def reduce_to_ido(inst: Instance) -> tuple[Instance, RankProfile]:
     The rows are sorted by the instance's integer rows; the sort is
     stable, so ties go to the smaller index.  The reduced instance keeps
     kind, weights, every row total and each row's integers (permuted), so
-    each agent's proportional share is unchanged.
+    each agent's proportional share is unchanged.  Its ``costs`` are
+    built only when read, from ``inst``'s own ``Fraction`` objects.
     """
     goods = inst.kind != CHORES
     # one set of index objects shared by every row's order: 8 bytes per
@@ -54,7 +55,7 @@ def reduce_to_ido(inst: Instance) -> tuple[Instance, RankProfile]:
     sigma = tuple(
         tuple(sorted(items, key=ints.__getitem__, reverse=goods)) for ints, _ in inst._rows
     )
-    ido_inst = inst._permuted(reversed(order) if goods else order for order in sigma)
+    ido_inst = inst._permuted(sigma, reverse=goods)
     return ido_inst, RankProfile(sigma)
 
 

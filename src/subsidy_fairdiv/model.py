@@ -15,12 +15,15 @@ shares are integers as well: agent ``i`` with weight ``p_i / q_i`` gets the
 unit ``q_i * d_i`` (``Instance._units``), in which item ``e`` costs
 ``q_i * r_i[e]`` and the share is ``p_i * R_i``; bid-and-take's capacities,
 subsidy gaps, component prices and the brute-force oracle compute in it.
-The reduction hands the integer rows and units of an instance, permuted,
-to the reduced instance.  A fractional allocation stores only the positive
-fractions of each item.  Every cache of a value object (integer rows, row
-totals, shares, units, the dense view of an allocation, a subsidy total)
-is computed on first use and is invisible to ``==``, ``hash``, ``repr``
-and pickling.
+:func:`parse_instance` converts each distinct rational string of a
+document once.  The reduction permutes only the integer rows of an
+instance and hands them, with its units, to the reduced instance, whose
+``costs`` are built from the source's ``Fraction`` objects only when
+read.  A fractional allocation stores only the positive fractions of each
+item.  Every cache of a value object (integer rows, row totals, shares,
+units, an instance's violations, the lazy ``costs`` of a reduced
+instance, the dense view of an allocation, a subsidy total) is computed
+on first use and is invisible to ``==``, ``hash``, ``repr`` and pickling.
 """
 from __future__ import annotations
 
@@ -144,7 +147,7 @@ class Instance:
     item ``e``.  Weights must be positive and sum to one exactly; every
     cost must lie in [0, 1].  :func:`validate_instance` lists the rules
     an instance breaks, and :func:`require_valid` raises on any of them.
-    The integer rows and units are computed once, on first use.
+    The integer rows, units and violations are computed once, on first use.
     """
 
     kind: str
@@ -167,7 +170,8 @@ class Instance:
 
     @property
     def m(self) -> int:
-        return len(self.costs[0]) if self.costs else 0
+        rows = self._rows
+        return len(rows[0][0]) if rows else 0
 
     __getstate__ = _field_state
 
@@ -191,20 +195,84 @@ class Instance:
             )
         )
 
-    def _permuted(self, orders: Iterable[Iterable[int]]) -> Instance:
-        """This instance with row ``i`` listing its items in ``orders[i]``.
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        """What :func:`validate_instance` returns, found on first use."""
+        violations: list[str] = []
+        if self.kind not in KINDS:
+            violations.append(f"unknown kind {self.kind!r}")
+        if self.n < 1:
+            violations.append("instance needs at least one agent")
+        row_lengths = {len(row) for row in self.costs}
+        if len(self.costs) != self.n:
+            violations.append(
+                f"cost matrix has {len(self.costs)} rows for {self.n} agents"
+            )
+        if len(row_lengths) > 1:
+            violations.append(f"cost rows have inconsistent lengths {sorted(row_lengths)}")
+        for i, w in enumerate(self.weights):
+            if w.numerator <= 0:
+                violations.append(f"weight of agent {i} is {w}, must be positive")
+        weight_sum = exact_sum(self.weights)
+        if self.weights and weight_sum != ONE:
+            violations.append(f"weights sum to {weight_sum}, not 1")
+        for i, (row, (ints, d)) in enumerate(zip(self.costs, self._rows)):
+            if ints and (min(ints) < 0 or max(ints) > d):
+                for e, p in enumerate(ints):
+                    if p < 0:
+                        violations.append(f"cost of item {e} for agent {i} is {row[e]}, below 0")
+                    elif p > d:
+                        violations.append(f"cost of item {e} for agent {i} is {row[e]}, exceeds 1")
+        if self.agent_names is not None and len(self.agent_names) != self.n:
+            violations.append("agent_names length does not match agent count")
+        if self.item_names is not None and len(self.item_names) != self.m:
+            violations.append("item_names length does not match item count")
+        for field, names in (("agent_names", self.agent_names), ("item_names", self.item_names)):
+            if names is None:
+                continue
+            if not all(isinstance(name, str) for name in names):
+                violations.append(f"{field} entries must be strings")
+            elif not all(_encodes_as_utf8(name) for name in names):
+                violations.append(f"{field} entries must be encodable as UTF-8")
+        return tuple(violations)
 
-        A permutation changes neither a row's denominator nor its total, so
-        the integer rows and units are carried over, not recomputed.
+    def _permuted(self, orders: Sequence[Sequence[int]], reverse: bool) -> Instance:
+        """This instance with row ``i`` in the order ``orders[i]``, backwards if ``reverse``.
+
+        Only the integer rows are permuted.  A permutation changes neither a
+        row's denominator nor its total, so the units are carried over, and
+        the values are already a valid instance's ``Fraction``s, so the
+        constructor is not run again.  ``costs`` is built on first read
+        (:meth:`__getattr__`), from this instance's own ``Fraction`` objects.
         """
-        costs, rows = [], []
-        for order, row, (ints, d) in zip(orders, self.costs, self._rows):
-            order = list(order)
-            costs.append(tuple([row[e] for e in order]))
-            rows.append((tuple([ints[e] for e in order]), d))
-        out = Instance(kind=self.kind, weights=self.weights, costs=tuple(costs))
-        out.__dict__.update(_rows=tuple(rows), _units=self._units)
+        out = object.__new__(Instance)
+        out.__dict__.update(
+            kind=self.kind,
+            weights=self.weights,
+            agent_names=None,
+            item_names=None,
+            _rows=tuple(
+                (tuple(map(ints.__getitem__, reversed(order) if reverse else order)), d)
+                for order, (ints, d) in zip(orders, self._rows)
+            ),
+            _units=self._units,
+            _permutation=(self.costs, orders, reverse),
+        )
         return out
+
+    def __getattr__(self, name: str) -> object:
+        # reached only for a missing attribute: the ``costs`` of an instance
+        # built by ``_permuted`` before its first read
+        permutation = self.__dict__.get("_permutation") if name == "costs" else None
+        if permutation is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        source, orders, reverse = permutation
+        costs = tuple(
+            tuple(map(row.__getitem__, reversed(order) if reverse else order))
+            for order, row in zip(orders, source)
+        )
+        object.__setattr__(self, "costs", costs)
+        return costs
 
 
 def wprop_share(inst: Instance, agent: int) -> Fraction:
@@ -353,45 +421,10 @@ def validate_instance(inst: Instance) -> tuple[str, ...]:
     """Every violated instance invariant, as one message each.
 
     The tuple is empty exactly when the instance is valid.  An all-zero
-    cost row is valid: that agent's share is zero.
+    cost row is valid: that agent's share is zero.  It is found once per
+    instance and kept, like the integer rows.
     """
-    violations: list[str] = []
-    if inst.kind not in KINDS:
-        violations.append(f"unknown kind {inst.kind!r}")
-    if inst.n < 1:
-        violations.append("instance needs at least one agent")
-    row_lengths = {len(row) for row in inst.costs}
-    if len(inst.costs) != inst.n:
-        violations.append(
-            f"cost matrix has {len(inst.costs)} rows for {inst.n} agents"
-        )
-    if len(row_lengths) > 1:
-        violations.append(f"cost rows have inconsistent lengths {sorted(row_lengths)}")
-    for i, w in enumerate(inst.weights):
-        if w.numerator <= 0:
-            violations.append(f"weight of agent {i} is {w}, must be positive")
-    weight_sum = exact_sum(inst.weights)
-    if inst.weights and weight_sum != ONE:
-        violations.append(f"weights sum to {weight_sum}, not 1")
-    for i, (row, (ints, d)) in enumerate(zip(inst.costs, inst._rows)):
-        if ints and (min(ints) < 0 or max(ints) > d):
-            for e, p in enumerate(ints):
-                if p < 0:
-                    violations.append(f"cost of item {e} for agent {i} is {row[e]}, below 0")
-                elif p > d:
-                    violations.append(f"cost of item {e} for agent {i} is {row[e]}, exceeds 1")
-    if inst.agent_names is not None and len(inst.agent_names) != inst.n:
-        violations.append("agent_names length does not match agent count")
-    if inst.item_names is not None and len(inst.item_names) != inst.m:
-        violations.append("item_names length does not match item count")
-    for field, names in (("agent_names", inst.agent_names), ("item_names", inst.item_names)):
-        if names is None:
-            continue
-        if not all(isinstance(name, str) for name in names):
-            violations.append(f"{field} entries must be strings")
-        elif not all(_encodes_as_utf8(name) for name in names):
-            violations.append(f"{field} entries must be encodable as UTF-8")
-    return tuple(violations)
+    return inst._violations
 
 
 def _encodes_as_utf8(text: str) -> bool:
@@ -436,14 +469,33 @@ def _exact_field(value: object, where: str) -> Fraction:
         raise ModelError(f"{where}: {exc}") from exc
 
 
+def _exact_row(raw: list, where: str, memo: dict[str, Fraction]) -> tuple[Fraction, ...]:
+    """The entries of array ``where`` as ``Fraction``s, each distinct string converted once.
+
+    ``memo`` maps each string converted so far to its ``Fraction``; an entry
+    that is not a ``str`` never reads or fills it, so JSON ``true`` cannot
+    pass for ``"1"``.  A field name such as ``costs[i][e]`` is formatted only
+    for an entry that is converted.
+    """
+    row = []
+    for e, value in enumerate(raw):
+        if type(value) is not str:
+            x = _exact_field(value, f"{where}[{e}]")
+        elif (x := memo.get(value)) is None:
+            x = memo[value] = _exact_field(value, f"{where}[{e}]")
+        row.append(x)
+    return tuple(row)
+
+
 def parse_instance(text: str) -> Instance:
     """Parse and validate the canonical instance document.
 
     Fields: ``kind``, ``weights`` (rational strings), ``costs`` (n rows
     of m rational strings), optional ``agent_names`` / ``item_names``.
-    Rational strings may be "p/q" or exact decimals like "0.7".  Only
-    the document's shape is checked here; :func:`validate_instance`
-    holds every rule about the values.
+    Rational strings may be "p/q" or exact decimals like "0.7"; each
+    distinct string is converted once per document, and the entries that
+    repeat it share its ``Fraction``.  Only the document's shape is checked
+    here; :func:`validate_instance` holds every rule about the values.
     """
     doc = _load_json(text, "instance")
     try:
@@ -461,12 +513,12 @@ def parse_instance(text: str) -> Instance:
             raise ModelError(f"costs[{i}]: must be an array")
     if any(v is not None and not isinstance(v, list) for v in (agent_names, item_names)):
         raise ModelError("instance: agent_names and item_names must be arrays")
+    memo: dict[str, Fraction] = {}
     inst = Instance(
         kind=kind,
-        weights=tuple(_exact_field(w, f"weights[{i}]") for i, w in enumerate(raw_weights)),
+        weights=_exact_row(raw_weights, "weights", memo),
         costs=tuple(
-            tuple(_exact_field(c, f"costs[{i}][{e}]") for e, c in enumerate(row))
-            for i, row in enumerate(raw_costs)
+            _exact_row(row, f"costs[{i}]", memo) for i, row in enumerate(raw_costs)
         ),
         agent_names=agent_names,
         item_names=item_names,

@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -351,6 +352,59 @@ def test_oracle_cap_exceeded(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
     assert main(["oracle", "--input", str(path), "--cap", "4"]) == 3
+
+
+def test_oracle_compares_the_optimum_with_the_rounded_total(capsys):
+    # lifting takes this instance's rounded total of 1/5 down to 0, below
+    # the optimum over roundings of the reduced instance
+    path = ROOT / "fixtures" / "gen_n2_m2_seed0.json"
+    assert main(["oracle", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "optimum subsidy 1/5\n"
+        "pipeline subsidy 1/5\n"
+        "gap 0\n"
+        "lifted subsidy 0\n"
+        "certificate bound 1/2\n"
+    )
+
+
+def _oracle_lines(text):
+    """The oracle's output as ``{"gap": Fraction(...), ...}``."""
+    return {
+        label: Fraction(value)
+        for label, value in (line.rsplit(" ", 1) for line in text.splitlines())
+    }
+
+
+def test_oracle_gap_is_never_negative(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    lifted_below_optimum = 0
+    for seed in range(40):
+        n = 2 + seed % 9
+        m = n + 7 * seed % (21 - n)
+        kind = ("chores", "goods")[seed % 2]
+        gen = ["gen", "--agents", str(n), "--items", str(m), "--kind", kind]
+        assert main([*gen, "--seed", str(seed), "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["oracle", "--input", str(path)]) == 0
+        out = _oracle_lines(capsys.readouterr().out)
+        assert out["gap"] == out["pipeline subsidy"] - out["optimum subsidy"] >= 0
+        assert out["lifted subsidy"] <= out["pipeline subsidy"]
+        lifted_below_optimum += out["lifted subsidy"] < out["optimum subsidy"]
+    # a gap taken from the lifted total would be negative on these
+    assert lifted_below_optimum > 0
+
+
+@pytest.mark.parametrize("cap", ["-5", "0"])
+@pytest.mark.parametrize("agents", [1, 6])
+def test_oracle_rejects_a_cap_below_one(agents, cap, tmp_path, capsys):
+    # one agent has no fractional item to enumerate; six agents have some
+    path = tmp_path / "instance.json"
+    assert main(["gen", "--agents", str(agents), "--items", "8", "--out", str(path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--input", str(path), f"--cap={cap}"])
+    assert exc.value.code == 2
+    assert f"argument --cap: must be at least 1, got {cap}" in capsys.readouterr().err
 
 
 def test_gen_command(tmp_path):

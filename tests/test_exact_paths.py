@@ -3,13 +3,20 @@
 One run of ``run_pipeline`` must agree with the plain-Fraction references
 of ``tests/reference.py`` at every stage it exposes: sigma and reduced
 rows, the bid-and-take events, the lifted owners.  The caches on
-``Instance`` (integer rows and units) and on ``FractionalAllocation``
-(its dense ``shares`` view) must not show in equality, hashing, ``repr``,
-``dataclasses.replace``, pickling or the file format.  A decimal exponent
-too large to write back, and a rational too long to write, fail with a
-``ModelError`` (exit 2 at the command line), not a traceback.
+``Instance`` (integer rows, units and violations) and on
+``FractionalAllocation`` (its dense ``shares`` view) must not show in
+equality, hashing, ``repr``, ``dataclasses.replace``, pickling or the file
+format.  Parsing converts each distinct string of a document once, and
+rejects a bad document with the message that names its first bad field.
+A reduced instance builds its ``costs`` only when they are read, from the
+source's own entries, which nothing in the pipeline does, and otherwise
+behaves as a constructed one.  A decimal exponent too large to write
+back, and a rational too long to write, fail with a ``ModelError`` (exit
+2 at the command line), not a traceback.
 """
+import collections
 import dataclasses
+import json
 import pickle
 from fractions import Fraction
 
@@ -23,18 +30,21 @@ from subsidy_fairdiv import (
     IntegralAllocation,
     ModelError,
     SubsidyVector,
+    brute_force_rounding,
     compute_subsidies,
     format_decimal,
+    gen_random_instance,
     parse_instance,
     serialize_instance,
     validate_instance,
     wprop_share,
 )
+from subsidy_fairdiv import model
 from subsidy_fairdiv.cli import main
 from subsidy_fairdiv.fbta import NORMALIZED, bid_and_take
 from subsidy_fairdiv.ido import is_ido, reduce_to_ido
-from subsidy_fairdiv.model import frac
-from subsidy_fairdiv.rounding import ComponentRounding, HALF, run_pipeline
+from subsidy_fairdiv.model import ONE, frac, require_valid
+from subsidy_fairdiv.rounding import BASELINE, TREE, ComponentRounding, HALF, run_pipeline
 from reference import (
     instances,
     reference_bid_and_take,
@@ -72,9 +82,10 @@ def test_pipeline_pieces_match_reference(inst):
 def _warm_instance(inst):
     for i in range(inst.n):
         wprop_share(inst, i)
-    validate_instance(inst)
+    assert validate_instance(inst) == ()
     compute_subsidies(inst, IntegralAllocation((0,) * inst.m))
     assert inst._rows
+    assert "_violations" in vars(inst)
     is_ido(inst)
     reduce_to_ido(inst)
 
@@ -89,13 +100,14 @@ def test_instance_caches_are_invisible(inst):
     assert pickle.dumps(inst) == pickled
     again = pickle.loads(pickle.dumps(inst))
     assert again == inst
-    assert "_rows" not in vars(again) and "_units" not in vars(again)
+    assert not {"_rows", "_units", "_violations"} & set(vars(again))
     assert again._rows == inst._rows and again._units == inst._units
+    assert validate_instance(again) == ()
     assert [wprop_share(again, i) for i in range(again.n)] == [
         share(inst, i) for i in range(inst.n)
     ]
     assert dataclasses.replace(inst) == cold
-    assert not {"_rows", "_units"} & set(vars(dataclasses.replace(inst)))
+    assert not {"_rows", "_units", "_violations"} & set(vars(dataclasses.replace(inst)))
     assert parse_instance(serialize_instance(inst)) == inst
 
 
@@ -104,10 +116,13 @@ def test_replace_does_not_carry_caches():
     assert wprop_share(inst, 0) == Fraction(1, 2)
     assert inst._rows == (((1, 1), 2), ((1, 1), 1))
     assert inst._units == ((2, 2, 4), (2, 2, 2))
+    assert validate_instance(inst) == ()
     other = dataclasses.replace(inst, costs=(("1", "1"), ("1", "1")))
     assert other._rows == (((1, 1), 1), ((1, 1), 1))
     assert other._units == ((2, 2, 2), (2, 2, 2))
     assert wprop_share(other, 0) == 1
+    bad = dataclasses.replace(inst, costs=(("1", "2"), ("1", "1")))
+    assert validate_instance(bad) == ("cost of item 1 for agent 0 is 2, exceeds 1",)
 
 
 def test_fractional_allocation_caches_are_invisible():
@@ -161,6 +176,187 @@ def test_allocation_from_columns_equals_dense_one(reference_instance):
 def test_fractional_allocation_rejects_negative_shares():
     with pytest.raises(ModelError, match="below 0"):
         FractionalAllocation((("3/2",), ("-1/2",)))
+
+
+def test_require_valid_raises_the_same_text_every_call():
+    inst = Instance(CHORES, ("1/2", "1/3"), (("1", "2"), ("0", "1")))
+    messages = []
+    for _ in range(3):
+        with pytest.raises(ModelError) as exc:
+            require_valid(inst)
+        messages.append(str(exc.value))
+    assert messages == [
+        "invalid instance: weights sum to 5/6, not 1; "
+        "cost of item 1 for agent 0 is 2, exceeds 1"
+    ] * 3
+
+
+def test_a_parsed_instance_is_validated_once(reference_instance):
+    parsed = parse_instance(serialize_instance(reference_instance))
+    violations = vars(parsed)["_violations"]
+    assert violations == ()
+    run_pipeline(parsed)
+    run_pipeline(parsed, method=BASELINE)
+    assert validate_instance(parsed) is violations
+
+
+# ---------------------------------------------------------------------------
+# Each rational string is converted once per document
+# ---------------------------------------------------------------------------
+
+def _primes(count):
+    found, candidate = [], 1000
+    while len(found) < count:
+        candidate += 1
+        if all(candidate % d for d in range(2, int(candidate**0.5) + 1)):
+            found.append(candidate)
+    return found
+
+
+def test_parse_of_distinct_entries_equals_the_literal_instance():
+    n, m = 4, 9
+    primes = _primes(n * m + n)
+    weights = [Fraction(p, sum(primes[:n])) for p in primes[:n]]
+    rows = [
+        [Fraction(e + 1, primes[n + i * m + e]) for e in range(m)] for i in range(n)
+    ]
+    doc = json.dumps(
+        {"kind": CHORES, "weights": [str(w) for w in weights],
+         "costs": [[str(c) for c in row] for row in rows]}
+    )
+    assert parse_instance(doc) == Instance(CHORES, tuple(weights), tuple(map(tuple, rows)))
+
+
+def test_parse_reads_a_number_written_three_ways():
+    doc = '{"kind": "chores", "weights": ["1"], "costs": [["1", 1, " 1 ", "1"]]}'
+    assert parse_instance(doc).costs == ((ONE,) * 4,)
+    with pytest.raises(ModelError, match=r"^costs\[0\]\[1\]: not a rational: True$"):
+        parse_instance('{"kind": "chores", "weights": ["1"], "costs": [["1", true]]}')
+    with pytest.raises(ModelError, match=r"^costs\[0\]\[2\]: not a rational: True$"):
+        parse_instance('{"kind": "chores", "weights": ["1"], "costs": [[1, "1", true]]}')
+
+
+_ROWS = '"costs": [["1", %s], ["1", %s]]'
+
+# one bad field per document, or several: the message names the first in
+# document order, weights before costs, row by row
+BAD_DOCUMENTS = [
+    ('"weights": ["1/2", 0.5], ' + _ROWS % ('"0"', '"0"'),
+     "weights[1]: float literals are inexact; write the number as a string"),
+    ('"weights": ["1/2", "1/2"], ' + _ROWS % ('"0"', "0.5"),
+     "costs[1][1]: float literals are inexact; write the number as a string"),
+    ('"weights": ["1/2", "1/2"], ' + _ROWS % ("true", '"1"'),
+     "costs[0][1]: not a rational: True"),
+    ('"weights": ["1/2", "1/2"], ' + _ROWS % ('"1"', "true"),
+     "costs[1][1]: not a rational: True"),
+    ('"weights": ["1/2", "1/2"], ' + _ROWS % ('"nan"', '"1"'),
+     "costs[0][1]: not a rational: 'nan'"),
+    ('"weights": ["1/2", "1/2"], ' + _ROWS % ('"1/2"', '"1/0"'),
+     "costs[1][1]: not a rational: '1/0'"),
+    ('"weights": ["1/2", "1/-2"], ' + _ROWS % ('"1/-2"', '"1"'),
+     "weights[1]: not a rational: '1/-2'"),
+    ('"weights": ["1/2", "1/2"], ' + _ROWS % ('"1e5000"', '"1e5000"'),
+     "costs[0][1]: exponent beyond 4300 in magnitude: '1e5000'"),
+    ('"weights": ["1/2", "1/2"], ' + _ROWS % ('["1"]', '"x"'),
+     "costs[0][1]: not a rational: ['1']"),
+    ('"weights": ["1/2", "1/2"], ' + _ROWS % ("null", '"1"'),
+     "costs[0][1]: not a rational: None"),
+    ('"weights": ["1/2", "abc"], ' + _ROWS % ('"abc"', '"1"'),
+     "weights[1]: not a rational: 'abc'"),
+]
+
+
+@pytest.mark.parametrize("body, message", BAD_DOCUMENTS)
+def test_parse_names_the_first_bad_field(body, message):
+    with pytest.raises(ModelError) as exc:
+        parse_instance('{"kind": "chores", %s}' % body)
+    assert str(exc.value) == message
+
+
+def test_parse_converts_each_distinct_string_once(monkeypatch):
+    text = serialize_instance(gen_random_instance(30, 60, CHORES, 0, denominator=10))
+    doc = json.loads(text)
+    strings = doc["weights"] + [c for row in doc["costs"] for c in row]
+    seen = collections.Counter()
+    convert = model._exact_field
+
+    def counting(value, where):
+        seen[value] += 1
+        return convert(value, where)
+
+    monkeypatch.setattr(model, "_exact_field", counting)
+    parse_instance(text)
+    assert set(seen) == set(strings) and max(seen.values()) == 1
+    assert len(seen) < len(strings) // 40
+
+
+# ---------------------------------------------------------------------------
+# The reduced instance builds its costs on first read
+# ---------------------------------------------------------------------------
+
+@with_edge_cases
+@given(instances())
+@settings(max_examples=100, deadline=None)
+def test_the_pipeline_never_reads_the_reduced_costs(inst):
+    for method in (TREE, BASELINE):
+        result = run_pipeline(inst, method=method)
+        ido_inst = result.ido_instance
+        result.certificate.to_json()
+        compute_subsidies(ido_inst, result.ido_allocation)
+        brute_force_rounding(ido_inst, result.fractional)
+        assert type(ido_inst) is Instance
+        assert "costs" not in vars(ido_inst)
+
+
+def _source_entries(inst, sigma):
+    """The reduced rows, read off the source's own entries through ``sigma``."""
+    goods = inst.kind != CHORES
+    return tuple(
+        tuple(row[e] for e in (reversed(order) if goods else order))
+        for row, order in zip(inst.costs, sigma)
+    )
+
+
+@with_edge_cases
+@given(instances())
+@settings(max_examples=100, deadline=None)
+def test_reduced_costs_are_the_source_entries(inst):
+    ido_inst, profile = reduce_to_ido(inst)
+    expected = _source_entries(inst, profile.sigma)
+    assert ido_inst.costs == reference_reduce(inst)[0] == expected
+    assert all(
+        x is y for got, want in zip(ido_inst.costs, expected) for x, y in zip(got, want)
+    )
+
+
+@with_edge_cases
+@given(instances(max_n=4, max_m=5))
+@settings(max_examples=100, deadline=None)
+def test_a_reduced_instance_behaves_as_a_constructed_one(inst):
+    def reduced():
+        ido_inst, profile = reduce_to_ido(inst)
+        assert "costs" not in vars(ido_inst)
+        return ido_inst
+
+    ido_inst, profile = reduce_to_ido(inst)
+    built = Instance(inst.kind, inst.weights, _source_entries(inst, profile.sigma))
+    assert reduced() == built and built == reduced()
+    assert hash(reduced()) == hash(built)
+    assert repr(reduced()) == repr(built)
+    assert pickle.dumps(reduced()) == pickle.dumps(built)
+    again = pickle.loads(pickle.dumps(reduced()))
+    assert again == built and "_permutation" not in vars(again)
+    assert dataclasses.replace(reduced()) == built
+    assert dataclasses.replace(reduced(), kind="x") == dataclasses.replace(built, kind="x")
+    assert reduced().m == built.m and validate_instance(reduced()) == ()
+
+
+def test_an_instance_lacks_only_the_attributes_it_lacks(reference_instance):
+    ido_inst, _ = reduce_to_ido(reference_instance)
+    with pytest.raises(AttributeError, match="'Instance' object has no attribute 'price'"):
+        ido_inst.price
+    with pytest.raises(AttributeError, match="'Instance' object has no attribute 'price'"):
+        reference_instance.price
 
 
 # ---------------------------------------------------------------------------
