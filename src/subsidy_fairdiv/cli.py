@@ -18,6 +18,7 @@ import errno
 import os
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__
 from .graph import to_dot
@@ -193,14 +194,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argument type: an integer of at least ``low``, refused while parsing."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -243,24 +249,28 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use per-item threshold rounding (bound (n-1)/2) instead",
     )
-    p.add_argument("--decimal", type=int, help="also render rationals with this many digits")
+    p.add_argument(
+        "--decimal",
+        type=_int_at_least(0),
+        help="also render rationals with this many digits",
+    )
     p.set_defaults(func=cmd_allocate)
 
     p = sub.add_parser("verify", help="check an allocation file against an instance")
     p.add_argument("--input", required=True)
     p.add_argument("--allocation", required=True)
-    p.add_argument("--decimal", type=int)
+    p.add_argument("--decimal", type=_int_at_least(0))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force optimum and gap to the pipeline")
     p.add_argument("--input", required=True)
     p.add_argument(
         "--cap",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=DEFAULT_CAP,
         help="most rounding combinations to enumerate (at least 1)",
     )
-    p.add_argument("--decimal", type=int)
+    p.add_argument("--decimal", type=_int_at_least(0))
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="write a deterministic random instance")

@@ -24,6 +24,12 @@ item.  Every cache of a value object (integer rows, row totals, shares,
 units, an instance's violations, the lazy ``costs`` of a reduced
 instance, the dense view of an allocation, a subsidy total) is computed
 on first use and is invisible to ``==``, ``hash``, ``repr`` and pickling.
+
+Every document the package emits is written by :func:`_document`, byte for
+byte what ``json.dumps(doc, indent=2, sort_keys=True)`` writes, from one
+list of pieces joined once; :func:`serialize_instance` hands it the cost
+matrix to write one row at a time, so no string per entry of the whole
+matrix is ever held.  ``json`` itself only parses.
 """
 from __future__ import annotations
 
@@ -32,6 +38,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_string
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -446,6 +453,94 @@ def require_valid(inst: Instance) -> None:
 # Canonical file format (JSON, exact rational strings, LF line endings)
 # ---------------------------------------------------------------------------
 
+class _RationalRows:
+    """A matrix of rationals that :func:`_document` writes one row at a time."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Sequence[Sequence[Fraction]]) -> None:
+        self.rows = rows
+
+
+def _document(doc: dict[str, object]) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    The document's pieces go into one flat list, joined once; an array of
+    strings or ints is joined in C.  Only what the package's documents
+    hold is accepted: dicts with ``str`` keys, lists, tuples, strings,
+    ints, booleans, ``None`` and the rows of :class:`_RationalRows`.  Any
+    other value, a float or a ``Fraction`` included, raises ``TypeError``.
+    """
+    out: list[str] = []
+    _put(out, doc, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _put(out: list[str], value: object, pad: str) -> None:
+    """Append ``value``'s pieces; ``pad`` is a newline and the current indent."""
+    if isinstance(value, str):
+        out.append(_json_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"document keys must be str, got {key!r}")
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            # a certificate repeats a few keys at one indent thousands of
+            # times; interning keeps one copy of each such piece
+            out.append(sys.intern(f"{sep}{_json_string(key)}: "))
+            _put(out, value[key], inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        if kinds <= {str}:  # the empty array too
+            _put_array(out, map(_json_string, value), pad)
+        elif kinds == {int}:
+            _put_array(out, map(int.__repr__, value), pad)
+        else:
+            inner = pad + "  "
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _put(out, item, inner)
+                sep = "," + inner
+            out.append(pad + "]")
+    elif type(value) is _RationalRows:
+        if not value.rows:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for row in value.rows:
+            out.append(sep)
+            _put_array(out, map(_json_string, map(rational_text, row)), inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:
+        raise TypeError(f"not a document value: {type(value).__name__}")
+
+
+def _put_array(out: list[str], texts: Iterable[str], pad: str) -> None:
+    """Append an array of scalars already written as ``texts``."""
+    inner = pad + "  "
+    joined = ("," + inner).join(texts)  # empty only for an empty array
+    out += ("[", inner, joined, pad, "]") if joined else ("[]",)
+
+
 def _load_json(text: str, what: str) -> dict:
     try:
         doc = json.loads(text)
@@ -528,17 +623,20 @@ def parse_instance(text: str) -> Instance:
 
 
 def serialize_instance(inst: Instance) -> str:
-    """Emit the canonical document: lowest-terms strings, LF endings."""
+    """Emit the canonical document: lowest-terms strings, LF endings.
+
+    The cost matrix becomes text one row at a time, as the writer reaches it.
+    """
     doc: dict[str, object] = {
         "kind": inst.kind,
         "weights": [rational_text(w) for w in inst.weights],
-        "costs": [[rational_text(c) for c in row] for row in inst.costs],
+        "costs": _RationalRows(inst.costs),
     }
     if inst.agent_names is not None:
-        doc["agent_names"] = list(inst.agent_names)
+        doc["agent_names"] = inst.agent_names
     if inst.item_names is not None:
-        doc["item_names"] = list(inst.item_names)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc["item_names"] = inst.item_names
+    return _document(doc)
 
 
 def parse_allocation(text: str) -> tuple[IntegralAllocation, SubsidyVector | None]:
@@ -573,7 +671,10 @@ def serialize_allocation(
     """The allocation document: owners, subsidies and their total, plus ``extra``.
 
     With ``decimal_digits`` the total is also rendered as a fixed-point
-    decimal under ``total_subsidy_decimal``.
+    decimal under ``total_subsidy_decimal``.  ``extra`` holds JSON values
+    only: ``str`` keys, lists, tuples, strings, ints, booleans and ``None``.
+    A float is refused with ``TypeError``, as floats are refused on input;
+    write a rational with :func:`rational_text`.
     """
     doc: dict[str, object] = {"owner": list(alloc.owner)}
     if subsidies is not None:
@@ -583,7 +684,7 @@ def serialize_allocation(
             doc["total_subsidy_decimal"] = format_decimal(subsidies.total, decimal_digits)
     if extra:
         doc.update(extra)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _document(doc)
 
 
 def format_decimal(value: Fraction, digits: int) -> str:

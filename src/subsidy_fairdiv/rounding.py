@@ -30,7 +30,6 @@ emits.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -48,6 +47,7 @@ from .model import (
     IntegralAllocation,
     ModelError,
     SubsidyVector,
+    _document,
     _field_state,
     compute_subsidies,
     exact_sum,
@@ -544,7 +544,7 @@ class RoundingCertificate:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
+        return _document(self.to_doc())
 
 
 def global_bound(kind: str, n: int, method: str) -> Fraction:

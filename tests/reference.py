@@ -9,10 +9,15 @@ whose output it checks: loads, shares and subsidies are plain ``Fraction``
 sums here, never the integer units the package computes in.
 ``tests/test_reference.py`` holds that rule with a parse of this file.
 
+The documents the package writes have a reference too: the standard
+library's ``json.dumps``, which the package's own writer must match byte
+for byte.
+
 Alongside are the instance strategy the property tests draw from and the
 explicit ``EDGE_CASES`` every property tries.
 """
 import itertools
+import json
 from fractions import Fraction
 
 from hypothesis import example, strategies as st
@@ -324,6 +329,29 @@ def reference_choose_attachment(edges, contact):
         if far_side.size % 2 == 0:
             candidates.append(e)
     return min(candidates, key=lambda e: (e.item, e.tail))
+
+
+# ---------------------------------------------------------------------------
+# Documents
+# ---------------------------------------------------------------------------
+
+def reference_document(doc):
+    """The canonical text of a document: two-space indent, sorted keys, a final LF."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def instance_document(inst):
+    """The instance's document as plain JSON values, every rational as ``str``."""
+    doc = {
+        "kind": inst.kind,
+        "weights": [str(w) for w in inst.weights],
+        "costs": [[str(c) for c in row] for row in inst.costs],
+    }
+    if inst.agent_names is not None:
+        doc["agent_names"] = list(inst.agent_names)
+    if inst.item_names is not None:
+        doc["item_names"] = list(inst.item_names)
+    return doc
 
 
 # ---------------------------------------------------------------------------

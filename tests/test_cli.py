@@ -407,6 +407,30 @@ def test_oracle_rejects_a_cap_below_one(agents, cap, tmp_path, capsys):
     assert f"argument --cap: must be at least 1, got {cap}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["allocate", "verify", "oracle"])
+def test_negative_decimal_is_refused_while_parsing(command, istar_file, tmp_path, capsys):
+    # the oracle's cap of 1 is exceeded on this instance, which would exit 3
+    # if the command ran before the argument was refused
+    allocation = tmp_path / "alloc.json"
+    assert main(["allocate", "--input", str(istar_file), "--out", str(allocation)]) == 0
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    argv = {
+        "allocate": ["--out", str(outputs / "out.json"),
+                     "--certificate", str(outputs / "cert.json")],
+        "verify": ["--allocation", str(allocation)],
+        "oracle": ["--cap", "1"],
+    }[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(istar_file), *argv, "--decimal", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --decimal: must be at least 0, got -1" in captured.err
+    assert captured.out == ""
+    assert list(outputs.iterdir()) == []
+
+
 def test_gen_command(tmp_path):
     out = tmp_path / "gen.json"
     assert main(

@@ -12,6 +12,9 @@ from pathlib import Path
 import pytest
 
 from subsidy_fairdiv.cli import main
+from subsidy_fairdiv.model import parse_instance, serialize_instance
+
+from reference import instance_document, reference_document
 
 GOLDEN = Path(__file__).resolve().parent.parent / "fixtures" / "golden"
 CASES = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
@@ -31,6 +34,18 @@ def test_golden_outputs(case, tmp_path):
     for name in regen.OUTPUTS:
         expected = (GOLDEN / "cases" / case["name"] / name).read_bytes()
         assert (tmp_path / name).read_bytes() == expected, f"{case['name']}/{name}"
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_instance_documents(case):
+    # the generated cases feed allocate the writer's own text; every case's
+    # instance is written back exactly as the reference writes its document
+    text = regen.instance_text(case)
+    inst = parse_instance(text)
+    expected = reference_document(instance_document(inst))
+    assert serialize_instance(inst) == expected
+    if "input" not in case:
+        assert text == expected
 
 
 def test_golden_corpus_covers_every_tree_shape():
