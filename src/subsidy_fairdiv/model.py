@@ -13,8 +13,10 @@ it: sorting or adding those integers sorts or adds the rationals exactly,
 and bid-and-take compares two ratios by cross-multiplying them.  Loads and
 shares are integers as well: agent ``i`` with weight ``p_i / q_i`` gets the
 unit ``q_i * d_i`` (``Instance._units``), in which item ``e`` costs
-``q_i * r_i[e]`` and the share is ``p_i * R_i``; bid-and-take's capacities,
-subsidy gaps, component prices and the brute-force oracle compute in it.
+``q_i * r_i[e]`` and the share is ``p_i * R_i``; bid-and-take's capacities
+and :func:`compute_subsidies` compute in it, and so does the one pricing
+kernel (``rounding._Pricer``) behind component prices, the per-tree emit
+choice and the brute-force oracle.
 :func:`parse_instance` converts each distinct rational string of a
 document once.  The reduction permutes only the integer rows of an
 instance and hands them, with its units, to the reduced instance, whose
@@ -311,6 +313,10 @@ class FractionalAllocation:
             [] for _ in (matrix[0] if matrix else ())
         ]
         for i, row in enumerate(matrix):
+            if len(row) != len(columns):
+                raise ModelError(
+                    f"share row {i} has {len(row)} items, row 0 has {len(columns)}"
+                )
             for e, x in enumerate(row):
                 if x.numerator < 0:
                     raise ModelError(f"share of item {e} for agent {i} is {x}, below 0")

@@ -4,16 +4,16 @@ The brute-force rounder enumerates every feasible assignment of the
 fractional items (each to one of its sharers) and returns a true
 minimum-subsidy integral allocation.  The pipeline can never beat it and
 must never exceed its own certificate bound, which brackets the pipeline
-from both sides on any instance small enough to enumerate.  Loads and
-shares are integers over one common denominator, so each combination
-costs integer additions only.
+from both sides on any instance small enough to enumerate.  Every
+combination is priced by the rounding kernel (``rounding._Pricer``) over
+all fractional items, based on each agent's share minus the items she
+holds whole, so each combination costs integer additions into one list.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
 
 from .fbta import fractional_items
 from .model import (
@@ -26,6 +26,7 @@ from .model import (
     SubsidyVector,
     compute_subsidies,
 )
+from .rounding import _Pricer, _whole_base, integralize
 
 DEFAULT_CAP = 1 << 20
 
@@ -49,6 +50,11 @@ def brute_force_rounding(
     sharers (whole items stay put).  Ties break to the lexicographically
     smallest assignment vector.
     """
+    if alloc.n != inst.n or alloc.m != inst.m:
+        raise ModelError(
+            f"allocation is {alloc.n} agents by {alloc.m} items, "
+            f"instance is {inst.n} by {inst.m}"
+        )
     fracs = fractional_items(alloc)
     space = 1
     for _, sharers in fracs:
@@ -57,42 +63,25 @@ def brute_force_rounding(
             raise EnumerationCapExceeded(
                 f"assignment space exceeds the cap of {cap} combinations"
             )
-    # loads and shares as integers over D = lcm_i(q_i * d_i), the lcm of the
-    # agents' units (``Instance._units``); gaps are signed by kind, so an
-    # agent's subsidy is her gap when it is positive
-    rows, units = inst._rows, inst._units
-    denominator = lcm(*[unit for _, _, unit in units])
-    sign = 1 if inst.kind == CHORES else -1
-    scale = [sign * q * (denominator // unit) for q, _, unit in units]
-    base_gap = [-sign * share * (denominator // unit) for _, share, unit in units]
-    base_owner: list[int | None] = [None] * inst.m
-    for e in range(inst.m):
-        sharers = alloc.sharers(e)
-        if len(sharers) == 1:
-            agent = sharers[0]
-            base_owner[e] = agent
-            base_gap[agent] += scale[agent] * rows[agent][0][e]
-    items = [e for e, _ in fracs]
-    choices = [
-        [(a, scale[a] * rows[a][0][e]) for a in sharers] for e, sharers in fracs
-    ]
+    pricer = _Pricer(inst, alloc, [e for e, _ in fracs], _whole_base(inst, alloc))
+    # one integer list per combination, a slot per sharer
+    slot = {a: i for i, a in enumerate(pricer.offset)}
+    offset = list(pricer.offset.values())
+    choices = [[(slot[a], pricer.gain[e][a]) for a in sharers] for e, sharers in fracs]
     best_total: int | None = None
-    best_combo: tuple[tuple[int, int], ...] | None = None
+    best_combo: tuple[tuple[int, int], ...] = ()
     for combo in itertools.product(*choices):
-        gap = list(base_gap)
-        for agent, added in combo:
-            gap[agent] += added
+        gap = list(offset)
+        for s, gain in combo:
+            gap[s] += gain
         total = sum([g for g in gap if g > 0])
         if best_total is None or total < best_total:
             best_total = total
             best_combo = combo
-    owner = list(base_owner)
-    if best_combo is not None:
-        for e, (o, _) in zip(items, best_combo):
-            owner[e] = o
-    allocation = IntegralAllocation(tuple(o for o in owner if o is not None))
-    if allocation.m != inst.m:
-        raise ModelError("fractional allocation does not cover every item")
+    agents = list(slot)
+    allocation = integralize(
+        alloc, {e: agents[s] for (e, _), (s, _) in zip(fracs, best_combo)}
+    )
     return allocation, compute_subsidies(inst, allocation)
 
 

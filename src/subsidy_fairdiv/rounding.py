@@ -14,19 +14,23 @@ over to the exact minimum:
   (k + h) / 3.
 
 Per-component subsidies are accounted by :func:`local_subsidy`, with
-agent-level clamping inside the component.  Each component is priced
-once: its touched agents' fractional loads are computed once, every
-candidate rounding scores as an integer over one common denominator, and
-only the winner's score becomes a ``Fraction``.  Summing components
+agent-level clamping inside the component.  Summing components
 over-counts only safely (the positive part is subadditive), so the
 certificate's component sum dominates the true total subsidy of the
 rounded allocation, which in turn dominates the total after lifting back
-to the original item order.  True subsidies come only from
-:func:`compute_subsidies`: each tree emits plain thresholding instead of
-its split assignment when its agents' true subsidies under the
-all-threshold allocation sum to strictly less than under the all-split
-one, and each agent's rounded subsidy is its entry under the one its tree
-emits.
+to the original item order.
+
+One kernel, :class:`_Pricer`, prices every rounding: given an item set,
+its sharers and a base per agent, it puts each agent's clamped gap over
+one common denominator, so each rounding scores as an integer and only a
+winner's score becomes a ``Fraction``.  A component's base is each
+touched agent's fractional load over its items, which gives the local
+subsidy.  The per-tree emit choice and the brute-force oracle use each
+agent's share minus the items she holds whole, found in one pass over
+the items, which gives her true subsidy: each tree emits plain
+thresholding instead of its split assignment when its agents' true
+subsidies sum to strictly less under it.  The emitted allocation goes
+through :func:`integralize` and :func:`compute_subsidies` once.
 """
 from __future__ import annotations
 
@@ -73,24 +77,28 @@ def threshold_owner(alloc: FractionalAllocation, item: int) -> int:
 
 
 class _Pricer:
-    """Local subsidies of one component's roundings, as integers over one ``D``.
+    """Clamped gaps of one item set's roundings, as integers over one ``D``.
 
     Over agent ``a``'s unit ``q_a * d_a`` (``Instance._units``) item ``e``
-    costs ``u_a(e) = q_a * r_a[e]``.  Her fractional load over the
-    component's items is ``L_a = sum(x_a(e) * u_a(e)) = N_a / M_a``, with
-    ``M_a`` the lcm of her fractions' denominators, computed once.  A
-    rounding that gives her the items worth ``I_a`` changes her load by
-    ``(I_a - L_a) / (q_a * d_a)``.  Over ``D = lcm_a(M_a * q_a * d_a)`` that
-    is ``I_a * A_a - B_a`` with ``A_a = D / (q_a * d_a)`` and
-    ``B_a = N_a * D / (M_a * q_a * d_a)``, so every rounding scores as an
+    costs ``u_a(e) = q_a * r_a[e]``.  Her base ``N_a / M_a`` is her
+    fractional load over the items (``M_a`` the lcm of her fractions'
+    denominators), so her clamped gap is her part of a local subsidy; or,
+    given ``base`` (:func:`_whole_base`), her share minus the items she
+    holds whole (``M_a = 1``), so it is her true subsidy.  Over
+    ``D = lcm_a(M_a * q_a * d_a)`` her signed gap is ``offset[a]`` plus the
+    ``gain[e][a]`` of each item she gets (chores: ``-N_a`` and ``u_a(e)``
+    scaled to ``D``; goods negate both), so every rounding scores as an
     integer and only the winner's score becomes a ``Fraction``.
     """
 
     def __init__(
-        self, inst: Instance, alloc: FractionalAllocation, items: Iterable[int]
+        self,
+        inst: Instance,
+        alloc: FractionalAllocation,
+        items: Iterable[int],
+        base: list[int] | None = None,
     ) -> None:
         rows, units = inst._rows, inst._units
-        self.sign = 1 if inst.kind == CHORES else -1
         # item -> sharer -> u_a(e); agent -> (N_a, M_a)
         costs: dict[int, dict[int, int]] = {}
         loads: dict[int, tuple[int, int]] = {}
@@ -98,6 +106,9 @@ class _Pricer:
             costs[e] = {}
             for a, held in alloc.columns[e]:
                 costs[e][a] = u = units[a][0] * rows[a][0][e]
+                if base is not None:
+                    loads[a] = (base[a], 1)
+                    continue
                 x_num, x_den = held.as_integer_ratio()
                 if a in loads:
                     num, den = loads[a]
@@ -106,33 +117,44 @@ class _Pricer:
                 else:
                     loads[a] = (x_num * u, x_den)
         self.denominator = lcm(*[den * units[a][2] for a, (_, den) in loads.items()])
-        # agent -> B_a; item -> sharer -> u_a(e) * A_a
-        self.base = {
-            a: num * (self.denominator // (den * units[a][2]))
+        sign = 1 if inst.kind == CHORES else -1
+        self.offset = {
+            a: -sign * num * (self.denominator // (den * units[a][2]))
             for a, (num, den) in loads.items()
         }
-        self.worth = {
-            e: {a: u * (self.denominator // units[a][2]) for a, u in worth.items()}
+        self.gain = {
+            e: {a: sign * u * (self.denominator // units[a][2]) for a, u in worth.items()}
             for e, worth in costs.items()
         }
 
-    def term(self, agent: int, worth: int) -> int:
-        """The agent's clamped change, over ``D``, when she gets items of this worth."""
-        gap = self.sign * (worth - self.base[agent])
+    def term(self, agent: int, gain: int) -> int:
+        """The agent's clamped gap, over ``D``, when she gets items of this gain."""
+        gap = self.offset[agent] + gain
         return gap if gap > 0 else 0
 
     def score(self, assignment: dict[int, int]) -> int:
-        """The local subsidy of the rounding, over ``D``."""
-        worth = dict.fromkeys(self.base, 0)
+        """The rounding's summed clamped gaps, over ``D``."""
+        gap = dict(self.offset)
         for item, owner in assignment.items():
-            held = self.worth[item]
+            held = self.gain[item]
             if owner not in held:
                 raise RoundingError(f"item {item} rounded to non-sharer {owner}")
-            worth[owner] += held[owner]
-        return sum(self.term(a, w) for a, w in worth.items())
+            gap[owner] += held[owner]
+        return sum([g for g in gap.values() if g > 0])
 
     def price(self, score: int) -> Fraction:
         return Fraction(score, self.denominator)
+
+
+def _whole_base(inst: Instance, alloc: FractionalAllocation) -> list[int]:
+    """Per agent, her share minus the items she holds whole, over her unit."""
+    rows, units = inst._rows, inst._units
+    base = [share for _, share, _ in units]
+    for e, column in enumerate(alloc.columns):
+        if len(column) == 1:
+            a = column[0][0]
+            base[a] -= units[a][0] * rows[a][0][e]
+    return base
 
 
 def local_subsidy(
@@ -288,9 +310,9 @@ def round_expanded_atom_path(
                 "attached edges must join distinct path agents to agents off the path"
             )
         attached.add(path_agent)
-        keep, give = (pricer.worth[edge.item][a] for a in (path_agent, other))
+        keep, give = (pricer.gain[edge.item][a] for a in (path_agent, other))
         best = []
-        for core_load in (0, pricer.worth[core][path_agent]):
+        for core_load in (0, pricer.gain[core][path_agent]):
             on_path = pricer.term(path_agent, core_load + keep) + pricer.term(other, 0)
             on_other = pricer.term(path_agent, core_load) + pricer.term(other, give)
             # ties to the endpoint with the smaller index
@@ -317,12 +339,12 @@ class TreeRounding:
 
     ``emitted`` names the assignment actually materialized for the tree:
     the bound-certified split assignment, or the per-item threshold
-    assignment when the tree's agents' true subsidies
-    (:func:`compute_subsidies`) sum to strictly less under it.  The
-    comparison reads two whole allocations, all-split and all-threshold,
-    and is exact per tree because every fractional item's sharers lie in
-    one tree and trees share no agents.  Either way the split components
-    carry the certificate.
+    assignment when the tree's agents' true subsidies sum to strictly less
+    under it.  Both are scored on one :class:`_Pricer` of the tree's items,
+    based on each agent's share minus the items she holds whole; that is
+    exact per tree because every fractional item's sharers lie in one tree
+    and trees share no agents.  Either way the split components carry the
+    certificate.
     """
 
     root: int
@@ -584,51 +606,42 @@ def run_pipeline(inst: Instance, method: str = TREE) -> PipelineResult:
     alloc, trace = bid_and_take(ido_inst, NORMALIZED)
     graph = build_graph(trace)
     forest = trees(graph)
+    fracs = fractional_items(alloc)
     tree_roundings: tuple[TreeRounding, ...] = ()
     if method == TREE:
-        split_roundings = [round_tree(ido_inst, alloc, tree) for tree in forest]
-        split = _merged_assignment(c for t in split_roundings for c in t.components)
-        threshold = {item: threshold_owner(alloc, item) for item in split}
-        split_subsidy, threshold_subsidy = (
-            compute_subsidies(ido_inst, integralize(alloc, a)).amounts
-            for a in (split, threshold)
-        )
         # every fractional item's sharers lie in one tree and trees share no
-        # agents, so an agent's rounded subsidy is its entry under whichever
-        # assignment its tree emits; agents outside every tree hold whole
-        # items only and have equal entries under both
-        assignment = dict(split)
-        rounded_amounts = list(split_subsidy)
+        # agents, so a tree's assignment moves only its own agents' subsidies
+        base = _whole_base(ido_inst, alloc)
+        assignment: dict[int, int] = {}
         rounded_trees = []
-        for tree, rounding in zip(forest, split_roundings):
-            # emit the exactly-cheaper of the certified split assignment
-            # and plain thresholding; the split components keep carrying
-            # the bound either way
-            if sum((threshold_subsidy[a] for a in tree.nodes), ZERO) < sum(
-                (split_subsidy[a] for a in tree.nodes), ZERO
-            ):
+        for tree in forest:
+            rounding = round_tree(ido_inst, alloc, tree)
+            split = _merged_assignment(rounding.components)
+            threshold = {item: threshold_owner(alloc, item) for item in split}
+            # emit the exactly-cheaper of the certified split assignment and
+            # plain thresholding; the split components keep carrying the
+            # bound either way
+            pricer = _Pricer(ido_inst, alloc, split, base)
+            if pricer.score(threshold) < pricer.score(split):
                 rounding = replace(rounding, emitted="threshold")
-                assignment.update((e.item, threshold[e.item]) for e in tree.edges)
-                for a in tree.nodes:
-                    rounded_amounts[a] = threshold_subsidy[a]
+                split = threshold
+            assignment.update(split)
             rounded_trees.append(rounding)
         tree_roundings = tuple(rounded_trees)
         components = tuple(c for t in tree_roundings for c in t.components)
-        ido_allocation = integralize(alloc, assignment)
-        rounded = SubsidyVector(tuple(rounded_amounts))
     else:
         components = tuple(
             _threshold_component(
                 ido_inst, alloc, item, "threshold_item",
                 Fraction(len(sharers) - 1, len(sharers)),
             )
-            for item, sharers in fractional_items(alloc)
+            for item, sharers in fracs
         )
-        ido_allocation = integralize(alloc, _merged_assignment(components))
-        rounded = compute_subsidies(ido_inst, ido_allocation)
+        assignment = _merged_assignment(components)
+    ido_allocation = integralize(alloc, assignment)
+    rounded = compute_subsidies(ido_inst, ido_allocation)
     allocation = lift_allocation(inst, profile, ido_allocation)
     subsidies = compute_subsidies(inst, allocation)
-    fracs = fractional_items(alloc)
     shattered = any(len(sharers) >= 3 for _, sharers in fracs)
     strong = None
     if method == TREE and inst.n >= 2 and (

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from subsidy_fairdiv import (
     CHORES,
     GOODS,
+    FractionalAllocation,
     Instance,
     IntegralAllocation,
     ModelError,
@@ -88,6 +89,18 @@ def test_compute_subsidies_goods_shortfall():
 def test_compute_subsidies_requires_complete_allocation(reference_instance):
     with pytest.raises(ModelError):
         compute_subsidies(reference_instance, IntegralAllocation((0, 1)))
+
+
+@pytest.mark.parametrize(
+    "shares, row",
+    [
+        ([["1"], ["0", "1"]], 1),  # a longer row: an item beyond row 0
+        ([["1", "0"], ["0"]], 1),  # a shorter row: item 1 held by nobody
+    ],
+)
+def test_fractional_allocation_rejects_ragged_rows(shares, row):
+    with pytest.raises(ModelError, match=f"share row {row} "):
+        FractionalAllocation(shares)
 
 
 def test_subsidies_are_pointwise_minimal(reference_instance):

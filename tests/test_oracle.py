@@ -9,6 +9,7 @@ from subsidy_fairdiv import (
     EnumerationCapExceeded,
     FractionalAllocation,
     Instance,
+    ModelError,
     brute_force_rounding,
     gen_random_instance,
     run_pipeline,
@@ -68,6 +69,21 @@ def test_brute_force_cap():
         brute_force_rounding(inst, alloc, cap=100)
 
 
+@pytest.mark.parametrize(
+    "shares, shape",
+    [
+        # a third agent, holding item 0 whole
+        ((("0", "1/2"), ("0", "1/2"), ("1", "0")), "3 agents by 2 items"),
+        # a third item, which a 2-item answer would silently drop
+        ((("1", "1/2", "1"), ("0", "1/2", "0")), "2 agents by 3 items"),
+    ],
+)
+def test_brute_force_rejects_a_mismatched_allocation(shares, shape):
+    inst = Instance(CHORES, ("1/2", "1/2"), (("1", "1"), ("1", "1")))
+    with pytest.raises(ModelError, match=f"allocation is {shape}, instance is 2 by 2"):
+        brute_force_rounding(inst, FractionalAllocation(shares))
+
+
 def test_generator_is_deterministic():
     a = gen_random_instance(n=5, m=9, kind=GOODS, seed=42, dist="correlated")
     b = gen_random_instance(n=5, m=9, kind=GOODS, seed=42, dist="correlated")
@@ -96,8 +112,6 @@ def test_generator_ido_option():
 
 
 def test_generator_rejects_bad_params():
-    from subsidy_fairdiv import ModelError
-
     with pytest.raises(ModelError):
         gen_random_instance(n=0, m=3)
     with pytest.raises(ModelError):

@@ -1,17 +1,23 @@
 """The per-tree emit comparison against its plain-Fraction reference.
 
 The pipeline emits, per tree, plain thresholding instead of the split
-assignment when ``compute_subsidies`` of the all-threshold allocation sums
-to strictly less over the tree's agents than that of the all-split one.
+assignment when its agents' true subsidies sum to strictly less under it.
 ``reference_emit`` (``tests/reference.py``) builds each tree's true
 subsidy from its agents' whole-item loads and the tree's assignment.  The
-property requires the same ``emitted`` per tree and the same reduced
-owners, with shapes up to n = 12 and m = 24.
+property requires the same ``emitted`` per tree, the same reduced owners
+and the same per-agent rounded subsidies, for both methods, with shapes up
+to n = 12 and m = 24.
 """
 from hypothesis import given, settings
 
-from subsidy_fairdiv import run_pipeline
-from reference import fractional_run, instances, reference_emit
+from subsidy_fairdiv import BASELINE, run_pipeline
+from reference import (
+    fractional_run,
+    instances,
+    largest_holder,
+    reference_compute_subsidies,
+    reference_emit,
+)
 
 
 @given(instances(max_n=12, max_m=24))
@@ -22,3 +28,13 @@ def test_emit_comparison_matches_per_tree_accounting(inst):
     result = run_pipeline(inst)
     assert [t.emitted for t in result.certificate.trees] == emitted
     assert result.ido_allocation.owner == owner
+    assert result.certificate.rounded_subsidies.amounts == (
+        reference_compute_subsidies(ido_inst, owner)
+    )
+    # the baseline thresholds every item
+    owner = tuple(largest_holder(alloc, e) for e in range(alloc.m))
+    baseline = run_pipeline(inst, BASELINE)
+    assert baseline.ido_allocation.owner == owner
+    assert baseline.certificate.rounded_subsidies.amounts == (
+        reference_compute_subsidies(ido_inst, owner)
+    )
