@@ -1,8 +1,9 @@
 """Command-line front end: allocate, verify, oracle, and gen.
 
-Exit codes: 0 success, 1 a checked guarantee failed (would indicate an
-implementation bug for `allocate`, or bad subsidies for `verify`),
-2 input or validation error, 3 oracle enumeration cap exceeded.
+Exit codes: 0 success, 1 a checked guarantee failed (a broken bound in
+the certificate for `allocate` or `oracle`, which still write their
+output, the oracle also past its cap; bad subsidies for `verify`), 2
+input or validation error, 3 oracle enumeration cap exceeded.
 
 Every instance file is parsed and validated by
 :func:`~subsidy_fairdiv.model.parse_instance`, so a document that breaks
@@ -100,18 +101,26 @@ def _rational(value: Fraction, digits: int | None) -> str:
     return f"{text} ({format_decimal(value, digits)})"
 
 
+def _judge(failures: list[str]) -> int:
+    """The exit code a certificate's failures earn; each one goes to stderr."""
+    for failure in failures:
+        print(f"violated: {failure}", file=sys.stderr)
+    return EXIT_GUARANTEE if failures else EXIT_OK
+
+
 def cmd_allocate(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.input))
     method = BASELINE if args.baseline else TREE
     result = run_pipeline(inst, method=method)
     cert = result.certificate
+    failures = cert.failures()
     extra: dict[str, object] = {
         "kind": inst.kind,
         "n": inst.n,
         "m": inst.m,
         "method": method,
         "global_bound": rational_text(cert.global_bound),
-        "bound_holds": cert.holds,
+        "bound_holds": not failures,
     }
     if cert.strong_bound is not None:
         extra["strong_bound"] = rational_text(cert.strong_bound)
@@ -134,9 +143,9 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     print(
         f"total subsidy {_rational(result.subsidies.total, args.decimal)} "
         f"<= bound {_rational(cert.global_bound, args.decimal)}: "
-        f"{'ok' if cert.holds else 'VIOLATED'}"
+        f"{'VIOLATED' if failures else 'ok'}"
     )
-    return EXIT_OK if cert.holds else EXIT_GUARANTEE
+    return _judge(failures)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -174,13 +183,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.input))
     result = run_pipeline(inst)
+    failures = result.certificate.failures()
     try:
         _, optimum = brute_force_rounding(
             result.ido_instance, result.fractional, cap=args.cap
         )
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        # a broken bound outranks the cap
+        return _judge(failures) or EXIT_CAP
     # the optimum ranges over roundings of the reduced instance, so it is
     # compared with the pipeline's rounding there; lifting can only lower
     # the total further
@@ -191,7 +202,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"gap {_rational(gap, args.decimal)}")
     print(f"lifted subsidy {_rational(result.subsidies.total, args.decimal)}")
     print(f"certificate bound {_rational(result.certificate.global_bound, args.decimal)}")
-    return EXIT_OK
+    return _judge(failures)
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:

@@ -45,27 +45,6 @@ class Tree:
     def size(self) -> int:
         return len(self.edges)
 
-    def children_map(self) -> dict[int, list[int]]:
-        """Node -> children (the tails of its incoming edges), sorted."""
-        children: dict[int, list[int]] = defaultdict(list)
-        for e in self.edges:
-            children[e.head].append(e.tail)
-        return {v: sorted(c) for v, c in children.items()}
-
-    def depth_map(self) -> dict[int, int]:
-        depths = {self.root: 0}
-        children = self.children_map()
-        frontier = [self.root]
-        while frontier:
-            v = frontier.pop()
-            for c in children.get(v, ()):
-                depths[c] = depths[v] + 1
-                frontier.append(c)
-        return depths
-
-    def outgoing(self) -> dict[int, Edge]:
-        return {e.tail: e for e in self.edges}
-
 
 @dataclass(frozen=True)
 class ItemSharingGraph:

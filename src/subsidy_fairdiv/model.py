@@ -22,10 +22,10 @@ document once.  The reduction permutes only the integer rows of an
 instance and hands them, with its units, to the reduced instance, whose
 ``costs`` are built from the source's ``Fraction`` objects only when
 read.  A fractional allocation stores only the positive fractions of each
-item.  Every cache of a value object (integer rows, row totals, shares,
-units, an instance's violations, the lazy ``costs`` of a reduced
-instance, the dense view of an allocation, a subsidy total) is computed
-on first use and is invisible to ``==``, ``hash``, ``repr`` and pickling.
+item.  Every cache of a value object (integer rows, units, which give
+the row totals and shares, an instance's violations, the lazy ``costs``
+of a reduced instance, the dense view of an allocation, a subsidy total)
+is computed on first use and is invisible to ``==``, ``hash``, ``repr`` and pickling.
 
 Every document the package emits is written by :func:`_document`, byte for
 byte what ``json.dumps(doc, indent=2, sort_keys=True)`` writes, from one

@@ -18,7 +18,8 @@ agent-level clamping inside the component.  Summing components
 over-counts only safely (the positive part is subadditive), so the
 certificate's component sum dominates the true total subsidy of the
 rounded allocation, which in turn dominates the total after lifting back
-to the original item order.
+to the original item order.  A rounding only records its bound, and
+:class:`RoundingCertificate` records any broken one as a failure.
 
 One kernel, :class:`_Pricer`, prices every rounding: given an item set,
 its sharers and a base per agent, it puts each agent's clamped gap over
@@ -198,10 +199,6 @@ class ComponentRounding:
 
 
 def _component(kind, assignment, scheme, local, bound) -> ComponentRounding:
-    if local > bound:
-        raise RoundingError(
-            f"{kind} component exceeded its bound: {local} > {bound}"
-        )
     return ComponentRounding(
         kind=kind,
         items=tuple(sorted(assignment)),
@@ -227,7 +224,7 @@ def _cheapest(pricer: _Pricer, kind, options, bound) -> ComponentRounding:
 def _threshold_component(
     inst: Instance, alloc: FractionalAllocation, item: int, kind: str, bound: Fraction
 ) -> ComponentRounding:
-    """The item rounded to its :func:`threshold_owner`, priced and held to ``bound``."""
+    """The item rounded to its :func:`threshold_owner`, priced; ``bound`` only recorded."""
     owner = threshold_owner(alloc, item)
     assignment = {item: owner}
     local = local_subsidy(inst, alloc, assignment)
@@ -237,7 +234,7 @@ def _threshold_component(
 def round_single_edge(
     inst: Instance, alloc: FractionalAllocation, comp: SingleEdge
 ) -> ComponentRounding:
-    """Threshold rounding of a lone shared item; subsidy at most 1/2."""
+    """Threshold rounding of a lone shared item; records, not enforces, bound 1/2."""
     item = comp.edge.item
     sharers = alloc.sharers(item)
     if len(sharers) != 2:
@@ -251,7 +248,7 @@ def round_single_edge(
 def round_pair(
     inst: Instance, alloc: FractionalAllocation, comp: Pair
 ) -> ComponentRounding:
-    """Exact best of the four endpoint assignments; subsidy at most 2/3.
+    """Exact best of the four endpoint assignments; records, not enforces, bound 2/3.
 
     With the two items e1, e2 and the shared middle agent: LL gives e1
     to the far endpoint and e2 to the middle, RR the reverse, LR both to
@@ -274,7 +271,7 @@ def round_pair(
 def round_expanded_atom_path(
     inst: Instance, alloc: FractionalAllocation, eap: ExpandedAtomPath
 ) -> ComponentRounding:
-    """Exact best rounding of an expanded atom-path; at most (k + h) / 3.
+    """Exact best rounding of an expanded atom-path; records, not enforces, (k + h) / 3.
 
     The shared core item must go to one of the k+1 path agents.  Given
     that placement, distinct attached edges touch disjoint agent pairs,
@@ -363,9 +360,9 @@ def round_tree(
     A tree of z edges containing an atom-path costs at most z/3; an
     atom-path-free tree costs at most z/3 for even z and z/3 + 1/6 for
     odd z (the leftover single edge).  Every component's bound is 1/3
-    per edge, plus 1/6 for a single edge, so the one check that the
-    component bounds sum to the tree's bound also catches a single edge
-    split off where none belongs.
+    per edge, plus 1/6 for a single edge, so the certificate's check that
+    the component bounds sum to the tree's bound also catches a single
+    edge split off where none belongs.
     """
     # looked up on every call, so that wrappers installed on this module's
     # functions from outside see each component rounding
@@ -381,11 +378,6 @@ def round_tree(
     bound = Fraction(tree.size, 3)
     if not has_ap and tree.size % 2 == 1:
         bound += Fraction(1, 6)
-    total_bound = exact_sum([c.bound for c in components])
-    if total_bound != bound:
-        raise RoundingError(
-            f"component bounds sum to {total_bound}, tree bound is {bound}"
-        )
     return TreeRounding(
         root=tree.root,
         size=tree.size,
@@ -426,10 +418,13 @@ class RoundingCertificate:
         final total <= rounded total <= sum of component subsidies
                     <= sum of component bounds <= global bound
 
-    where the global bound is n/3 - 1/6 for chores (n/3 for goods), the
-    strengthening (n-1)/3 applies whenever the forest has fewer than
-    n - 1 edges or some item is shared by three or more agents, and the
-    baseline method is bounded by (n-1)/2 instead.
+    where each component's subsidy is at most its own bound, each tree's
+    component bounds sum exactly to the tree's bound, the global bound is
+    n/3 - 1/6 for chores (n/3 for goods), the strengthening (n-1)/3
+    applies whenever the forest has fewer than n - 1 edges or some item
+    is shared by three or more agents, and the baseline method is bounded
+    by (n-1)/2 instead.  :meth:`_checks` is the one place that compares a
+    rounding with its bound.
     """
 
     kind: str
@@ -475,6 +470,13 @@ class RoundingCertificate:
                 c.local_subsidy <= c.bound,
                 "{} on items {}: {} > {}",
                 (c.kind, c.items, c.local_subsidy, c.bound),
+            )
+        for t in self.trees:
+            total = exact_sum([c.bound for c in t.components])
+            yield (
+                total == t.bound,
+                "tree at agent {}: component bounds sum to {}, tree bound is {}",
+                (t.root, total, t.bound),
             )
         rounded, final = self.rounded_total, self.final_total
         local, bound = self.component_subsidy_total, self.component_bound_total

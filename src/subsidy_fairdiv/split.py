@@ -22,6 +22,7 @@ order that every certificate records.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .graph import (
@@ -108,9 +109,18 @@ def simple_split(tree: Tree) -> list[Pair | SingleEdge]:
     """Split an atom-path-free tree into edge pairs plus <= 1 single edge."""
     if has_atom_path(tree.edges):
         raise SplitError("tree contains an atom-path; use atom_path_split")
-    depths = tree.depth_map()
-    outgoing = tree.outgoing()
-    live = {v: set(c) for v, c in tree.children_map().items()}
+    # node -> its edge to its parent; node -> its children not yet paired
+    outgoing: dict[int, Edge] = {}
+    live: dict[int, set[int]] = defaultdict(set)
+    for e in tree.edges:
+        outgoing[e.tail] = e
+        live[e.head].add(e.tail)
+    depths = {tree.root: 0}
+    order = [tree.root]
+    for v in order:
+        for c in live[v]:
+            depths[c] = depths[v] + 1
+            order.append(c)
     done: set[int] = set()
     left = tree.size
     out: list[Pair | SingleEdge] = []
@@ -205,10 +215,7 @@ def atom_path_split(tree: Tree) -> tuple[ExpandedAtomPath, list[Tree]]:
     seen_agents = [a for a, _ in attachments]
     if len(seen_agents) != len(set(seen_agents)):
         raise GraphError("a path agent collected two attachments")
-    eap = ExpandedAtomPath(path, tuple(attachments))
-    if eap.h > eap.k + 1:
-        raise GraphError("more attachments than path agents")
-    return eap, good
+    return ExpandedAtomPath(path, tuple(attachments)), good
 
 
 def split_tree(tree: Tree) -> list[Component]:

@@ -427,7 +427,7 @@ def fractional_run(inst):
 
 
 def recosted(inst, values):
-    """The instance's kind and weights with costs of 0, 1/2 or 1 drawn from ``values``."""
+    """The instance's kind and weights with a cost ``v / 2`` for each ``v`` of ``values``."""
     return Instance(
         inst.kind,
         inst.weights,

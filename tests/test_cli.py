@@ -12,11 +12,13 @@ from subsidy_fairdiv import (
     CHORES,
     Instance,
     ModelError,
+    gen_random_instance,
     parse_allocation,
     parse_instance,
     serialize_instance,
     validate_instance,
 )
+from subsidy_fairdiv import rounding
 from subsidy_fairdiv.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -366,6 +368,57 @@ def test_oracle_compares_the_optimum_with_the_rounded_total(capsys):
         "lifted subsidy 0\n"
         "certificate bound 1/2\n"
     )
+
+
+@pytest.fixture()
+def broken_pair_bound(tmp_path, monkeypatch):
+    """An instance file whose run breaks the pair bound, patched to 0."""
+    monkeypatch.setattr(rounding, "TWO_THIRDS", Fraction(0))
+    path = tmp_path / "instance.json"
+    path.write_text(serialize_instance(gen_random_instance(6, 12, CHORES, 0)))
+    return path
+
+
+BROKEN_PAIR = [
+    "pair on items (5, 6): 7/30 > 0",
+    "tree at agent 5: component bounds sum to 1, tree bound is 5/3",
+]
+
+
+def test_allocate_writes_both_documents_on_a_broken_bound(
+    broken_pair_bound, tmp_path, capsys
+):
+    out, cert = tmp_path / "alloc.json", tmp_path / "cert.json"
+    code = main(
+        [
+            "allocate",
+            "--input", str(broken_pair_bound),
+            "--out", str(out),
+            "--certificate", str(cert),
+        ]
+    )
+    assert code == 1
+    assert json.loads(out.read_text())["bound_holds"] is False
+    cert_doc = json.loads(cert.read_text())
+    assert cert_doc["holds"] is False
+    assert cert_doc["failures"] == BROKEN_PAIR
+    captured = capsys.readouterr()
+    assert "VIOLATED" in captured.out
+    assert captured.err.splitlines() == [f"violated: {f}" for f in BROKEN_PAIR]
+
+
+def test_oracle_exits_1_on_a_broken_bound(broken_pair_bound, capsys):
+    assert main(["oracle", "--input", str(broken_pair_bound)]) == 1
+    captured = capsys.readouterr()
+    assert "gap " in captured.out
+    assert captured.err.splitlines() == [f"violated: {f}" for f in BROKEN_PAIR]
+
+
+def test_oracle_exits_1_on_a_broken_bound_past_its_cap(broken_pair_bound, capsys):
+    assert main(["oracle", "--input", str(broken_pair_bound), "--cap", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: ")
+    assert err[1:] == [f"violated: {f}" for f in BROKEN_PAIR]
 
 
 def _oracle_lines(text):

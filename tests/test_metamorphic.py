@@ -12,6 +12,11 @@ since every tie rule goes to the smaller index.
   subsidies themselves need not follow: the tree split pairs sibling
   edges by the smaller agent index, so a relabelling can pair a tree's
   edges differently (one instance in a sample of 4,000 with n <= 9).
+* Scaling one agent's costs by a factor in (0, 1] leaves the fractional
+  allocation unchanged: bid-and-take compares ``c_i(e) / c_i(M)``, and
+  a share scales with its row.
+* Appending an item that costs every agent 0 leaves every agent's
+  subsidy unchanged.
 """
 import random
 from fractions import Fraction
@@ -79,3 +84,27 @@ def test_relabelling_agents_relabels_the_fractional_allocation(inst, data):
     assert fractional_run(relabelled)[1].columns == tuple(
         tuple(sorted((label[a], x) for a, x in column)) for column in alloc.columns
     )
+
+
+@given(tie_free_instances(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_scaling_an_agents_costs_keeps_the_fractional_allocation(inst, data):
+    agent = data.draw(st.integers(0, inst.n - 1))
+    den = data.draw(st.integers(1, 1000))
+    factor = Fraction(data.draw(st.integers(1, den)), den)
+    scaled = Instance(
+        inst.kind,
+        inst.weights,
+        tuple(
+            tuple(c * factor for c in row) if a == agent else row
+            for a, row in enumerate(inst.costs)
+        ),
+    )
+    assert fractional_run(scaled)[1].columns == fractional_run(inst)[1].columns
+
+
+@given(tie_free_instances())
+@settings(max_examples=60, deadline=None)
+def test_appending_a_zero_item_keeps_every_subsidy(inst):
+    padded = Instance(inst.kind, inst.weights, tuple(row + (0,) for row in inst.costs))
+    assert run_pipeline(padded).subsidies.amounts == run_pipeline(inst).subsidies.amounts

@@ -177,6 +177,17 @@ def test_round_pair_symmetric_thirds():
     assert rounding.local_subsidy <= rounding.bound
 
 
+def test_round_pair_records_a_broken_bound():
+    # costs of 2 double every price: the symmetric thirds now cost 4/3, and
+    # only the certificate compares that with the bound
+    inst, alloc, comp = uniform_pair("1/3", "1/3", costs=(("2", "2"),) * 3)
+    rounding = round_pair(inst, alloc, comp)
+    assert (rounding.local_subsidy, rounding.bound) == (Fraction(4, 3), Fraction(2, 3))
+    tree = round_tree(inst, alloc, make_tree(comp.edges))
+    assert tree.components == (rounding,)
+    assert tree.bound == Fraction(2, 3)
+
+
 def test_round_pair_equals_four_way_enumeration_on_random_components():
     found = 0
     for seed in range(120):
@@ -536,6 +547,18 @@ def test_certificate_failure_reporting(reference_instance):
     broken = replace(cert, global_bound=Fraction(1, 100))
     assert not broken.holds
     assert any("exceed" in f for f in broken.failures())
+
+
+def test_certificate_checks_that_each_trees_component_bounds_add_up(reference_instance):
+    cert = run_pipeline(reference_instance).certificate
+    (tree,) = cert.trees
+    from dataclasses import replace
+
+    broken = replace(cert, trees=(replace(tree, bound=tree.bound + 1),))
+    assert not broken.holds
+    assert broken.failures() == [
+        f"tree at agent {tree.root}: component bounds sum to 5/3, tree bound is 8/3"
+    ]
 
 
 def test_certificate_document(reference_instance):

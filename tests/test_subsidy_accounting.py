@@ -6,7 +6,7 @@ assignment when its agents' true subsidies sum to strictly less under it.
 subsidy from its agents' whole-item loads and the tree's assignment.  The
 property requires the same ``emitted`` per tree, the same reduced owners
 and the same per-agent rounded subsidies, for both methods, with shapes up
-to n = 12 and m = 24.
+to n = 12 and m = 24, and each method's certificate to hold.
 """
 from hypothesis import given, settings
 
@@ -38,3 +38,4 @@ def test_emit_comparison_matches_per_tree_accounting(inst):
     assert baseline.certificate.rounded_subsidies.amounts == (
         reference_compute_subsidies(ido_inst, owner)
     )
+    assert result.certificate.holds and baseline.certificate.holds
