@@ -30,15 +30,18 @@ Agents with an all-zero row have share zero and an undefined ratio; they
 participate with key 0 and never turn inactive, so for chores they soak
 up anything nobody else may take, at zero cost and zero subsidy.
 
-Each agent's remaining capacity is an integer in her unit
-(``Instance._units``) as long as she takes whole items.  A ``Fraction`` is
-built only at a split, for the leaving agent's piece and for the rest of
-the item, and there are at most ``n - 1`` splits per run.
+Each agent's remaining capacity is an integer numerator over an integer
+denominator in her unit (``Instance._units``).  The denominator is 1 until
+she takes the rest of a split item, and is reduced by ``gcd`` only after
+such a take, so a whole take is one integer comparison and subtraction.
+A ``Fraction`` is built only at a split, for the leaving agent's piece and
+for the rest of the item, and there are at most ``n - 1`` splits per run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .ido import is_ido
 from .model import (
@@ -135,9 +138,11 @@ def bid_and_take(
     else:
         keys = [(ints, sign * (sum(ints) or 1)) for ints, _ in inst._rows]
     # in agent a's unit item e costs q_a * r_a[e]; her capacity (share minus
-    # load) becomes a Fraction only once she takes the rest of a split item
+    # load) is capacity[a] / over[a] in that unit, and over[a] leaves 1 only
+    # once she takes the rest of a split item
     scale = [q for q, _, _ in inst._units]
-    capacity: list[int | Fraction] = [share for _, share, _ in inst._units]
+    capacity = [share for _, share, _ in inst._units]
+    over = [1] * n
     active = list(range(n))
     columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
     events: list[TraceEvent] = []
@@ -175,9 +180,12 @@ def bid_and_take(
                 if row[j] * best_den < best_num * den:
                     i, best_num, best_den = a, row[j], den
             cost = scale[i] * best_num
-            need = cost if z is ONE else z * cost
-            if need > capacity[i]:
-                fraction = Fraction(capacity[i], cost)
+            # z * cost against capacity[i] / over[i], over over[i] * z_den
+            z_num, z_den = z.as_integer_ratio()
+            need = z_num * cost * over[i]
+            have = capacity[i] * z_den
+            if need > have:
+                fraction = Fraction(capacity[i], over[i] * cost)
                 take(i, j, fraction, inactivated=True)
                 z -= fraction
                 active.remove(i)
@@ -190,7 +198,12 @@ def bid_and_take(
                     j = m
                     break
             else:
-                capacity[i] -= need
+                if z_den == 1:
+                    capacity[i] = have - need
+                else:
+                    left, den = have - need, over[i] * z_den
+                    g = gcd(left, den)
+                    capacity[i], over[i] = left // g, den // g
                 take(i, j, z, inactivated=False)
                 j += 1
                 break

@@ -23,9 +23,10 @@ instance and hands them, with its units, to the reduced instance, whose
 ``costs`` are built from the source's ``Fraction`` objects only when
 read.  A fractional allocation stores only the positive fractions of each
 item.  Every cache of a value object (integer rows, units, which give
-the row totals and shares, an instance's violations, the lazy ``costs``
-of a reduced instance, the dense view of an allocation, a subsidy total)
-is computed on first use and is invisible to ``==``, ``hash``, ``repr`` and pickling.
+the row totals and shares, an instance's violations and fractional stage,
+the lazy ``costs`` of a reduced instance, the dense view of an
+allocation, a subsidy total, a certificate's verdict) is computed on first
+use and is invisible to ``==``, ``hash``, ``repr`` and pickling.
 
 Every document the package emits is written by :func:`_document`, byte for
 byte what ``json.dumps(doc, indent=2, sort_keys=True)`` writes, from one
@@ -156,7 +157,10 @@ class Instance:
     item ``e``.  Weights must be positive and sum to one exactly; every
     cost must lie in [0, 1].  :func:`validate_instance` lists the rules
     an instance breaks, and :func:`require_valid` raises on any of them.
-    The integer rows, units and violations are computed once, on first use.
+    The integer rows, units and violations are computed once, on first use,
+    and so is the fractional stage of its runs (``rounding._fractional_stage``:
+    the reduction, bid-and-take and the forest), shared by both rounding
+    methods.
     """
 
     kind: str
@@ -353,7 +357,7 @@ class FractionalAllocation:
     def is_complete(self) -> bool:
         """Every item's fractions sum to one; a lone holder must hold all of it."""
         return all(
-            column[0][1] == ONE if len(column) == 1 else sum(x for _, x in column) == ONE
+            column[0][1] == 1 if len(column) == 1 else exact_sum([x for _, x in column]) == 1
             for column in self.columns
         )
 

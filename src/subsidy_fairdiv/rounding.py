@@ -32,6 +32,13 @@ the items, which gives her true subsidy: each tree emits plain
 thresholding instead of its split assignment when its agents' true
 subsidies sum to strictly less under it.  The emitted allocation goes
 through :func:`integralize` and :func:`compute_subsidies` once.
+
+Rounding is the only step of :func:`run_pipeline` that depends on the
+method.  Validation, the reduction, bid-and-take, the forest and the
+fractional items form one stage per instance (:func:`_fractional_stage`),
+computed on its first run and shared by every later run, of either
+method, so comparing the tree rounding with the per-item baseline costs
+one fractional stage, not two.
 """
 from __future__ import annotations
 
@@ -462,8 +469,9 @@ class RoundingCertificate:
     def _checks(self):
         """Each certified inequality as ``(holds, message, values)``.
 
-        The message is a template for the values; :meth:`holds` reads only
-        the exact comparisons and never formats a value.
+        The message is a template for the values.  ``_failed`` judges them
+        once, and :meth:`holds`, :meth:`failures` and :meth:`to_doc` read
+        it; :meth:`holds` never formats a value.
         """
         for c in self.components:
             yield (
@@ -508,19 +516,23 @@ class RoundingCertificate:
                 (final, self.strong_bound),
             )
 
+    @cached_property
+    def _failed(self) -> tuple[tuple[str, tuple], ...]:
+        """The ``(message, values)`` of each failed check, kept unformatted."""
+        return tuple([(message, values) for ok, message, values in self._checks() if not ok])
+
     def failures(self) -> list[str]:
         """One message per failed inequality; rationals go through :func:`rational_text`."""
         return [
             message.format(
                 *(rational_text(v) if isinstance(v, Fraction) else v for v in values)
             )
-            for ok, message, values in self._checks()
-            if not ok
+            for message, values in self._failed
         ]
 
     @property
     def holds(self) -> bool:
-        return all(ok for ok, _, _ in self._checks())
+        return not self._failed
 
     def to_doc(self) -> dict:
         # a component listed under its tree and in the flat list is one
@@ -583,7 +595,12 @@ def global_bound(kind: str, n: int, method: str) -> Fraction:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything the full run produced, for callers that want the parts."""
+    """Everything the full run produced, for callers that want the parts.
+
+    The results of one instance share its fractional stage: their
+    ``ido_instance``, ``profile``, ``fractional``, ``trace`` and ``graph``
+    are the same immutable objects, whichever method each one ran.
+    """
 
     instance: Instance
     ido_instance: Instance
@@ -597,18 +614,44 @@ class PipelineResult:
     certificate: RoundingCertificate
 
 
+def _fractional_stage(inst: Instance) -> tuple:
+    """Validate, reduce, allocate fractionally and build the forest, once.
+
+    None of it depends on the rounding method, so the first run of an
+    instance keeps ``(reduced instance, rank profile, fractional allocation,
+    trace, graph, forest, fractional items)`` in the instance's ``__dict__``,
+    as ``cached_property`` keeps ``_rows``, and every later run, of either
+    method, reads it there: ``==``, ``hash``, ``repr``, pickling and
+    ``dataclasses.replace`` never see it.  An invalid instance raises
+    before anything is kept, so it raises on every call.
+    """
+    stage = inst.__dict__.get("_fractional_stage")
+    if stage is None:
+        require_valid(inst)
+        ido_inst, profile = reduce_to_ido(inst)
+        # the reduction keeps the input valid and makes it IDO, so
+        # bid-and-take runs without its own precondition checks
+        alloc, trace = bid_and_take(ido_inst, NORMALIZED)
+        graph = build_graph(trace)
+        stage = inst.__dict__["_fractional_stage"] = (
+            ido_inst, profile, alloc, trace, graph,
+            tuple(trees(graph)), tuple(fractional_items(alloc)),
+        )
+    return stage
+
+
 def run_pipeline(inst: Instance, method: str = TREE) -> PipelineResult:
-    """Reduce, allocate fractionally, round, lift, and certify."""
+    """Reduce, allocate fractionally, round, lift, and certify.
+
+    Everything before rounding comes from :func:`_fractional_stage`,
+    computed on an instance's first run and shared by every later one, so
+    the two methods on one instance reduce, allocate and build the forest
+    once, and their results hold the same reduced instance, rank profile,
+    fractional allocation, trace and graph.
+    """
     if method not in (TREE, BASELINE):
         raise RoundingError(f"unknown rounding method {method!r}")
-    require_valid(inst)
-    ido_inst, profile = reduce_to_ido(inst)
-    # the reduction keeps the input valid and makes it IDO, so bid-and-take
-    # runs without its own precondition checks
-    alloc, trace = bid_and_take(ido_inst, NORMALIZED)
-    graph = build_graph(trace)
-    forest = trees(graph)
-    fracs = fractional_items(alloc)
+    ido_inst, profile, alloc, trace, graph, forest, fracs = _fractional_stage(inst)
     tree_roundings: tuple[TreeRounding, ...] = ()
     if method == TREE:
         # every fractional item's sharers lie in one tree and trees share no

@@ -2,9 +2,11 @@
 
 One run of ``run_pipeline`` must agree with the plain-Fraction references
 of ``tests/reference.py`` at every stage it exposes: sigma and reduced
-rows, the bid-and-take events, the lifted owners.  The caches on
-``Instance`` (integer rows, units and violations) and on
-``FractionalAllocation`` (its dense ``shares`` view) must not show in
+rows, the bid-and-take events, the lifted owners.  Both methods on one
+instance share its one fractional stage and write what a fresh instance
+writes.  The caches on ``Instance`` (integer rows, units, violations and
+that stage), on ``FractionalAllocation`` (its dense ``shares`` view) and
+on a certificate (its totals and failed checks) must not show in
 equality, hashing, ``repr``, ``dataclasses.replace``, pickling or the file
 format.  Parsing converts each distinct string of a document once, and
 rejects a bad document with the message that names its first bad field.
@@ -35,13 +37,15 @@ from subsidy_fairdiv import (
     format_decimal,
     gen_random_instance,
     parse_instance,
+    serialize_allocation,
     serialize_instance,
+    to_dot,
     validate_instance,
     wprop_share,
 )
 from subsidy_fairdiv import model
 from subsidy_fairdiv.cli import main
-from subsidy_fairdiv.fbta import NORMALIZED, bid_and_take
+from subsidy_fairdiv.fbta import NORMALIZED, bid_and_take, format_trace
 from subsidy_fairdiv.ido import is_ido, reduce_to_ido
 from subsidy_fairdiv.model import ONE, frac, require_valid
 from subsidy_fairdiv.rounding import BASELINE, TREE, ComponentRounding, HALF, run_pipeline
@@ -79,6 +83,9 @@ def test_pipeline_pieces_match_reference(inst):
 # Caches are invisible
 # ---------------------------------------------------------------------------
 
+CACHES = {"_rows", "_units", "_violations", "_fractional_stage"}
+
+
 def _warm_instance(inst):
     for i in range(inst.n):
         wprop_share(inst, i)
@@ -88,6 +95,9 @@ def _warm_instance(inst):
     assert "_violations" in vars(inst)
     is_ido(inst)
     reduce_to_ido(inst)
+    run_pipeline(inst)
+    run_pipeline(inst, method=BASELINE)
+    assert "_fractional_stage" in vars(inst)
 
 
 @given(instances(max_n=4, max_m=5))
@@ -100,14 +110,14 @@ def test_instance_caches_are_invisible(inst):
     assert pickle.dumps(inst) == pickled
     again = pickle.loads(pickle.dumps(inst))
     assert again == inst
-    assert not {"_rows", "_units", "_violations"} & set(vars(again))
+    assert not CACHES & set(vars(again))
     assert again._rows == inst._rows and again._units == inst._units
     assert validate_instance(again) == ()
     assert [wprop_share(again, i) for i in range(again.n)] == [
         share(inst, i) for i in range(inst.n)
     ]
     assert dataclasses.replace(inst) == cold
-    assert not {"_rows", "_units", "_violations"} & set(vars(dataclasses.replace(inst)))
+    assert not CACHES & set(vars(dataclasses.replace(inst)))
     assert parse_instance(serialize_instance(inst)) == inst
 
 
@@ -151,10 +161,11 @@ def test_subsidy_and_certificate_totals_are_invisible(reference_instance):
     cold = dataclasses.replace(cert)
     assert cert.holds and cert.rounded_subsidies.total == cert.rounded_total
     assert "component_subsidy_total" in vars(cert) and "total" in vars(cert.final_subsidies)
+    assert vars(cert)["_failed"] == () and "_failed" not in vars(cold)
     assert cert == cold and repr(cert) == repr(cold)
     assert pickle.dumps(cert) == pickle.dumps(cold)
     again = pickle.loads(pickle.dumps(cert))
-    assert "component_subsidy_total" not in vars(again)
+    assert "component_subsidy_total" not in vars(again) and "_failed" not in vars(again)
     assert "total" not in vars(again.final_subsidies)
     assert again.to_json() == cert.to_json()
     vector = SubsidyVector(("1/2", "0", "1/3"))
@@ -198,6 +209,38 @@ def test_a_parsed_instance_is_validated_once(reference_instance):
     run_pipeline(parsed)
     run_pipeline(parsed, method=BASELINE)
     assert validate_instance(parsed) is violations
+
+
+def _documents(result):
+    return (
+        serialize_allocation(result.allocation, result.subsidies),
+        result.certificate.to_json(),
+        format_trace(result.trace),
+        to_dot(result.graph),
+    )
+
+
+@with_edge_cases
+@given(instances())
+@settings(max_examples=100, deadline=None)
+def test_both_methods_share_one_fractional_stage(inst):
+    for methods in ((TREE, BASELINE), (BASELINE, TREE)):
+        shared = Instance(inst.kind, inst.weights, inst.costs)
+        first, second = (run_pipeline(shared, method=method) for method in methods)
+        for name in ("ido_instance", "profile", "fractional", "trace", "graph"):
+            assert getattr(first, name) is getattr(second, name)
+        for method, result in zip(methods, (first, second)):
+            fresh = run_pipeline(Instance(inst.kind, inst.weights, inst.costs), method=method)
+            assert result.certificate.method == method
+            assert _documents(result) == _documents(fresh)
+
+
+def test_an_invalid_instance_raises_on_every_run():
+    inst = Instance(CHORES, ("1/2", "1/3"), (("1", "1/2"), ("0", "1")))
+    for method in (TREE, BASELINE, TREE):
+        with pytest.raises(ModelError, match="^invalid instance: weights sum to 5/6, not 1$"):
+            run_pipeline(inst, method=method)
+    assert "_fractional_stage" not in vars(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +341,9 @@ def test_parse_converts_each_distinct_string_once(monkeypatch):
 @given(instances())
 @settings(max_examples=100, deadline=None)
 def test_the_pipeline_never_reads_the_reduced_costs(inst):
+    # a fresh instance: an example shared with other tests may hold a stage
+    # whose reduced costs those tests have read
+    inst = Instance(inst.kind, inst.weights, inst.costs)
     for method in (TREE, BASELINE):
         result = run_pipeline(inst, method=method)
         ido_inst = result.ido_instance
