@@ -44,9 +44,10 @@ def reduce_to_ido(inst: Instance) -> tuple[Instance, RankProfile]:
 
     The rows are sorted by the instance's integer rows; the sort is
     stable, so ties go to the smaller index.  The reduced instance keeps
-    kind, weights, every row total and each row's integers (permuted), so
-    each agent's proportional share is unchanged.  Its ``costs`` are
-    built only when read, from ``inst``'s own ``Fraction`` objects.
+    kind, weights, every row total and each row's integers, each row
+    permuted by one ``itemgetter`` call, so each agent's proportional share
+    is unchanged.  Its ``costs`` are built only when read, the same way,
+    from ``inst``'s own ``Fraction`` objects.
     """
     goods = inst.kind != CHORES
     # one set of index objects shared by every row's order: 8 bytes per

@@ -5,28 +5,30 @@ Every numeric quantity in this package is an exact rational
 between rationals, so floats are rejected at every input boundary: a
 certificate produced with binary floating point could not be trusted.
 
-``Fraction``s are what crosses every boundary, and every value the
-package emits is one.  Inside sorting, sums and selection the work is done
-on integers instead.  Each instance writes every cost row once over the
-row's least common denominator (:func:`scaled`), on first use, and keeps
-it: sorting or adding those integers sorts or adds the rationals exactly,
-and bid-and-take compares two ratios by cross-multiplying them.  Loads and
-shares are integers as well: agent ``i`` with weight ``p_i / q_i`` gets the
-unit ``q_i * d_i`` (``Instance._units``), in which item ``e`` costs
+``Fraction``s are what crosses every boundary, and every value the package
+emits is one.  Inside sorting, sums and selection the work is done on
+integers instead.  Each instance writes every cost row once over the row's
+least common denominator (:func:`scaled`), on first use, and keeps it:
+sorting or adding those integers sorts or adds the rationals exactly, and
+bid-and-take compares two ratios by cross-multiplying them.  A row is read
+from its ``Fraction``s' slots in two passes, numerators then denominators:
+a few C-level calls per row, not a Python call per entry.  Loads and
+shares are integers as well: agent ``i`` with weight ``p_i / q_i`` gets
+the unit ``q_i * d_i`` (``Instance._units``), in which item ``e`` costs
 ``q_i * r_i[e]`` and the share is ``p_i * R_i``; bid-and-take's capacities
 and :func:`compute_subsidies` compute in it, and so does the one pricing
 kernel (``rounding._Pricer``) behind component prices, the per-tree emit
-choice and the brute-force oracle.
-:func:`parse_instance` converts each distinct rational string of a
-document once.  The reduction permutes only the integer rows of an
-instance and hands them, with its units, to the reduced instance, whose
-``costs`` are built from the source's ``Fraction`` objects only when
-read.  A fractional allocation stores only the positive fractions of each
-item.  Every cache of a value object (integer rows, units, which give
-the row totals and shares, an instance's violations and fractional stage,
-the lazy ``costs`` of a reduced instance, the dense view of an
-allocation, a subsidy total, a certificate's verdict) is computed on first
-use and is invisible to ``==``, ``hash``, ``repr`` and pickling.
+choice and the brute-force oracle.  :func:`parse_instance` converts each
+distinct rational string of a document once.  The reduction permutes only
+the integer rows of an instance, each with one ``itemgetter`` call, and
+hands them, with its units, to the reduced instance, whose ``costs`` are
+built the same way from the source's ``Fraction`` objects only when read.
+A fractional allocation stores only the positive fractions of each item.
+Every cache of a value object (integer rows, units, which give the row
+totals and shares, an instance's violations and fractional stage, the lazy
+``costs`` of a reduced instance, the dense view of an allocation, a
+subsidy total, a certificate's verdict) is computed on first use and is
+invisible to ``==``, ``hash``, ``repr`` and pickling.
 
 Every document the package emits is written by :func:`_document`, byte for
 byte what ``json.dumps(doc, indent=2, sort_keys=True)`` writes, from one
@@ -43,6 +45,7 @@ from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 CHORES = "chores"
@@ -113,14 +116,18 @@ def _frac_matrix(rows: Iterable[Iterable[object]]) -> tuple[tuple[Fraction, ...]
 
 
 def scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """The values as integers over their least common denominator ``d``, and ``d``.
+    """The ``Fraction``s as integers over their least common denominator ``d``, and ``d``.
 
-    The integers order and add exactly as the values do.  A value whose
-    denominator is already ``d`` lends its own numerator object.
+    The integers order and add exactly as the values do.  They are read
+    from each ``Fraction``'s slots in two passes: the public ``numerator``
+    and ``as_integer_ratio`` would cost a Python-level call per entry.  A
+    value whose denominator is already ``d`` lends its own numerator
+    object.
     """
-    ratios = [v.as_integer_ratio() for v in values]
-    d = lcm(*[q for _, q in ratios])
-    return tuple([p if q == d else p * (d // q) for p, q in ratios]), d
+    nums = [v._numerator for v in values]
+    dens = [v._denominator for v in values]
+    d = lcm(*set(dens))
+    return tuple([p if q == d else p * (d // q) for p, q in zip(nums, dens)]), d
 
 
 def exact_sum(values: Sequence[Fraction]) -> Fraction:
@@ -142,6 +149,16 @@ def rational_text(value: Fraction | int) -> str:
             "a rational is too long to write: its numerator or denominator has "
             f"more than {sys.get_int_max_str_digits()} digits"
         ) from exc
+
+
+def _permute(row: Sequence, order: Sequence[int]) -> tuple:
+    """The entries ``row[i]`` for ``i`` in ``order``, as a tuple.
+
+    One ``itemgetter`` call per row.  An order of fewer than two items
+    takes them one by one, since an ``itemgetter`` of one index returns
+    the entry itself, not a tuple.
+    """
+    return itemgetter(*order)(row) if len(order) > 1 else tuple(map(row.__getitem__, order))
 
 
 def _field_state(self) -> dict[str, object]:
@@ -252,11 +269,13 @@ class Instance:
     def _permuted(self, orders: Sequence[Sequence[int]], reverse: bool) -> Instance:
         """This instance with row ``i`` in the order ``orders[i]``, backwards if ``reverse``.
 
-        Only the integer rows are permuted.  A permutation changes neither a
-        row's denominator nor its total, so the units are carried over, and
-        the values are already a valid instance's ``Fraction``s, so the
-        constructor is not run again.  ``costs`` is built on first read
-        (:meth:`__getattr__`), from this instance's own ``Fraction`` objects.
+        Only the integer rows are permuted, each with one :func:`_permute`
+        (``itemgetter``) call; goods pass each order backwards.  A
+        permutation changes neither a row's denominator nor its total, so
+        the units are carried over, and the values are already a valid
+        instance's ``Fraction``s, so the constructor is not run again.
+        ``costs`` is built on first read (:meth:`__getattr__`), the same way,
+        from this instance's own ``Fraction`` objects.
         """
         out = object.__new__(Instance)
         out.__dict__.update(
@@ -265,7 +284,7 @@ class Instance:
             agent_names=None,
             item_names=None,
             _rows=tuple(
-                (tuple(map(ints.__getitem__, reversed(order) if reverse else order)), d)
+                (_permute(ints, order[::-1] if reverse else order), d)
                 for order, (ints, d) in zip(orders, self._rows)
             ),
             _units=self._units,
@@ -281,7 +300,7 @@ class Instance:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         source, orders, reverse = permutation
         costs = tuple(
-            tuple(map(row.__getitem__, reversed(order) if reverse else order))
+            _permute(row, order[::-1] if reverse else order)
             for order, row in zip(orders, source)
         )
         object.__setattr__(self, "costs", costs)

@@ -11,6 +11,7 @@ holds whole, so each combination costs integer additions into one list.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -100,7 +101,8 @@ def gen_random_instance(
     Costs are drawn from the grid q/denominator.  ``uniform`` draws each
     entry independently; ``correlated`` perturbs a shared base row by at
     most 2 grid steps, clamped to [0, 1].  With ``force_ido`` each row is
-    sorted, so the instance is identical-ordering by construction.
+    sorted, so the instance is identical-ordering by construction.  Each
+    grid point drawn is one ``Fraction``, shared by every entry that draws it.
     """
     if n < 1:
         raise ModelError(f"need at least one agent, got n={n}")
@@ -117,17 +119,13 @@ def gen_random_instance(
     total = sum(raw)
     weights = tuple(Fraction(w, total) for w in raw)
     rows = []
+    point = functools.cache(functools.partial(Fraction, denominator=denominator))
     base = [rng.randint(0, denominator) for _ in range(m)]
     for _ in range(n):
         if dist == UNIFORM:
-            row = [Fraction(rng.randint(0, denominator), denominator) for _ in range(m)]
+            row = [point(rng.randint(0, denominator)) for _ in range(m)]
         else:
-            row = [
-                Fraction(
-                    min(max(b + rng.randint(-2, 2), 0), denominator), denominator
-                )
-                for b in base
-            ]
+            row = [point(min(max(b + rng.randint(-2, 2), 0), denominator)) for b in base]
         if force_ido:
             row.sort()
         rows.append(tuple(row))

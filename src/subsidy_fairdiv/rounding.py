@@ -63,6 +63,7 @@ from .model import (
     _field_state,
     compute_subsidies,
     exact_sum,
+    frac,
     rational_text,
     require_valid,
 )
@@ -192,6 +193,11 @@ class ComponentRounding:
     scheme: str
     local_subsidy: Fraction
     bound: Fraction
+
+    def __post_init__(self) -> None:
+        # the certificate adds these with ``exact_sum``, which reads Fractions
+        object.__setattr__(self, "local_subsidy", frac(self.local_subsidy))
+        object.__setattr__(self, "bound", frac(self.bound))
 
     def to_doc(self) -> dict:
         """The component's entry in the certificate document."""

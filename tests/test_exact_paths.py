@@ -442,6 +442,21 @@ def test_component_too_long_to_write_raises_model_error(reference_instance):
         dataclasses.replace(cert, components=(comp,)).to_json()
 
 
+@pytest.mark.parametrize("local, bound", [(0, 1), (2, 1)])
+def test_certificate_of_int_amounts_judges_as_one_of_fractions(
+    reference_instance, local, bound
+):
+    cert = run_pipeline(reference_instance).certificate
+
+    def judged(local, bound):
+        comp = ComponentRounding("single_edge", (0,), ((0, 0),), "threshold->0", local, bound)
+        assert type(comp.local_subsidy) is type(comp.bound) is Fraction
+        c = dataclasses.replace(cert, components=(comp,))
+        return c, c.component_bound_total, c.holds, c.failures(), c.to_json()
+
+    assert judged(local, bound) == judged(Fraction(local), Fraction(bound))
+
+
 def test_failing_certificate_with_a_rational_too_long_to_write(reference_instance):
     # holds compares exactly and formats nothing; failures() cannot be written
     tiny = Fraction(1, 10**4300)

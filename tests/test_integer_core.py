@@ -11,13 +11,22 @@ last items and ``StuckError``s, on the reference instance strategy and its
 ``EDGE_CASES`` (the goods lone-agent path, m = 0, n = 1, zero rows).
 """
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subsidy_fairdiv import CHORES, Instance, IntegralAllocation, wprop_share
+from subsidy_fairdiv import (
+    CHORES,
+    GOODS,
+    Instance,
+    IntegralAllocation,
+    validate_instance,
+    wprop_share,
+)
 from subsidy_fairdiv.fbta import NORMALIZED, RAW_COST, StuckError, bid_and_take
 from subsidy_fairdiv.ido import is_ido, lift_allocation, reduce_to_ido
+from subsidy_fairdiv.model import scaled
 from reference import (
     LONE_AGENT,
     instances,
@@ -127,3 +136,53 @@ def test_row_integers_reuse_numerators():
     (ints, d), = inst._rows
     assert d == big and ints == (big - 1, 1, 0)
     assert ints[0] is inst.costs[0][0].numerator
+    # big entries already over d beside smaller denominators still lend theirs
+    mixed = Instance(
+        CHORES, ("1",), ((Fraction(2 * big - 1, 2 * big), Fraction(1, 2), Fraction(3, big)),)
+    )
+    (ints, d), = mixed._rows
+    assert d == 2 * big and ints == (2 * big - 1, big, 6)
+    assert ints[0] is mixed.costs[0][0].numerator
+
+
+class Tagged(Fraction):
+    """A ``Fraction`` subclass: an instance keeps such entries as they are."""
+
+
+@st.composite
+def entries(draw):
+    """A rational in [-1, 2], some of them below 0 or above 1, on a grid up to 10^40."""
+    q = draw(st.sampled_from((1, 2, 3, 6, 997, 10**40)))
+    return draw(st.sampled_from((Fraction, Tagged)))(draw(st.integers(-q, 2 * q)), q)
+
+
+@given(st.lists(entries(), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_scaled_matches_a_plain_recomputation(row):
+    ints, d = scaled(row)
+    assert d == lcm(*(v.denominator for v in row))
+    assert ints == tuple((v * d).numerator for v in row)
+    assert all(p is v.numerator for p, v in zip(ints, row) if v.denominator == d)
+    inst = Instance(CHORES, ("1",), (row,))
+    assert inst._rows == ((ints, d),)
+    assert validate_instance(inst) == tuple(
+        f"cost of item {e} for agent 0 is {v}, {'below 0' if v < 0 else 'exceeds 1'}"
+        for e, v in enumerate(row)
+        if not 0 <= v <= 1
+    )
+
+
+@pytest.mark.parametrize("kind", [CHORES, GOODS])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_reduction_of_zero_one_and_two_items(kind, m):
+    # agent 1 ranks the two items the other way round from agent 0
+    inst = Instance(kind, ("1/4", "3/4"), (("1/3", "1/2")[:m], ("1", "0")[:m]))
+    ido_inst, profile = reduce_to_ido(inst)
+    assert "costs" not in vars(ido_inst)
+    for i, order in enumerate(profile.sigma):
+        slots = order if kind == CHORES else order[::-1]
+        ints, d = inst._rows[i]
+        assert ido_inst._rows[i] == (tuple(ints[e] for e in slots), d)
+        assert type(ido_inst.costs[i]) is tuple and len(ido_inst.costs[i]) == m
+        assert all(ido_inst.costs[i][k] is inst.costs[i][e] for k, e in enumerate(slots))
+    assert ido_inst.costs == reference_reduce(inst)[0]
