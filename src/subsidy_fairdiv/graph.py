@@ -9,6 +9,11 @@ An item shared by three or more agents (a *shattered* item) shows up as
 two or more edges with the same label; those edges always form a
 directed path, the item's *atom-path*, and any valid splitting must keep
 them together.
+
+A tree's index (:class:`_TreeIndex`) is what one walk of it finds: each
+node's edge to its parent, its children and its depth, the nodes in
+preorder, and the atom-path of each shattered item.  A split builds it
+once and reads it at every peel.
 """
 from __future__ import annotations
 
@@ -69,6 +74,46 @@ class AtomPath:
     @property
     def k(self) -> int:
         return len(self.edges)
+
+
+class _TreeIndex:
+    """What one walk of a tree finds, for every later step of its split.
+
+    ``parent[v]`` is node ``v``'s edge to its parent (the root has none),
+    ``children[v]`` the tails of the edges into ``v``, ``depth[v]`` its
+    distance from the root, ``order`` the nodes in preorder (each subtree a
+    contiguous run, the root first), and ``paths`` the atom-path of each
+    shattered item, by item index.
+    """
+
+    __slots__ = ("parent", "children", "depth", "order", "paths")
+
+    def __init__(self, tree: Tree) -> None:
+        children: dict[int, list[int]] = {v: [] for v in tree.nodes}
+        by_item: dict[int, list[Edge]] = defaultdict(list)
+        for e in tree.edges:
+            children[e.head].append(e.tail)
+            by_item[e.item].append(e)
+        depth = {tree.root: 0}
+        order = []
+        stack = [tree.root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            below = children[v]
+            d = depth[v] + 1
+            for c in below:
+                depth[c] = d
+            stack.extend(below)
+        self.parent = {e.tail: e for e in tree.edges}
+        self.children = children
+        self.depth = depth
+        self.order = order
+        self.paths = {
+            item: _chain(item, edges)
+            for item, edges in sorted(by_item.items())
+            if len(edges) >= 2
+        }
 
 
 def build_graph(trace: AllocationTrace) -> ItemSharingGraph:
@@ -171,14 +216,7 @@ def has_atom_path(edges: Sequence[Edge]) -> bool:
 
 def find_atom_paths(tree: Tree) -> list[AtomPath]:
     """One atom-path per shattered item of the tree, by item index."""
-    by_item: dict[int, list[Edge]] = defaultdict(list)
-    for e in tree.edges:
-        by_item[e.item].append(e)
-    return [
-        _chain(item, edges)
-        for item, edges in sorted(by_item.items())
-        if len(edges) >= 2
-    ]
+    return list(_TreeIndex(tree).paths.values())
 
 
 def _chain(item: int, edges: list[Edge]) -> AtomPath:

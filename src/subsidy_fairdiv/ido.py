@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import le
 from typing import Iterator
 
-from .model import CHORES, Instance, IntegralAllocation, ModelError
+from .model import CHORES, Instance, IntegralAllocation, ModelError, require_valid
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,26 @@ class RankProfile:
     favorite: cheapest first for chores, most valuable first for goods,
     ties to the smaller item index.  Row ``i`` of the reduced instance is
     ``sigma[i]`` for chores and ``reversed(sigma[i])`` for goods, which
-    makes every reduced row non-decreasing.
+    makes every reduced row non-decreasing.  A profile built from outside
+    is checked once, here: every row must be an order of the items
+    ``range(len(sigma[0]))``.
     """
 
     sigma: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        items = set(range(len(self.sigma[0]))) if self.sigma else set()
+        for i, row in enumerate(self.sigma):
+            if len(row) != len(items) or items.symmetric_difference(row):
+                raise ModelError(f"rank profile row {i} is not an order of the items")
+
+    @classmethod
+    def _of(cls, sigma: tuple[tuple[int, ...], ...]) -> RankProfile:
+        """The profile of these orders, taken as they are: each is a sort of
+        ``range(m)``, so it is an order of the items by construction."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "sigma", sigma)
+        return profile
 
 
 def is_ido(inst: Instance) -> bool:
@@ -47,8 +63,10 @@ def reduce_to_ido(inst: Instance) -> tuple[Instance, RankProfile]:
     kind, weights, every row total and each row's integers, each row
     permuted by one ``itemgetter`` call, so each agent's proportional share
     is unchanged.  Its ``costs`` are built only when read, the same way,
-    from ``inst``'s own ``Fraction`` objects.
+    from ``inst``'s own ``Fraction`` objects.  An invalid instance raises
+    :class:`ModelError` before any row is read.
     """
+    require_valid(inst)
     goods = inst.kind != CHORES
     # one set of index objects shared by every row's order: 8 bytes per
     # sigma entry instead of a new int each
@@ -57,7 +75,7 @@ def reduce_to_ido(inst: Instance) -> tuple[Instance, RankProfile]:
         tuple(sorted(items, key=ints.__getitem__, reverse=goods)) for ints, _ in inst._rows
     )
     ido_inst = inst._permuted(sigma, reverse=goods)
-    return ido_inst, RankProfile(sigma)
+    return ido_inst, RankProfile._of(sigma)
 
 
 def lift_allocation(
@@ -71,9 +89,11 @@ def lift_allocation(
     Guarantees, per agent, that the lifted bundle costs at most (is worth
     at least) the reduced-instance bundle.
 
-    Each owner is checked to be an agent, and her row an order of the
-    items, when first read, then walked by a cursor that skips items
-    already taken: O(m) per owner, O(k m) for k distinct owners.
+    A :class:`RankProfile` is an order of the items row by row once built,
+    so only its shape is checked here: one row per agent, each owner an
+    agent whose row covers the ``m`` items.  Each owner's row is walked by
+    a cursor that skips items already taken: O(m) per owner, O(k m) for k
+    distinct owners.
     """
     m = inst.m
     if ido_alloc.m != m:
@@ -84,7 +104,6 @@ def lift_allocation(
         raise ModelError("rank profile does not match the instance")
     order = range(m) if inst.kind == CHORES else range(m - 1, -1, -1)
     owner: list[int | None] = [None] * m
-    items = set(range(m))
     favorites: dict[int, Iterator[int]] = {}
     for slot in order:
         agent = ido_alloc.owner[slot]
@@ -92,7 +111,7 @@ def lift_allocation(
             if not 0 <= agent < inst.n:
                 raise ModelError(f"item {slot} assigned to unknown agent {agent}")
             row = profile.sigma[agent]
-            if len(row) != m or items.symmetric_difference(row):
+            if len(row) != m:
                 raise ModelError(f"rank profile row {agent} is not an order of the items")
             favorites[agent] = iter(row)
         pick = next(e for e in favorites[agent] if owner[e] is None)

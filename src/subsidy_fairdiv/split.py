@@ -14,8 +14,13 @@ contains an atom-path or has an even number of edges survives intact,
 and every odd atom-path-free component donates one edge incident to its
 (unique) atom-path agent, chosen so that the donation leaves only
 even-size pieces.  The donated edges attach to the atom-path, at most
-one per path agent, forming an expanded atom-path.  Every component and
-piece is found by :func:`~subsidy_fairdiv.graph.components`.
+one per path agent, forming an expanded atom-path.  The survivors are
+split in turn, depth first.
+
+A split builds its tree's index (``graph._TreeIndex``) once, reads it at
+every peel, and drops it on return: kept on the trees of a 120-agent
+instance, its ~450 containers moved the garbage collector's full passes
+into the pipeline's own calls.
 
 :func:`split_tree` is the entry point and alone fixes the component
 order that every certificate records.
@@ -24,16 +29,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heapify, heappop
+from itertools import count
 
-from .graph import (
-    AtomPath,
-    Edge,
-    GraphError,
-    Tree,
-    components,
-    find_atom_paths,
-    has_atom_path,
-)
+from .graph import AtomPath, Edge, GraphError, Tree, _TreeIndex, has_atom_path
 from .model import ModelError
 
 
@@ -105,50 +104,56 @@ class ExpandedAtomPath:
 Component = SingleEdge | Pair | ExpandedAtomPath
 
 
-def simple_split(tree: Tree) -> list[Pair | SingleEdge]:
-    """Split an atom-path-free tree into edge pairs plus <= 1 single edge."""
-    if has_atom_path(tree.edges):
-        raise SplitError("tree contains an atom-path; use atom_path_split")
+def _pairs(index: _TreeIndex, nodes: list[int]) -> list[Pair | SingleEdge]:
+    """The pairs, and single edge, of one atom-path-free piece of a tree.
+
+    ``nodes`` are the piece's nodes, its root first; the index gives each
+    other node's edge and depth.  A piece's depths differ from the tree's by
+    one constant, so ordering its nodes by the tree's depths orders them by
+    their own.
+    """
+    parent, depth = index.parent, index.depth
     # node -> its edge to its parent; node -> its children not yet paired
-    outgoing: dict[int, Edge] = {}
+    outgoing = {v: parent[v] for v in nodes[1:]}
     live: dict[int, set[int]] = defaultdict(set)
-    for e in tree.edges:
-        outgoing[e.tail] = e
-        live[e.head].add(e.tail)
-    depths = {tree.root: 0}
-    order = [tree.root]
-    for v in order:
-        for c in live[v]:
-            depths[c] = depths[v] + 1
-            order.append(c)
+    for v, e in outgoing.items():
+        live[e.head].add(v)
     done: set[int] = set()
-    left = tree.size
+    left = len(outgoing)
     out: list[Pair | SingleEdge] = []
-    for v in sorted(outgoing, key=lambda v: (-depths[v], v)):
+    for v in sorted(outgoing, key=lambda v: (-depth[v], v)):
         if v in done:
             continue
         own = outgoing[v]
         if left == 1:
             out.append(SingleEdge(own))
             break
-        parent = own.head
-        siblings = live[parent]
+        parent_node = own.head
+        siblings = live[parent_node]
         siblings.discard(v)
         if siblings:
             mate_node = min(siblings)
             siblings.discard(mate_node)
-        elif parent in outgoing:
-            # the parent's edge goes with it and the parent leaves the tree
-            mate_node = parent
-            live[outgoing[parent].head].discard(parent)
+        elif parent_node in outgoing:
+            # the parent's edge goes with it and the parent leaves the piece
+            mate_node = parent_node
+            live[outgoing[parent_node].head].discard(parent_node)
         else:
             # parent is the root and v its only child, impossible with two
             # or more edges left
             raise GraphError("simple split lost track of the tree shape")
         done.add(mate_node)
-        out.append(Pair(own, outgoing[mate_node], middle=parent))
+        out.append(Pair(own, outgoing[mate_node], middle=parent_node))
         left -= 2
     return out
+
+
+def simple_split(tree: Tree) -> list[Pair | SingleEdge]:
+    """Split an atom-path-free tree into edge pairs plus <= 1 single edge."""
+    index = _TreeIndex(tree)
+    if index.paths:
+        raise SplitError("tree contains an atom-path; use atom_path_split")
+    return _pairs(index, index.order)
 
 
 def choose_attachment(edges: list[Edge], contact: int) -> Edge:
@@ -157,84 +162,161 @@ def choose_attachment(edges: list[Edge], contact: int) -> Edge:
     Returns an edge incident to ``contact`` whose removal leaves the far
     side with an even number of edges (the near side is then also even);
     a parity argument guarantees one exists.  Ties go to the smallest
-    item index.
+    item index.  Each far side is walked once, so this is linear in the
+    component.
     """
     if len(edges) % 2 == 0:
         raise SplitError("component has even size, nothing to donate")
     if has_atom_path(edges):
         raise SplitError("component contains an atom-path, nothing to donate")
-    # with the contact's edges gone, an edge's far side is its far end's piece
-    far_size = {
-        v: piece.size
-        for piece in components(e for e in edges if contact not in (e.tail, e.head))
-        for v in piece.nodes
-    }
-    candidates = [
-        e
-        for e in edges
-        if contact in (e.tail, e.head)
-        and far_size.get(e.head if e.tail == contact else e.tail, 0) % 2 == 0
-    ]
+    neighbors: dict[int, list[int]] = defaultdict(list)
+    for e in edges:
+        neighbors[e.tail].append(e.head)
+        neighbors[e.head].append(e.tail)
+    candidates = []
+    for e in edges:
+        if contact not in (e.tail, e.head):
+            continue
+        # the far side is what the far end reaches without the contact
+        far_side = [e.head if e.tail == contact else e.tail]
+        seen = {contact, far_side[0]}
+        for v in far_side:
+            for w in neighbors[v]:
+                if w not in seen:
+                    seen.add(w)
+                    far_side.append(w)
+        if len(far_side) % 2 == 1:
+            candidates.append(e)
     if not candidates:
         raise GraphError("no even-side edge at the atom-path agent; parity broken")
     return min(candidates, key=lambda e: (e.item, e.tail))
 
 
-def atom_path_split(tree: Tree) -> tuple[ExpandedAtomPath, list[Tree]]:
-    """Split a tree with a shattered item around one atom-path.
+def atom_path_split(tree: Tree) -> list[Component]:
+    """The components of a tree with a shattered item, in canonical order.
 
-    The atom-path with the smallest item index becomes the core of the
-    expanded atom-path; the returned subtrees each contain an atom-path
-    or have even size.
+    The tree is peeled one atom-path at a time, depth first: a piece's
+    atom-path with the smallest item index leaves as the core of an
+    expanded atom-path, and the piece falls into one region per path agent.
+    Regions come in the order of their smallest agents.  A region with an
+    atom-path, or an even number of edges, stays whole and is split in
+    full, in turn, after the expanded atom-path; an odd atom-path-free one
+    donates the edge :func:`choose_attachment` picks to the expanded
+    atom-path, and its two even pieces follow, in the order of their
+    smallest agents.  Atom-path-free pieces split as in :func:`simple_split`.
+
+    A peel walks the regions side by side until one is left: the largest,
+    never walked.  It keeps the piece's label, its node count less the
+    others', and the piece's heaps of agents and of shattered items, pruned
+    of moved entries when read.  So a peel costs at most twice the nodes of
+    its smaller regions, and a node is walked again only once its piece has
+    at least halved, however deep the atom-paths nest.
     """
-    paths = find_atom_paths(tree)
+    index = _TreeIndex(tree)
+    paths, parent, children = index.paths, index.parent, index.children
     if not paths:
         raise SplitError("tree has no atom-path; use simple_split")
-    path = paths[0]
-    path_agents = set(path.agents)
-    rest = [e for e in tree.edges if e.item != path.item]
-    attachments: list[tuple[int, Edge]] = []
-    good: list[Tree] = []
-    for comp in components(rest):
-        if has_atom_path(comp.edges) or comp.size % 2 == 0:
-            good.append(comp)
+    bottom = {path.agents[0]: item for item, path in paths.items()}
+    cut: set[int] = set()  # tails of the edges peeled or donated
+    label: dict[int, int] = {}  # node -> its piece's label, 0 until it moves
+    labels = count(1)
+
+    def walk(root: int) -> list[int]:
+        """The nodes of ``root``'s piece, ``root`` first."""
+        nodes = [root]
+        for v in nodes:
+            nodes.extend([c for c in children[v] if c not in cut])
+        return nodes
+
+    def walk_all_but_largest(roots: tuple[int, ...]) -> list[list[int] | None]:
+        """Each root's piece as :func:`walk` gives it, one node per piece in
+        turn, until one piece is left unfinished; that one is ``None``."""
+        walks = [[root] for root in roots]
+        seen = [0] * len(roots)
+        live = range(len(roots))
+        while len(live) > 1:
+            for i in live:
+                nodes = walks[i]
+                nodes.extend([c for c in children[nodes[seen[i]]] if c not in cut])
+                seen[i] += 1
+            live = [i for i in live if seen[i] < len(walks[i])]
+        if live:
+            walks[live[0]] = None
+        return walks
+
+    out: list[Component] = []
+    # a piece to peel is (root, node count, label, agents, shattered items),
+    # its heaps pruned at the top; an atom-path-free piece waits as its
+    # finished components
+    stack: list = [(tree.root, len(tree.nodes), 0, list(tree.nodes), list(paths))]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, list):
+            out.extend(entry)
             continue
-        contacts = sorted(path_agents.intersection(comp.nodes))
-        if len(contacts) != 1:
-            raise GraphError(
-                f"odd component touches the atom-path at {len(contacts)} agents"
-            )
-        contact = contacts[0]
-        donated = choose_attachment(comp.edges, contact)
-        attachments.append((contact, donated))
-        for piece in components(e for e in comp.edges if e != donated):
-            if piece.size % 2 != 0:
-                raise GraphError("donation left an odd piece; parity broken")
-            good.append(piece)
-    attachments.sort()
-    seen_agents = [a for a, _ in attachments]
-    if len(seen_agents) != len(set(seen_agents)):
-        raise GraphError("a path agent collected two attachments")
-    return ExpandedAtomPath(path, tuple(attachments)), good
+        root, rest, piece, agents, items = entry
+        path = paths[heappop(items)]
+        cut.update(path.agents[:-1])
+        roots = path.agents[:-1] + (root,)
+        regions = []
+        for contact, region_root, nodes in zip(
+            path.agents, roots, walk_all_but_largest(roots)
+        ):
+            if nodes is None:
+                largest = (contact, region_root)
+                continue
+            moved = next(labels)
+            label.update(dict.fromkeys(nodes, moved))
+            own = [bottom[v] for v in nodes[1:] if v in bottom]
+            heapify(own)
+            heap = nodes.copy()
+            heapify(heap)
+            regions.append((heap[0], contact, region_root, len(nodes), moved, heap, own, nodes))
+            rest -= len(nodes)
+        if rest:
+            # the largest region reads what is left of the piece's heaps
+            while label.get(agents[0], 0) != piece:
+                heappop(agents)
+            while items and label.get(paths[items[0]].agents[0], 0) != piece:
+                heappop(items)
+            regions.append((agents[0], *largest, rest, piece, agents, items, None))
+        regions.sort(key=lambda region: region[0])
+        attachments = []
+        good: list = []
+        for _, contact, region_root, n, moved, heap, own, nodes in regions:
+            if own:
+                good.append((region_root, n, moved, heap, own))
+                continue
+            if n == 1:
+                continue
+            if nodes is None:
+                nodes = walk(region_root)
+            if n % 2 == 1:
+                good.append(_pairs(index, nodes))
+                continue
+            donated = choose_attachment([parent[v] for v in nodes[1:]], contact)
+            attachments.append((contact, donated))
+            cut.add(donated.tail)
+            far = walk(donated.tail)
+            far_set = set(far)
+            near = [v for v in nodes if v not in far_set]
+            for side in sorted((far, near), key=min):
+                if len(side) > 1:
+                    good.append(_pairs(index, side))
+        attachments.sort(key=lambda attached: attached[0])
+        out.append(ExpandedAtomPath(path, tuple(attachments)))
+        stack.extend(reversed(good))
+    return out
 
 
 def split_tree(tree: Tree) -> list[Component]:
     """A tree's components in their canonical order.
 
-    A tree with an atom-path yields the expanded atom-path of
-    :func:`atom_path_split`, then the split of each returned subtree in
-    turn; any other tree yields its :func:`simple_split`, an edgeless one
-    nothing.  Subtrees wait on a stack, not in Python frames, so nesting
-    depth is unbounded.
+    A tree with an atom-path yields its :func:`atom_path_split`: the
+    expanded atom-path first, then the split of each remaining piece in
+    turn, depth first; any other tree yields its :func:`simple_split`, an
+    edgeless one nothing.
     """
-    out: list[Component] = []
-    stack = [tree]
-    while stack:
-        tree = stack.pop()
-        if has_atom_path(tree.edges):
-            eap, subtrees = atom_path_split(tree)
-            out.append(eap)
-            stack.extend(reversed(subtrees))
-        elif tree.size:
-            out.extend(simple_split(tree))
-    return out
+    if has_atom_path(tree.edges):
+        return atom_path_split(tree)
+    return simple_split(tree) if tree.size else []

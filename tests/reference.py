@@ -9,6 +9,10 @@ whose output it checks: loads, shares and subsidies are plain ``Fraction``
 sums here, never the integer units the package computes in.
 ``tests/test_reference.py`` holds that rule with a parse of this file.
 
+The tree split has one too: the split as it was before trees kept an
+index, which finds the smallest atom-path, every component of the rest
+and every donated piece with a fresh search of the edges, once per peel.
+
 The documents the package writes have a reference too: the standard
 library's ``json.dumps``, which the package's own writer must match byte
 for byte.
@@ -18,15 +22,17 @@ explicit ``EDGE_CASES`` every property tries.
 """
 import itertools
 import json
+from collections import defaultdict
 from fractions import Fraction
 
 from hypothesis import example, strategies as st
 
 from subsidy_fairdiv import CHORES, GOODS, Instance
 from subsidy_fairdiv.fbta import NORMALIZED, RAW_COST, StuckError, bid_and_take
-from subsidy_fairdiv.graph import build_graph, components, trees
+from subsidy_fairdiv.graph import AtomPath, GraphError, build_graph, components, trees
 from subsidy_fairdiv.ido import reduce_to_ido
 from subsidy_fairdiv.rounding import round_tree
+from subsidy_fairdiv.split import ExpandedAtomPath, Pair, SingleEdge, SplitError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -315,6 +321,155 @@ def reference_emit(inst, alloc, forest):
         for item, o in chosen.items():
             owner[item] = o
     return emitted, tuple(owner)
+
+
+# ---------------------------------------------------------------------------
+# Tree splitting: every peel searches the rest of the tree again
+# ---------------------------------------------------------------------------
+
+def has_atom_path(edges):
+    """Whether some item labels two or more of the edges."""
+    return len({e.item for e in edges}) < len(edges)
+
+
+def reference_find_atom_paths(tree):
+    """One atom-path per shattered item of the tree, by item index."""
+    by_item = defaultdict(list)
+    for e in tree.edges:
+        by_item[e.item].append(e)
+    return [
+        atom_path_of(item, edges)
+        for item, edges in sorted(by_item.items())
+        if len(edges) >= 2
+    ]
+
+
+def atom_path_of(item, edges):
+    step = {}
+    heads = set()
+    for e in edges:
+        if e.tail in step:
+            raise GraphError(f"item {item} leaves agent {e.tail} twice")
+        step[e.tail] = e
+        heads.add(e.head)
+    starts = [t for t in step if t not in heads]
+    if len(starts) != 1:
+        raise GraphError(f"edges of item {item} do not form a single path")
+    agents = [starts[0]]
+    ordered = []
+    while agents[-1] in step:
+        e = step[agents[-1]]
+        ordered.append(e)
+        agents.append(e.head)
+    if len(ordered) != len(edges):
+        raise GraphError(f"edges of item {item} do not form a single path")
+    return AtomPath(item, tuple(agents), tuple(ordered))
+
+
+def reference_simple_split(tree):
+    """Split an atom-path-free tree into edge pairs plus <= 1 single edge."""
+    if has_atom_path(tree.edges):
+        raise SplitError("tree contains an atom-path; use atom_path_split")
+    # node -> its edge to its parent; node -> its children not yet paired
+    outgoing = {}
+    live = defaultdict(set)
+    for e in tree.edges:
+        outgoing[e.tail] = e
+        live[e.head].add(e.tail)
+    depths = {tree.root: 0}
+    order = [tree.root]
+    for v in order:
+        for c in live[v]:
+            depths[c] = depths[v] + 1
+            order.append(c)
+    done = set()
+    left = tree.size
+    out = []
+    for v in sorted(outgoing, key=lambda v: (-depths[v], v)):
+        if v in done:
+            continue
+        own = outgoing[v]
+        if left == 1:
+            out.append(SingleEdge(own))
+            break
+        parent = own.head
+        siblings = live[parent]
+        siblings.discard(v)
+        if siblings:
+            mate_node = min(siblings)
+            siblings.discard(mate_node)
+        elif parent in outgoing:
+            # the parent's edge goes with it and the parent leaves the tree
+            mate_node = parent
+            live[outgoing[parent].head].discard(parent)
+        else:
+            # parent is the root and v its only child, impossible with two
+            # or more edges left
+            raise GraphError("simple split lost track of the tree shape")
+        done.add(mate_node)
+        out.append(Pair(own, outgoing[mate_node], middle=parent))
+        left -= 2
+    return out
+
+
+def reference_atom_path_split(tree):
+    """Split a tree with a shattered item around one atom-path.
+
+    The atom-path with the smallest item index becomes the core of the
+    expanded atom-path; the returned subtrees each contain an atom-path
+    or have even size.
+    """
+    paths = reference_find_atom_paths(tree)
+    if not paths:
+        raise SplitError("tree has no atom-path; use simple_split")
+    path = paths[0]
+    path_agents = set(path.agents)
+    rest = [e for e in tree.edges if e.item != path.item]
+    attachments = []
+    good = []
+    for comp in components(rest):
+        if has_atom_path(comp.edges) or comp.size % 2 == 0:
+            good.append(comp)
+            continue
+        contacts = sorted(path_agents.intersection(comp.nodes))
+        if len(contacts) != 1:
+            raise GraphError(
+                f"odd component touches the atom-path at {len(contacts)} agents"
+            )
+        contact = contacts[0]
+        donated = reference_choose_attachment(comp.edges, contact)
+        attachments.append((contact, donated))
+        for piece in components(e for e in comp.edges if e != donated):
+            if piece.size % 2 != 0:
+                raise GraphError("donation left an odd piece; parity broken")
+            good.append(piece)
+    attachments.sort()
+    seen_agents = [a for a, _ in attachments]
+    if len(seen_agents) != len(set(seen_agents)):
+        raise GraphError("a path agent collected two attachments")
+    return ExpandedAtomPath(path, tuple(attachments)), good
+
+
+def reference_split_tree(tree):
+    """A tree's components in their canonical order.
+
+    A tree with an atom-path yields the expanded atom-path of
+    :func:`reference_atom_path_split`, then the split of each returned
+    subtree in turn; any other tree yields its :func:`reference_simple_split`,
+    an edgeless one nothing.  Subtrees wait on a stack, not in Python
+    frames, so nesting depth is unbounded.
+    """
+    out = []
+    stack = [tree]
+    while stack:
+        tree = stack.pop()
+        if has_atom_path(tree.edges):
+            eap, subtrees = reference_atom_path_split(tree)
+            out.append(eap)
+            stack.extend(reversed(subtrees))
+        elif tree.size:
+            out.extend(reference_simple_split(tree))
+    return out
 
 
 def reference_choose_attachment(edges, contact):

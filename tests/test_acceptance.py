@@ -36,7 +36,7 @@ from subsidy_fairdiv.split import ExpandedAtomPath, split_tree
 # criteria 01 and 02 keep their text: their calls run the checked entry
 from subsidy_fairdiv.fbta import fbta as fbta_chores
 from conftest import REFERENCE_EDGES, REFERENCE_FRACTIONS, fmatrix
-from reference import agent_load, attached_agent, bundle_cost
+from reference import agent_load, attached_agent, bundle_cost, reference_split_tree
 
 SUITE_SIZE = 10_000
 POS = lambda v: v if v > 0 else Fraction(0)
@@ -70,6 +70,7 @@ class Record:
     lift_ok: bool
     last_item_rank_ok: bool
     biased_rule_ok: bool
+    split_matches_reference: bool
 
 
 def _pair_components_match_enumeration(result) -> bool:
@@ -187,6 +188,7 @@ def _build_record(seed: int) -> Record:
             lift_ok = False
 
     rank_ok, biased_ok = _atom_path_properties(result)
+    split_ok = all(split_tree(t) == reference_split_tree(t) for t in trees(result.graph))
 
     return Record(
         n=n,
@@ -208,6 +210,7 @@ def _build_record(seed: int) -> Record:
         lift_ok=lift_ok,
         last_item_rank_ok=rank_ok,
         biased_rule_ok=biased_ok,
+        split_matches_reference=split_ok,
     )
 
 
@@ -365,3 +368,7 @@ def test_criterion_10_property_micro_suites(suite):
         f"grid ok={grid_ok}, rank violations={len(rank_bad)}, "
         f"biased-threshold violations={len(biased_bad)}",
     )
+
+
+def test_split_matches_the_reference_on_every_suite_tree(suite):
+    assert [i for i, r in enumerate(suite) if not r.split_matches_reference] == []

@@ -13,8 +13,14 @@ import pytest
 
 from subsidy_fairdiv.cli import main
 from subsidy_fairdiv.model import parse_instance, serialize_instance
+from subsidy_fairdiv.split import split_tree
 
-from reference import instance_document, reference_document
+from reference import (
+    fractional_run,
+    instance_document,
+    reference_document,
+    reference_split_tree,
+)
 
 GOLDEN = Path(__file__).resolve().parent.parent / "fixtures" / "golden"
 CASES = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
@@ -82,3 +88,9 @@ def test_golden_corpus_keeps_tied_cases_of_both_kinds():
         if case.get("gen", {}).get("denominator", 10) <= 2
     }
     assert coarse >= {"chores", "goods"}
+
+
+def test_golden_trees_split_as_the_reference_splits():
+    for case in CASES:
+        for tree in fractional_run(parse_instance(regen.instance_text(case)))[2]:
+            assert split_tree(tree) == reference_split_tree(tree), case["name"]

@@ -105,6 +105,27 @@ def test_lift_rejects_a_malformed_profile(sigma):
         lift_allocation(inst, RankProfile(sigma), IntegralAllocation((0, 1, 0)))
 
 
+@pytest.mark.parametrize(
+    "costs",
+    [
+        (("1/2", "1/4"), ("1/2", "0", "1/4")),  # a row longer than row 0
+        (("1/2", "0", "1/4"), ("1/2", "1/4")),  # a row shorter than row 0
+    ],
+)
+def test_reduce_rejects_a_ragged_instance(costs):
+    # neither row is cut to row 0's length nor read past its end
+    inst = Instance(CHORES, ("1/2", "1/2"), costs)
+    with pytest.raises(ModelError, match=r"cost rows have inconsistent lengths \[2, 3\]"):
+        reduce_to_ido(inst)
+
+
+def test_a_rank_profile_is_checked_where_it_is_built():
+    with pytest.raises(ModelError, match="rank profile row 1 is not an order"):
+        RankProfile(((0, 1, 2), (2, 2, 0)))
+    assert RankProfile(()).sigma == ()
+    assert RankProfile(((2, 0, 1), (0, 1, 2))).sigma == ((2, 0, 1), (0, 1, 2))
+
+
 @pytest.mark.parametrize("owner", [(-1, 0), (5, 0)])
 def test_lift_rejects_an_owner_outside_the_agents(owner):
     inst = Instance(CHORES, ("1/2", "1/2"), (("1/2", "1"), ("1/2", "1")))

@@ -263,7 +263,7 @@ def eap_choices(eap):
 
 def test_round_eap_worked_example(reference_instance, reference_run, reference_tree):
     alloc, _, _ = reference_run
-    eap, _ = atom_path_split(reference_tree)
+    eap = atom_path_split(reference_tree)[0]
     rounding = round_expanded_atom_path(reference_instance, alloc, eap)
     assert rounding.bound == Fraction(3, 3)
     best = enumerate_minimum(reference_instance, alloc, eap_choices(eap))

@@ -1,11 +1,20 @@
-"""Tree splitting: pairs, atom-path extraction, and attachment donation."""
+"""Tree splitting: pairs, atom-path extraction, and attachment donation.
+
+The split of a tree with atom-paths is checked against
+``reference_split_tree``, which searches the rest of the tree again at
+every peel, on the forests of tie-free instances, on chains, on stars and
+on generated trees whose shattered items form chains.
+"""
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from subsidy_fairdiv import Edge
+from subsidy_fairdiv import CHORES, GOODS, Edge
 from subsidy_fairdiv.graph import find_atom_paths, make_tree
 from subsidy_fairdiv.split import (
+    ExpandedAtomPath,
     Pair,
     SingleEdge,
     SplitError,
@@ -14,7 +23,14 @@ from subsidy_fairdiv.split import (
     simple_split,
     split_tree,
 )
-from reference import attached_agent, reference_choose_attachment
+from reference import (
+    attached_agent,
+    fractional_run,
+    reference_atom_path_split,
+    reference_choose_attachment,
+    reference_split_tree,
+)
+from test_metamorphic import tie_free
 
 
 def edge_ids(component):
@@ -82,8 +98,9 @@ def test_simple_split_rejects_atom_path():
 
 def test_atom_path_split_worked_example(reference_tree):
     # The odd single-edge component {0 -> 2} must attach at path agent
-    # 2; the even component {3 -> 5, 4 -> 5} survives whole.
-    eap, good = atom_path_split(reference_tree)
+    # 2; the even component {3 -> 5, 4 -> 5} survives whole and follows
+    # as one pair.
+    eap, *good = atom_path_split(reference_tree)
     assert eap.path.item == 1
     assert eap.path.agents == (1, 2, 3)
     assert eap.k == 2
@@ -96,12 +113,7 @@ def test_atom_path_split_worked_example(reference_tree):
     ) == (0, 2, 0)
     assert attached_agent(eap, 2) == 0
     assert attached_agent(eap, 1) is None
-    assert len(good) == 1
-    assert good[0].size == 2
-    assert {(e.tail, e.head, e.item) for e in good[0].edges} == {
-        (3, 5, 2),
-        (4, 5, 4),
-    }
+    assert [edge_ids(p) for p in good] == [{(3, 5, 2), (4, 5, 4)}]
 
 
 def test_split_tree_orders_nested_atom_paths_depth_first():
@@ -122,10 +134,10 @@ def test_split_tree_orders_nested_atom_paths_depth_first():
 
 def test_atom_path_split_pure_path():
     tree = make_tree((Edge(0, 1, 9), Edge(1, 2, 9), Edge(2, 3, 9)))
-    eap, good = atom_path_split(tree)
+    eap, *rest = atom_path_split(tree)
     assert eap.k == 3
     assert eap.h == 0
-    assert good == []
+    assert rest == []
 
 
 def test_atom_path_split_requires_atom_path():
@@ -152,7 +164,7 @@ def test_atom_path_split_donation_with_even_remainders():
     below3 = (Edge(30, 3, 7), Edge(31, 30, 8))
     below1 = (Edge(40, 1, 9), Edge(41, 40, 101), Edge(42, 41, 101))
     tree = make_tree(core + below0 + below2 + below3 + below1)
-    eap, good = atom_path_split(tree)
+    eap, *rest = atom_path_split(tree)
     assert eap.k == 3
     assert eap.h == 2
     attach = {agent: edge for agent, edge in eap.attachments}
@@ -161,14 +173,22 @@ def test_atom_path_split_donation_with_even_remainders():
     # only (11, 0) qualifies (far side {13, 14}, near side {10, 12})
     assert (attach[0].tail, attach[0].head, attach[0].item) == (11, 0, 2)
     assert (attach[2].tail, attach[2].head, attach[2].item) == (20, 2, 6)
-    sizes = sorted(t.size for t in good)
-    assert sizes == [2, 2, 2, 3]
-    # the size-3 survivor is the one with its own atom-path
-    odd_one = [t for t in good if t.size == 3][0]
-    assert find_atom_paths(odd_one)
+    # the near piece at agent 0, the far piece, the component with its own
+    # atom-path (item 101, which takes agent 40's edge to agent 1), then the
+    # even chain below agent 3
+    assert [p.kind for p in rest] == ["pair", "pair", "expanded_atom_path", "pair"]
+    assert edge_ids(rest[0]) == {(10, 0, 1), (12, 10, 3)}
+    assert edge_ids(rest[1]) == {(13, 11, 4), (14, 11, 5)}
+    assert rest[2].path.item == 101
+    assert [(a, (e.tail, e.head, e.item)) for a, e in rest[2].attachments] == [(40, (40, 1, 9))]
+    assert edge_ids(rest[3]) == {(30, 3, 7), (31, 30, 8)}
+    # the old split's subtrees: two even pieces, the even chain and the
+    # size-3 survivor with its own atom-path
+    _, good = reference_atom_path_split(tree)
+    assert sorted(t.size for t in good) == [2, 2, 2, 3]
+    assert find_atom_paths([t for t in good if t.size == 3][0])
     # donated plus surviving edges partition the original tree
-    covered = [(e.tail, e.head, e.item) for t in good for e in t.edges]
-    covered += [(e.tail, e.head, e.item) for e in eap.edges]
+    covered = [(e.tail, e.head, e.item) for p in [eap] + rest for e in p.edges]
     assert sorted(covered) == sorted(
         (e.tail, e.head, e.item) for e in tree.edges
     )
@@ -185,11 +205,13 @@ def test_atom_path_split_picks_smallest_item_core():
         Edge(12, 11, 9),
     )
     tree = make_tree(edges)
-    eap, good = atom_path_split(tree)
+    eap, *rest = atom_path_split(tree)
     assert eap.path.item == 3
-    assert len(good) == 1
-    assert good[0].size == 3
-    assert find_atom_paths(good[0])[0].item == 8
+    # the size-3 subtree at agent 0 holds item 8's path, which takes the
+    # edge below it
+    assert [p.kind for p in rest] == ["expanded_atom_path"]
+    assert rest[0].path.item == 8
+    assert [(a, e.item) for a, e in rest[0].attachments] == [(11, 9)]
 
 
 def test_simple_split_properties_on_random_trees():
@@ -263,3 +285,110 @@ def test_choose_attachment_matches_the_per_edge_walk():
             assert got == reference_choose_attachment(edges, contact)
             checked += 1
     assert checked > 1000
+
+
+# ---------------------------------------------------------------------------
+# the split against the reference split
+# ---------------------------------------------------------------------------
+
+def chain(size, order=None):
+    """A path of ``size`` edges, agent i -> i + 1, cut into two-edge
+    atom-paths from the bottom up; the j-th of them carries item
+    ``order[j]`` (item j by default), and an odd chain's top edge item
+    ``size // 2``."""
+    order = list(order or range(size // 2)) + [size // 2]
+    return make_tree(
+        tuple(Edge(i, i + 1, order[i // 2]) for i in range(size))
+    )
+
+
+def test_split_matches_the_reference_on_tie_free_forests():
+    checked = 0
+    for seed in range(240):
+        n = 2 + seed % 12
+        inst = tie_free((CHORES, GOODS)[seed % 2], n, n + seed % (2 * n), seed)
+        for tree in fractional_run(inst)[2]:
+            assert split_tree(tree) == reference_split_tree(tree)
+            checked += bool(find_atom_paths(tree))
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 9, 10, 40, 101, 300, 600])
+def test_split_matches_the_reference_on_chains(size):
+    pairs = size // 2
+    shuffled = list(range(pairs))
+    random.Random(size).shuffle(shuffled)
+    for order in (None, list(reversed(range(pairs))), shuffled):
+        tree = chain(size, order)
+        assert split_tree(tree) == reference_split_tree(tree)
+
+
+def test_split_of_a_long_chain_in_closed_form():
+    # 1,200 two-edge atom-paths, item i over agents 2i, 2i+1, 2i+2: each
+    # peel leaves two lone agents and one piece holding every later path
+    tree = chain(2400)
+    parts = split_tree(tree)
+    assert len(parts) == 1200
+    assert all(isinstance(p, ExpandedAtomPath) and p.h == 0 for p in parts)
+    assert [p.path.item for p in parts] == list(range(1200))
+    assert [p.path.agents for p in parts] == [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(1200)]
+    assert sum(Fraction(p.k + p.h, 3) for p in parts) == Fraction(2400, 3)
+    # the same chain with the smallest item on top peels from the root down
+    top_down = split_tree(chain(2400, list(reversed(range(1200)))))
+    assert [p.path.item for p in top_down] == list(range(1200))
+    assert [p.path.agents[0] for p in top_down] == [2398 - 2 * i for i in range(1200)]
+
+
+@pytest.mark.parametrize("arms", [1, 2, 3, 7, 20])
+def test_split_matches_the_reference_on_stars_of_atom_paths(arms):
+    # arm a: a two- or three-edge atom-path into agent 0, with a pendant
+    # edge at every other path agent and a two-edge tail on every third
+    rng = random.Random(arms)
+    edges = []
+    agents = iter(range(1, 10_000))
+    items = iter(rng.sample(range(10_000), 10_000))
+    for a in range(arms):
+        path = [next(agents) for _ in range(2 + a % 2)] + [0]
+        item = next(items)
+        edges += [Edge(u, v, item) for u, v in zip(path, path[1:])]
+        for v in path[1 - a % 2:-1:2]:
+            edges.append(Edge(next(agents), v, next(items)))
+        if a % 3 == 0:
+            tail = next(agents)
+            edges += [Edge(tail, path[0], next(items)), Edge(next(agents), tail, next(items))]
+    tree = make_tree(tuple(edges))
+    parts = split_tree(tree)
+    assert parts == reference_split_tree(tree)
+    assert sum(isinstance(p, ExpandedAtomPath) for p in parts) == arms
+
+
+@st.composite
+def trees_with_atom_paths(draw, max_nodes=40):
+    """A random tree whose edges are cut into upward chains, each chain one
+    item: a chain of two or more edges is an atom-path.  Agents and items
+    are numbered in drawn orders."""
+    size = draw(st.integers(2, max_nodes))
+    parent = [None] + [draw(st.integers(0, v - 1)) for v in range(1, size)]
+    item_of = [None] * size
+    chains = 0
+    for v in draw(st.permutations(range(1, size))):
+        if item_of[v] is not None:
+            continue
+        u = v
+        while True:
+            item_of[u] = chains
+            u = parent[u]
+            if u == 0 or item_of[u] is not None or not draw(st.booleans()):
+                break
+        chains += 1
+    agent = draw(st.permutations(range(size)))
+    item = draw(st.permutations(range(chains)))
+    return make_tree(
+        tuple(Edge(agent[v], agent[parent[v]], item[item_of[v]]) for v in range(1, size))
+    )
+
+
+@given(trees_with_atom_paths())
+@settings(max_examples=300, deadline=None)
+def test_split_matches_the_reference_on_generated_trees(tree):
+    assert split_tree(tree) == reference_split_tree(tree)

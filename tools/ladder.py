@@ -12,12 +12,19 @@ in each tree, the two trees alternating which goes first:
 - on a second copy, each stage on its own, in pipeline order: ``validate``
   (``require_valid``, which builds the integer rows), ``reduce``
   (``reduce_to_ido``), ``bid_and_take``, ``forest`` (the graph, its trees
-  and the fractional items);
+  and the fractional items), and ``split`` (``split_tree`` on each tree of
+  that forest, fresh from ``forest``, so any index a tree keeps is built
+  inside it);
 - ``split_round``: ``round_tree`` on each tree of the first copy, which
   keeps its fractional stage;
 - ``rest``: a second ``run_pipeline`` on the first copy, timed directly,
   with ``round_tree`` handing back the roundings ``split_round`` made: the
   per-tree emit choice, integralize, lift, subsidies and the certificate.
+
+Beside the ladder, ``chains`` times ``split_tree`` alone on paths of
+``CHAINS`` edges cut into two-edge atom-paths, item j on edges 2j and
+2j + 1, so every peel leaves one piece holding every later atom-path: a
+fresh tree per run, the two trees alternating.
 
 Every timed call starts after a full ``gc.collect()``.  Each stage gets
 the median over ``RUNS`` runs and the distance between their quartiles, in
@@ -44,11 +51,14 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 PACKAGE = "subsidy_fairdiv"
-MODULES = ("model", "ido", "fbta", "graph", "rounding", "oracle")
+MODULES = ("model", "ido", "fbta", "graph", "split", "rounding", "oracle")
 SIZES = ((10, 20), (30, 60), (120, 240), (300, 600), (1200, 2400))
 KINDS = ("chores", "goods")
+CHAINS = (300, 600, 1200, 2400)
 RUNS = 5
-STAGES = ("validate", "reduce", "bid_and_take", "forest", "split_round", "rest", "pipeline")
+STAGES = (
+    "validate", "reduce", "bid_and_take", "forest", "split", "split_round", "rest", "pipeline",
+)
 
 
 def load_speed():
@@ -90,8 +100,8 @@ def timed(call, *args):
 
 def one_run(mods: dict, source) -> dict[str, float]:
     """Every stage's time, in seconds, on fresh copies of ``source``."""
-    model, ido, fbta, graph, rounding = (
-        mods[name] for name in ("model", "ido", "fbta", "graph", "rounding")
+    model, ido, fbta, graph, split, rounding = (
+        mods[name] for name in ("model", "ido", "fbta", "graph", "split", "rounding")
     )
 
     def fresh():
@@ -99,6 +109,9 @@ def one_run(mods: dict, source) -> dict[str, float]:
 
     def forest(alloc, trace):
         return tuple(graph.trees(graph.build_graph(trace))), tuple(fbta.fractional_items(alloc))
+
+    def split_all(trees):
+        return [split.split_tree(tree) for tree in trees]
 
     def split_round(ido_inst, alloc, trees):
         return [rounding.round_tree(ido_inst, alloc, tree) for tree in trees]
@@ -110,7 +123,8 @@ def one_run(mods: dict, source) -> dict[str, float]:
     _, times["validate"] = timed(model.require_valid, inst)
     (ido_inst, _), times["reduce"] = timed(ido.reduce_to_ido, inst)
     (alloc, trace), times["bid_and_take"] = timed(fbta.bid_and_take, ido_inst, fbta.NORMALIZED)
-    _, times["forest"] = timed(forest, alloc, trace)
+    (fresh_trees, _), times["forest"] = timed(forest, alloc, trace)
+    _, times["split"] = timed(split_all, fresh_trees)
     # split + round on the first copy's own stage, so that its results can
     # stand in for ``round_tree`` while its second pipeline run is timed
     ido_first, _, alloc_first, _, _, trees, _ = first.__dict__["_fractional_stage"]
@@ -164,6 +178,32 @@ def ladder(trees: dict[str, Path], probe) -> dict:
     return {"sections": result, "probes": probes}
 
 
+def chain(graph, size: int):
+    """A path of ``size`` edges, agent i -> i + 1, item j on edges 2j and 2j + 1."""
+    return graph.make_tree(tuple(graph.Edge(i, i + 1, i // 2) for i in range(size)))
+
+
+def chains(trees: dict[str, Path]) -> dict[str, list]:
+    """Median and interquartile range of ``split_tree`` on each chain, per tree."""
+    mods = {label: import_tree(path) for label, path in trees.items()}
+    labels = list(trees)
+    result: dict[str, list] = {label: [] for label in labels}
+    for size in CHAINS:
+        samples: dict[str, list[float]] = {label: [] for label in labels}
+        for r in range(RUNS):
+            for label in labels[r % 2:] + labels[: r % 2]:
+                tree = chain(mods[label]["graph"], size)
+                _, t = timed(mods[label]["split"].split_tree, tree)
+                samples[label].append(t)
+        for label in labels:
+            result[label].append({
+                "edges": size,
+                "median_s": round(statistics.median(samples[label]), 6),
+                "iqr_s": round(iqr(samples[label]), 6),
+            })
+    return result
+
+
 def tier1(tree: Path) -> dict:
     """Wall time and summary line of the tree's tier-1 suite."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -185,6 +225,7 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": HERE}
     speed = load_speed()
     found = ladder(trees, speed.probe)
+    split_chains = chains(trees)
     doc = {
         "what": "median and interquartile range, in seconds, per stage of run_pipeline, "
                 "gen_random_instance(seed=1), fresh Instance per run; see tools/ladder.py",
@@ -198,7 +239,11 @@ def main(argv=None) -> int:
         },
     }
     for label, tree in trees.items():
-        doc[label] = {"ladder": found["sections"][label], "tier1": tier1(tree)}
+        doc[label] = {
+            "ladder": found["sections"][label],
+            "chains": split_chains[label],
+            "tier1": tier1(tree),
+        }
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     return 0
 
