@@ -12,7 +12,7 @@ and the generator.  Every other name is imported from its own submodule.
 
 __version__ = "0.1.0"
 
-from .fbta import AllocationTrace, SuccessorRecord, TraceEvent
+from .fbta import AllocationTrace, SuccessorRecord
 from .graph import Edge, ItemSharingGraph, to_dot
 from .ido import RankProfile
 from .model import (
@@ -57,7 +57,6 @@ __all__ = [
     "RankProfile",
     "AllocationTrace",
     "SuccessorRecord",
-    "TraceEvent",
     "ItemSharingGraph",
     "Edge",
     "PipelineResult",

@@ -1,11 +1,12 @@
-"""Fractional bid-and-take: continuous greedy WPROP allocation with a trace.
+"""Fractional bid-and-take: continuous greedy WPROP allocation.
 
 Items are consumed in the canonical (non-decreasing) order.  Each item is
 continuously given to the active agent whose selection key is best; the
 moment an agent's bundle reaches her proportional share she turns
 inactive and the remainder of the item passes to the next chosen agent,
-her *successor*.  The recorded successor relation is what later builds
-the item-sharing forest.
+her *successor*.  A run records only these hand-offs, its
+:class:`AllocationTrace`; they are all the item-sharing forest is built
+from.
 
 Selection keys, chores:
 
@@ -67,16 +68,6 @@ class StuckError(FBTAError):
 
 
 @dataclass(frozen=True)
-class TraceEvent:
-    """One continuous take: ``agent`` consumed ``fraction`` of ``item``."""
-
-    item: int
-    agent: int
-    fraction: Fraction
-    inactivated: bool
-
-
-@dataclass(frozen=True)
 class SuccessorRecord:
     """``successor`` took over the remainder of ``item`` from ``agent``."""
 
@@ -87,32 +78,17 @@ class SuccessorRecord:
 
 @dataclass(frozen=True)
 class AllocationTrace:
-    """Ordered take events plus the successor relation they induce.
+    """The hand-offs of a run, in the order they happened.
 
-    ``last_item[i]`` is the last item agent ``i`` received a positive
-    fraction of (None when she received nothing).  An agent has a
-    successor record iff she turned inactive strictly before her last
-    item was fully consumed and another agent then took a positive piece
-    of it.
+    An agent has a successor record iff she turned inactive strictly
+    before the item she was taking was fully consumed and another agent
+    then took a positive piece of it; an agent hands off at most once.
     """
 
     kind: str
     n: int
     m: int
-    events: tuple[TraceEvent, ...]
     successors: tuple[SuccessorRecord, ...]
-    last_item: tuple[int | None, ...]
-
-
-def format_trace(trace: AllocationTrace) -> str:
-    """One event per line: item, agent, fraction "p/q", inactivation flag."""
-    lines = [f"# kind={trace.kind} agents={trace.n} items={trace.m}"]
-    for ev in trace.events:
-        flag = "inactivated" if ev.inactivated else "-"
-        lines.append(f"item={ev.item} agent={ev.agent} fraction={ev.fraction} {flag}")
-    for rec in trace.successors:
-        lines.append(f"successor agent={rec.agent} -> {rec.successor} item={rec.item}")
-    return "\n".join(lines) + "\n"
 
 
 def bid_and_take(
@@ -145,16 +121,12 @@ def bid_and_take(
     over = [1] * n
     active = list(range(n))
     columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
-    events: list[TraceEvent] = []
     successors: list[SuccessorRecord] = []
-    last_item: list[int | None] = [None] * n
 
     def take(agent: int, item: int, fraction: Fraction, inactivated: bool) -> None:
         nonlocal pending
-        events.append(TraceEvent(item, agent, fraction, inactivated))
         if fraction.numerator > 0:
             columns[item].append((agent, fraction))
-            last_item[agent] = item
             if pending is not None:
                 successors.append(SuccessorRecord(pending, agent, item))
                 pending = None
@@ -194,7 +166,7 @@ def bid_and_take(
                     only = active[0]
                     take(only, j, z, inactivated=False)
                     for rest in range(j + 1, m):
-                        take(only, rest, ONE, inactivated=False)
+                        columns[rest].append((only, ONE))
                     j = m
                     break
             else:
@@ -208,21 +180,13 @@ def bid_and_take(
                 j += 1
                 break
 
-    # events reach an item in take order; columns list agents by index
+    # takes reach an item in take order; columns list agents by index
     allocation = FractionalAllocation._from_columns(
         n, tuple(tuple(sorted(column)) for column in columns)
     )
     if not allocation.is_complete():
         raise FBTAError("bid-and-take left an item partially allocated")
-    trace = AllocationTrace(
-        kind=inst.kind,
-        n=n,
-        m=m,
-        events=tuple(events),
-        successors=tuple(successors),
-        last_item=tuple(last_item),
-    )
-    return allocation, trace
+    return allocation, AllocationTrace(inst.kind, n, m, tuple(successors))
 
 
 def fbta(
@@ -232,7 +196,7 @@ def fbta(
 
     Returns a complete fractional allocation with ``c_i(x_i) <= share_i``
     (chores) or ``v_i(x_i) >= share_i`` (goods) for every agent and at
-    most ``n - 1`` fractional items, plus the trace.
+    most ``n - 1`` fractional items, plus the hand-offs.
     """
     require_valid(inst)
     if not is_ido(inst):

@@ -3,7 +3,10 @@
 Each agent with a successor contributes one edge, pointing at the
 successor and labeled with the shared item.  Out-degree is at most one,
 so the graph is a forest; treating each successor as a parent yields
-rooted trees whose roots are the agents with no outgoing edge.
+rooted trees whose roots are the agents with no outgoing edge.  One walk
+down from each root, along the edges into each agent it reaches, finds
+every tree; an agent with two successors, or one that no root reaches
+(it lies on a cycle or above one), is rejected there.
 
 An item shared by three or more agents (a *shattered* item) shows up as
 two or more edges with the same label; those edges always form a
@@ -117,93 +120,79 @@ class _TreeIndex:
 
 
 def build_graph(trace: AllocationTrace) -> ItemSharingGraph:
-    """Assemble the forest from a bid-and-take trace."""
+    """Assemble the forest's edges from a bid-and-take trace.
+
+    Every hand-off must name agents and an item of the trace, and no
+    agent may hand off twice; :func:`trees` rejects a cycle.
+    """
+    n, m = trace.n, trace.m
     edges = []
     seen_tails = set()
     for rec in trace.successors:
+        if not (0 <= rec.agent < n and 0 <= rec.successor < n and 0 <= rec.item < m):
+            raise GraphError(
+                f"hand-off {rec.agent} -> {rec.successor} of item {rec.item} lies outside "
+                f"the trace's {n} agents and {m} items"
+            )
         if rec.agent in seen_tails:
             raise GraphError(f"agent {rec.agent} has two successors in the trace")
         seen_tails.add(rec.agent)
         edges.append(Edge(rec.agent, rec.successor, rec.item))
     edges.sort(key=lambda e: (e.item, e.tail))
-    graph = ItemSharingGraph(trace.n, tuple(edges))
-    _check_forest(graph)
-    return graph
+    return ItemSharingGraph(trace.n, tuple(edges))
 
 
-def _check_forest(graph: ItemSharingGraph) -> None:
-    if len(graph.edges) > max(graph.n - 1, 0):
-        raise GraphError(f"{len(graph.edges)} edges for {graph.n} agents")
-    out = {e.tail: e.head for e in graph.edges}
-    # each walk stops at an agent an earlier walk reached, so every agent is
-    # walked once; meeting an agent of the current walk closes a cycle
-    walk_of: dict[int, int] = {}
-    for walk, start in enumerate(out):
-        v = start
-        while v in out and v not in walk_of:
-            walk_of[v] = walk
-            v = out[v]
-        if walk_of.get(v) == walk:
-            raise GraphError("successor relation contains a cycle")
-
-
-def components(edges: Iterable[Edge], nodes: Iterable[int] = ()) -> list[Tree]:
-    """Connected components of a forest's edges as rooted trees.
+def _forest(edges: Iterable[Edge], nodes: Iterable[int]) -> list[Tree]:
+    """The trees of a forest's edges, each walked down from its root.
 
     Every agent in ``nodes`` appears, as a one-node tree when no edge
-    touches it; other agents appear only through their edges.  Trees are
-    ordered by their smallest agent.  A component's root is its unique
-    agent without an outgoing edge; a component without exactly one, or
-    with an edge more than a tree has, is rejected.
+    touches it; other agents appear only through their edges.  A root is
+    an agent without an outgoing edge, and its tree is every agent it
+    reaches backwards along the edges.  Trees are ordered by their
+    smallest agent, with their nodes sorted and their edges by item, then
+    tail.
     """
-    edges = tuple(edges)
-    neighbors: dict[int, list[int]] = {v: [] for v in nodes}
+    into: dict[int, list[Edge]] = {v: [] for v in nodes}
+    tails = set()
     for e in edges:
-        neighbors.setdefault(e.tail, []).append(e.head)
-        neighbors.setdefault(e.head, []).append(e.tail)
-    label: dict[int, int] = {}
-    groups: list[list[int]] = []
-    for start in sorted(neighbors):
-        if start in label:
-            continue
-        label[start] = len(groups)
-        group = [start]
-        for v in group:
-            for w in neighbors[v]:
-                if w not in label:
-                    label[w] = len(groups)
-                    group.append(w)
-        groups.append(group)
-    members: list[list[Edge]] = [[] for _ in groups]
-    for e in edges:
-        members[label[e.tail]].append(e)
-    out = []
-    for group, es in zip(groups, members):
-        tails = {e.tail for e in es}
-        roots = [v for v in group if v not in tails]
-        if len(roots) != 1:
-            raise GraphError(f"edge set has {len(roots)} roots, expected exactly one")
-        if len(es) != len(group) - 1:
-            raise GraphError(f"{len(es)} edges join {len(group)} agents, so no tree")
-        es.sort(key=lambda e: (e.item, e.tail))
-        out.append(Tree(roots[0], tuple(sorted(group)), tuple(es)))
-    return out
+        if e.tail in tails:
+            raise GraphError(f"agent {e.tail} has two successors")
+        tails.add(e.tail)
+        into.setdefault(e.tail, [])
+        into.setdefault(e.head, []).append(e)
+    found = []
+    reached = 0
+    for root in into.keys() - tails:
+        below = list(into[root])
+        # an agent has at most one outgoing edge, so at most one walk meets
+        # it, once; an agent that none meets lies on or above a cycle
+        for e in below:
+            below += into[e.tail]
+        reached += 1 + len(below)
+        agents = sorted([root, *(e.tail for e in below)])
+        below.sort(key=lambda e: (e.item, e.tail))
+        found.append(Tree(root, tuple(agents), tuple(below)))
+    if reached < len(into):
+        raise GraphError("successor relation contains a cycle")
+    found.sort(key=lambda t: t.nodes[0])
+    return found
 
 
 def trees(graph: ItemSharingGraph) -> list[Tree]:
     """Every tree of the forest, singletons included, by smallest agent.
 
-    Item sets of distinct trees are disjoint.
+    Item sets of distinct trees are disjoint.  An agent with two
+    successors, or on or above a cycle, is rejected.
     """
-    return components(graph.edges, range(graph.n))
+    return _forest(graph.edges, range(graph.n))
 
 
 def make_tree(edges: tuple[Edge, ...], nodes: tuple[int, ...] = ()) -> Tree:
-    """The one tree :func:`components` finds in the edges and ``nodes``.
+    """The one tree that the edges and ``nodes`` form.
 
     Edges and nodes that form no tree or several trees are rejected.
     """
-    found = components(edges, nodes)
+    found = _forest(edges, nodes)
     if len(found) != 1:
         raise GraphError(f"edge set forms {len(found)} trees, expected exactly one")
     return found[0]

@@ -49,7 +49,7 @@ from math import lcm
 from typing import Iterable
 
 from .fbta import NORMALIZED, AllocationTrace, bid_and_take, fractional_items
-from .graph import ItemSharingGraph, Tree, build_graph, has_atom_path, trees
+from .graph import ItemSharingGraph, Tree, build_graph, trees
 from .ido import RankProfile, lift_allocation, reduce_to_ido
 from .model import (
     CHORES,
@@ -384,10 +384,9 @@ def round_tree(
         Pair: round_pair,
         ExpandedAtomPath: round_expanded_atom_path,
     }
-    components = [
-        rounders[type(comp)](inst, alloc, comp) for comp in split_tree(tree)
-    ]
-    has_ap = has_atom_path(tree.edges)
+    split = split_tree(tree)
+    components = [rounders[type(comp)](inst, alloc, comp) for comp in split]
+    has_ap = any(type(comp) is ExpandedAtomPath for comp in split)
     bound = Fraction(tree.size, 3)
     if not has_ap and tree.size % 2 == 1:
         bound += Fraction(1, 6)

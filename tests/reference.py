@@ -12,6 +12,8 @@ sums here, never the integer units the package computes in.
 The tree split has one too: the split as it was before trees kept an
 index, which finds the smallest atom-path, every component of the rest
 and every donated piece with a fresh search of the edges, once per peel.
+Its search, :func:`reference_components`, is also the reference of the
+forest: an undirected search of the edges, one component at a time.
 
 The documents the package writes have a reference too: the standard
 library's ``json.dumps``, which the package's own writer must match byte
@@ -29,9 +31,8 @@ from hypothesis import example, strategies as st
 
 from subsidy_fairdiv import CHORES, GOODS, Instance
 from subsidy_fairdiv.fbta import NORMALIZED, RAW_COST, StuckError, bid_and_take
-from subsidy_fairdiv.graph import AtomPath, GraphError, build_graph, components, trees
+from subsidy_fairdiv.graph import AtomPath, GraphError, Tree, build_graph, trees
 from subsidy_fairdiv.ido import reduce_to_ido
-from subsidy_fairdiv.rounding import round_tree
 from subsidy_fairdiv.split import ExpandedAtomPath, Pair, SingleEdge, SplitError
 
 ZERO = Fraction(0)
@@ -130,7 +131,7 @@ def reference_lift(inst, ido_owner):
 # ---------------------------------------------------------------------------
 
 def reference_bid_and_take(inst, selection):
-    """(columns, events, successors, last_item) of the run, or ``StuckError``.
+    """(columns, successors) of the run, or ``StuckError``.
 
     Keys are ``Fraction``s (``c_i(e) / c_i(M)``, or ``c_i(e)`` under the
     raw-cost rule), best first and ties to the lower index; capacities
@@ -149,16 +150,13 @@ def reference_bid_and_take(inst, selection):
     capacity = [share(inst, i) for i in range(n)]
     active = list(range(n))
     columns = [[] for _ in range(m)]
-    events, successors = [], []
-    last_item = [None] * n
+    successors = []
     pending = None
 
     def take(agent, item, fraction, inactivated):
         nonlocal pending
-        events.append((item, agent, fraction, inactivated))
         if fraction > 0:
             columns[item].append((agent, fraction))
-            last_item[agent] = item
             if pending is not None:
                 successors.append((pending, agent, item))
                 pending = None
@@ -191,7 +189,7 @@ def reference_bid_and_take(inst, selection):
                 take(i, j, left, inactivated=False)
                 j += 1
                 break
-    return tuple(tuple(sorted(c)) for c in columns), events, successors, tuple(last_item)
+    return tuple(tuple(sorted(c)) for c in columns), successors
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +291,8 @@ def reference_brute_force(inst, alloc):
 def reference_emit(inst, alloc, forest):
     """(emitted per tree, reduced owner): a tree emits threshold rounding when
     its agents' subsidies, from the items they hold whole plus the tree's
-    assignment, sum to strictly less under it than under the split."""
+    assignment, sum to strictly less under it than under the split.  The
+    split assignment is the reference rounding of each reference component."""
     owner = [column[0][0] if len(column) == 1 else None for column in alloc.columns]
     whole = [ZERO] * inst.n
     for e, o in enumerate(owner):
@@ -309,8 +308,8 @@ def reference_emit(inst, alloc, forest):
     emitted = []
     for tree in forest:
         split = {}
-        for comp in round_tree(inst, alloc, tree).components:
-            split.update(comp.assignment)
+        for comp in reference_split_tree(tree):
+            split.update(REFERENCE_COMPONENTS[comp.kind](inst, alloc, comp)[1])
         threshold = {item: largest_holder(alloc, item) for item in split}
         if tree_subsidy(tree, threshold) < tree_subsidy(tree, split):
             emitted.append("threshold")
@@ -427,7 +426,7 @@ def reference_atom_path_split(tree):
     rest = [e for e in tree.edges if e.item != path.item]
     attachments = []
     good = []
-    for comp in components(rest):
+    for comp in reference_components(rest):
         if has_atom_path(comp.edges) or comp.size % 2 == 0:
             good.append(comp)
             continue
@@ -439,7 +438,7 @@ def reference_atom_path_split(tree):
         contact = contacts[0]
         donated = reference_choose_attachment(comp.edges, contact)
         attachments.append((contact, donated))
-        for piece in components(e for e in comp.edges if e != donated):
+        for piece in reference_components(e for e in comp.edges if e != donated):
             if piece.size % 2 != 0:
                 raise GraphError("donation left an odd piece; parity broken")
             good.append(piece)
@@ -480,10 +479,53 @@ def reference_choose_attachment(edges, contact):
             continue
         far = e.head if e.tail == contact else e.tail
         rest = [x for x in edges if x != e]
-        far_side = next(t for t in components(rest, (far,)) if far in t.nodes)
+        far_side = next(t for t in reference_components(rest, (far,)) if far in t.nodes)
         if far_side.size % 2 == 0:
             candidates.append(e)
     return min(candidates, key=lambda e: (e.item, e.tail))
+
+
+def reference_components(edges, nodes=()):
+    """Connected components of a forest's edges as rooted trees.
+
+    Every agent in ``nodes`` appears, as a one-node tree when no edge
+    touches it; other agents appear only through their edges.  Trees are
+    ordered by their smallest agent.  A component's root is its unique
+    agent without an outgoing edge; a component without exactly one, or
+    with an edge more than a tree has, is rejected.
+    """
+    edges = tuple(edges)
+    neighbors = {v: [] for v in nodes}
+    for e in edges:
+        neighbors.setdefault(e.tail, []).append(e.head)
+        neighbors.setdefault(e.head, []).append(e.tail)
+    label = {}
+    groups = []
+    for start in sorted(neighbors):
+        if start in label:
+            continue
+        label[start] = len(groups)
+        group = [start]
+        for v in group:
+            for w in neighbors[v]:
+                if w not in label:
+                    label[w] = len(groups)
+                    group.append(w)
+        groups.append(group)
+    members = [[] for _ in groups]
+    for e in edges:
+        members[label[e.tail]].append(e)
+    out = []
+    for group, es in zip(groups, members):
+        tails = {e.tail for e in es}
+        roots = [v for v in group if v not in tails]
+        if len(roots) != 1:
+            raise GraphError(f"edge set has {len(roots)} roots, expected exactly one")
+        if len(es) != len(group) - 1:
+            raise GraphError(f"{len(es)} edges join {len(group)} agents, so no tree")
+        es.sort(key=lambda e: (e.item, e.tail))
+        out.append(Tree(roots[0], tuple(sorted(group)), tuple(es)))
+    return out
 
 
 # ---------------------------------------------------------------------------

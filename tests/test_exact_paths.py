@@ -45,7 +45,7 @@ from subsidy_fairdiv import (
 )
 from subsidy_fairdiv import model
 from subsidy_fairdiv.cli import main
-from subsidy_fairdiv.fbta import NORMALIZED, bid_and_take, format_trace
+from subsidy_fairdiv.fbta import NORMALIZED, bid_and_take
 from subsidy_fairdiv.ido import is_ido, reduce_to_ido
 from subsidy_fairdiv.model import ONE, frac, require_valid
 from subsidy_fairdiv.rounding import BASELINE, TREE, ComponentRounding, HALF, run_pipeline
@@ -67,10 +67,8 @@ def test_pipeline_pieces_match_reference(inst):
     rows, sigma = reference_reduce(inst)
     assert result.ido_instance.costs == rows
     assert result.profile.sigma == sigma
-    _, events, _, _ = reference_bid_and_take(result.ido_instance, NORMALIZED)
-    assert [
-        (ev.item, ev.agent, ev.fraction, ev.inactivated) for ev in result.trace.events
-    ] == events
+    _, successors = reference_bid_and_take(result.ido_instance, NORMALIZED)
+    assert [(r.agent, r.successor, r.item) for r in result.trace.successors] == successors
     assert result.allocation.owner == reference_lift(inst, result.ido_allocation.owner)
     for e in range(inst.m):
         assert result.fractional.sharers(e) == tuple(
@@ -215,7 +213,7 @@ def _documents(result):
     return (
         serialize_allocation(result.allocation, result.subsidies),
         result.certificate.to_json(),
-        format_trace(result.trace),
+        result.trace,
         to_dot(result.graph),
     )
 

@@ -12,12 +12,16 @@ from pathlib import Path
 import pytest
 
 from subsidy_fairdiv.cli import main
+from subsidy_fairdiv.fbta import NORMALIZED, bid_and_take
+from subsidy_fairdiv.graph import build_graph, trees
+from subsidy_fairdiv.ido import reduce_to_ido
 from subsidy_fairdiv.model import parse_instance, serialize_instance
 from subsidy_fairdiv.split import split_tree
 
 from reference import (
     fractional_run,
     instance_document,
+    reference_components,
     reference_document,
     reference_split_tree,
 )
@@ -88,6 +92,14 @@ def test_golden_corpus_keeps_tied_cases_of_both_kinds():
         if case.get("gen", {}).get("denominator", 10) <= 2
     }
     assert coarse >= {"chores", "goods"}
+
+
+def test_golden_forests_match_the_reference_forests():
+    for case in CASES:
+        ido_inst, _ = reduce_to_ido(parse_instance(regen.instance_text(case)))
+        graph = build_graph(bid_and_take(ido_inst, NORMALIZED)[1])
+        expected = reference_components(graph.edges, range(graph.n))
+        assert trees(graph) == expected, case["name"]
 
 
 def test_golden_trees_split_as_the_reference_splits():

@@ -1,15 +1,18 @@
 """Item-sharing forest construction, trees, and atom-path detection."""
+import random
+
 import pytest
 
 from subsidy_fairdiv import (
     CHORES,
+    GOODS,
     Edge,
     Instance,
     ItemSharingGraph,
     gen_random_instance,
     to_dot,
 )
-from subsidy_fairdiv.fbta import fbta
+from subsidy_fairdiv.fbta import NORMALIZED, bid_and_take, fbta
 from subsidy_fairdiv.graph import (
     GraphError,
     build_graph,
@@ -17,7 +20,14 @@ from subsidy_fairdiv.graph import (
     make_tree,
     trees,
 )
+from subsidy_fairdiv.ido import reduce_to_ido
 from conftest import REFERENCE_EDGES
+from reference import reference_components
+
+
+def assert_forest_matches_reference(graph):
+    """The walk down from the roots finds the trees of the undirected search."""
+    assert trees(graph) == reference_components(graph.edges, range(graph.n))
 
 
 def test_worked_example_graph(reference_run):
@@ -63,9 +73,7 @@ def test_two_disjoint_shared_pairs_make_two_trees():
         kind=CHORES,
         n=4,
         m=2,
-        events=(),
         successors=(SuccessorRecord(0, 1, 0), SuccessorRecord(2, 3, 1)),
-        last_item=(0, 0, 1, 1),
     )
     forest = trees(build_graph(trace))
     assert [(t.root, t.size, t.nodes) for t in forest] == [
@@ -138,12 +146,10 @@ def test_duplicate_outgoing_edge_rejected():
         kind=CHORES,
         n=3,
         m=2,
-        events=(),
         successors=(
             SuccessorRecord(0, 1, 0),
             SuccessorRecord(0, 2, 1),
         ),
-        last_item=(0, 1, 1),
     )
     with pytest.raises(GraphError):
         build_graph(trace)
@@ -163,26 +169,77 @@ def _successor_trace(n, hand_offs):
         kind=CHORES,
         n=n,
         m=len(hand_offs),
-        events=(),
         successors=tuple(SuccessorRecord(a, s, e) for e, (a, s) in enumerate(hand_offs)),
-        last_item=(None,) * n,
     )
 
 
 def test_cycle_below_a_long_chain_rejected():
-    # 0 -> 1 -> ... -> 2000 runs into the cycle 2000 -> 2001 -> 2000; the
-    # idle agents keep the edge count legal.  Reversed, the walks start at
-    # the cycle instead of the chain's far end.
+    # 0 -> 1 -> ... -> 2000 runs into the cycle 2000 -> 2001 -> 2000, which
+    # no root reaches; the idle agents are roots of their own.  Reversed,
+    # the hand-offs list the cycle first.
     hand_offs = [(v, v + 1) for v in range(2001)] + [(2001, 2000)]
     for order in (hand_offs, hand_offs[::-1]):
+        graph = build_graph(_successor_trace(4000, order))
         with pytest.raises(GraphError, match="cycle"):
-            build_graph(_successor_trace(4000, order))
+            trees(graph)
+        with pytest.raises(GraphError):
+            reference_components(graph.edges, range(graph.n))
 
 
 def test_long_path_accepted():
     n = 5000
     graph = build_graph(_successor_trace(n, [(v, v + 1) for v in range(n - 1)]))
     assert len(graph.edges) == n - 1
+    (tree,) = trees(graph)
+    assert (tree.root, tree.size, tree.nodes) == (n - 1, n - 1, tuple(range(n)))
+    assert_forest_matches_reference(graph)
+
+
+def test_forest_matches_the_reference_on_acceptance_shapes():
+    # the shapes of the acceptance suite: n = 2..10, m <= 20, both kinds
+    for seed in range(300):
+        n = 2 + seed % 9
+        inst = gen_random_instance(
+            n=n, m=n + (seed * 7) % (21 - n), kind=(CHORES, GOODS)[seed % 2],
+            seed=seed, dist=("uniform", "correlated")[(seed // 2) % 2],
+        )
+        _, trace = bid_and_take(reduce_to_ido(inst)[0], NORMALIZED)
+        assert_forest_matches_reference(build_graph(trace))
+
+
+def test_forest_matches_the_reference_on_generated_forests():
+    # each agent hands off to a random agent numbered above it, or to nobody,
+    # on one of n // 2 + 1 items; the agents are then numbered in a random order
+    rng = random.Random(23)
+    for n in range(1, 62):
+        for _ in range(10):
+            label = rng.sample(range(n), n)
+            edges = tuple(
+                Edge(label[v], label[rng.randrange(v + 1, n)], rng.randrange(n // 2 + 1))
+                for v in range(n - 1)
+                if rng.random() < 0.8
+            )
+            assert_forest_matches_reference(ItemSharingGraph(n, edges))
+
+
+def test_hand_off_to_an_agent_outside_the_trace_rejected():
+    from subsidy_fairdiv.fbta import AllocationTrace, SuccessorRecord
+
+    for record in (SuccessorRecord(0, 7, 0), SuccessorRecord(-1, 1, 0)):
+        trace = AllocationTrace(kind=CHORES, n=2, m=1, successors=(record,))
+        with pytest.raises(GraphError, match="outside"):
+            build_graph(trace)
+
+
+def test_hand_off_of_an_item_outside_the_trace_rejected():
+    from subsidy_fairdiv.fbta import AllocationTrace, SuccessorRecord
+
+    for item in (5, 1, -1):
+        trace = AllocationTrace(
+            kind=CHORES, n=2, m=1, successors=(SuccessorRecord(0, 1, item),)
+        )
+        with pytest.raises(GraphError, match="outside"):
+            build_graph(trace)
 
 
 def test_make_tree_needs_single_root():
@@ -192,7 +249,7 @@ def test_make_tree_needs_single_root():
 
 def test_make_tree_rejects_a_second_path_to_the_root():
     # one root and connected, but agent 0 reaches root 3 two ways
-    with pytest.raises(GraphError, match="4 edges join 4 agents"):
+    with pytest.raises(GraphError, match="agent 0 has two successors"):
         make_tree((Edge(0, 1, 0), Edge(0, 2, 1), Edge(1, 3, 2), Edge(2, 3, 3)))
 
 

@@ -6,8 +6,8 @@ unchanged; bid-and-take selects by comparing ``r_a[e] * R_b`` with
 ``r_b[e] * R_a`` and stores only the positive fractions of each item.  The
 references in ``tests/reference.py`` sort, pick and take with ``Fraction``
 keys and capacities.  The properties require the same sigma, reduced rows,
-lifted owners, columns, dense shares, sharers, trace events, successors,
-last items and ``StuckError``s, on the reference instance strategy and its
+lifted owners, columns (of ``Fraction``s), dense shares, sharers,
+successors and ``StuckError``s, on the reference instance strategy and its
 ``EDGE_CASES`` (the goods lone-agent path, m = 0, n = 1, zero rows).
 """
 from fractions import Fraction
@@ -45,7 +45,7 @@ def fresh(inst):
 
 def assert_run_matches_reference(inst, selection):
     try:
-        columns, events, successors, last_item = reference_bid_and_take(inst, selection)
+        columns, successors = reference_bid_and_take(inst, selection)
     except StuckError:
         with pytest.raises(StuckError):
             bid_and_take(inst, selection)
@@ -59,10 +59,8 @@ def assert_run_matches_reference(inst, selection):
     assert [alloc.sharers(e) for e in range(inst.m)] == [
         tuple(a for a, _ in column) for column in columns
     ]
-    assert [(ev.item, ev.agent, ev.fraction, ev.inactivated) for ev in trace.events] == events
-    assert all(type(ev.fraction) is Fraction for ev in trace.events)
+    assert all(type(x) is Fraction for column in alloc.columns for _, x in column)
     assert [(r.agent, r.successor, r.item) for r in trace.successors] == successors
-    assert trace.last_item == last_item
     assert alloc.is_complete()
 
 
@@ -117,8 +115,11 @@ def test_raw_cost_run_matches_reference(inst):
 
 
 def test_examples_reach_the_lone_agent_path_and_stuck_runs():
-    _, trace = bid_and_take(reduce_to_ido(LONE_AGENT)[0], NORMALIZED)
-    assert [(ev.item, ev.agent) for ev in trace.events] == [(0, 0), (1, 0), (1, 1), (2, 1)]
+    # agent 0 fills up halfway through item 1; the lone agent 1 takes the rest
+    alloc, trace = bid_and_take(reduce_to_ido(LONE_AGENT)[0], NORMALIZED)
+    half = Fraction(1, 2)
+    assert alloc.columns == (((0, 1),), ((0, half), (1, half)), ((1, 1),))
+    assert [(r.agent, r.successor, r.item) for r in trace.successors] == [(0, 1, 1)]
     stuck = Instance(
         CHORES,
         ("1/3", "1/3", "1/3"),

@@ -24,7 +24,6 @@ SURFACE = [
     "RankProfile",
     "AllocationTrace",
     "SuccessorRecord",
-    "TraceEvent",
     "ItemSharingGraph",
     "Edge",
     "PipelineResult",

@@ -4,7 +4,8 @@ A reference that reads a cache (``_rows``, ``_units``), a private helper
 (``_Pricer``, ``_bundle_ints``) or calls the package code it is meant to
 check agrees with that code by construction.  The guard parses the module
 and lists every single-underscore name or attribute and every use of the
-package's share, subsidy and integer-scaling helpers.
+package's share, subsidy and integer-scaling helpers and of its tree
+rounding.
 """
 import ast
 from pathlib import Path
@@ -17,6 +18,7 @@ FORBIDDEN = {
     "threshold_owner",
     "scaled",
     "exact_sum",
+    "round_tree",
 }
 
 
@@ -58,6 +60,8 @@ def test_guard_catches_each_kind_of_violation():
         "import subsidy_fairdiv.rounding.threshold_owner": "threshold_owner",
         "rounding.local_subsidy(inst, alloc, {})": "local_subsidy",
         "compute = model.compute_subsidies": "compute_subsidies",
+        "from subsidy_fairdiv.rounding import round_tree": "round_tree",
+        "rounding.round_tree(inst, alloc, tree)": "round_tree",
     }
     for line, name in planted.items():
         assert name in [n for _, n in guard_violations(f"{source}\n{line}\n")], line
