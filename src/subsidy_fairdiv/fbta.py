@@ -24,8 +24,9 @@ Selection keys, chores:
 
 Goods use only the symmetric ``normalized`` rule (maximize
 ``v_i(e)/v_i(M)``) and hand all remaining items to the last active agent.
-:func:`fbta` checks its input, then runs :func:`bid_and_take`, the
-unchecked core that the pipeline calls.
+:func:`fbta` checks its input, then runs :func:`bid_and_take`, which
+runs the unchecked core on the instance's integer rows; the pipeline calls
+that core on the reduced rows it builds and then lets go.
 
 Agents with an all-zero row have share zero and an undefined ratio; they
 participate with key 0 and never turn inactive, so for chores they soak
@@ -99,8 +100,22 @@ def bid_and_take(
     The caller guarantees a valid IDO instance and a known selection rule;
     :func:`fbta` checks both first.
     """
-    n, m = inst.n, inst.m
-    goods = inst.kind == GOODS
+    return _bid_and_take(inst.kind, inst._rows, inst._units, selection)
+
+
+def _bid_and_take(
+    kind: str,
+    rows: tuple[tuple[tuple[int, ...], int], ...],
+    units: tuple[tuple[int, int, int], ...],
+    selection: str,
+) -> tuple[FractionalAllocation, AllocationTrace]:
+    """:func:`bid_and_take` on an instance's integer rows and units.
+
+    The fractional stage of the pipeline builds the reduced rows, runs
+    this on them and lets them go, so the reduced instance never keeps them.
+    """
+    n, m = len(rows), len(rows[0][0]) if rows else 0
+    goods = kind == GOODS
     # With agent a's row as integers r_a over its denominator d_a, her key
     # for item e is r_a[e] / den_a for keys[a] = (r_a, den_a).  Normalized,
     # c_a(e) / c_a(M) = r_a[e] / R_a with R_a = sum(r_a), so d_a cancels; a
@@ -110,14 +125,14 @@ def bid_and_take(
     # the best key of either kind, ties to the lower index.
     sign = -1 if goods else 1
     if selection == RAW_COST:
-        keys = [(ints, sign * d) for ints, d in inst._rows]
+        keys = [(ints, sign * d) for ints, d in rows]
     else:
-        keys = [(ints, sign * (sum(ints) or 1)) for ints, _ in inst._rows]
+        keys = [(ints, sign * (sum(ints) or 1)) for ints, _ in rows]
     # in agent a's unit item e costs q_a * r_a[e]; her capacity (share minus
     # load) is capacity[a] / over[a] in that unit, and over[a] leaves 1 only
     # once she takes the rest of a split item
-    scale = [q for q, _, _ in inst._units]
-    capacity = [share for _, share, _ in inst._units]
+    scale = [q for q, _, _ in units]
+    capacity = [share for _, share, _ in units]
     over = [1] * n
     active = list(range(n))
     columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
@@ -186,7 +201,7 @@ def bid_and_take(
     )
     if not allocation.is_complete():
         raise FBTAError("bid-and-take left an item partially allocated")
-    return allocation, AllocationTrace(inst.kind, n, m, tuple(successors))
+    return allocation, AllocationTrace(kind, n, m, tuple(successors))
 
 
 def fbta(

@@ -19,16 +19,19 @@ the unit ``q_i * d_i`` (``Instance._units``), in which item ``e`` costs
 and :func:`compute_subsidies` compute in it, and so does the one pricing
 kernel (``rounding._Pricer``) behind component prices, the per-tree emit
 choice and the brute-force oracle.  :func:`parse_instance` converts each
-distinct rational string of a document once.  The reduction permutes only
-the integer rows of an instance, each with one ``itemgetter`` call, and
-hands them, with its units, to the reduced instance, whose ``costs`` are
-built the same way from the source's ``Fraction`` objects only when read.
-A fractional allocation stores only the positive fractions of each item.
-Every cache of a value object (integer rows, units, which give the row
-totals and shares, an instance's violations and fractional stage, the lazy
-``costs`` of a reduced instance, the dense view of an allocation, a
-subsidy total, a certificate's verdict) is computed on first use and is
-invisible to ``==``, ``hash``, ``repr`` and pickling.
+distinct rational string of a document once.  A reduced instance
+(``Instance._permuted``) keeps only its permutation: its source's
+``costs`` and integer rows, one order per row and the direction, with the
+source's units.  Its integer rows and ``costs`` are built from these, one
+``itemgetter`` call per row, only when read, and a single entry is read
+through the permutation without building either (``Instance._entry``), so
+the rounding, which prices at most ``n - 1`` shared items, never builds
+them.  A fractional allocation stores only the positive fractions of each
+item.  Every cache of a value object (integer rows, units, which give the
+row totals and shares, an instance's violations and fractional stage, the
+lazy rows and ``costs`` of a reduced instance, the dense view of an
+allocation, a subsidy total, a certificate's verdict) is computed on first
+use and is invisible to ``==``, ``hash``, ``repr`` and pickling.
 
 Every document the package emits is written by :func:`_document`, byte for
 byte what ``json.dumps(doc, indent=2, sort_keys=True)`` writes, from one
@@ -104,6 +107,7 @@ def frac(value: int | str | Fraction) -> Fraction:
 
 
 _FRACTION = {Fraction}
+_INT = {int}
 
 
 def _frac_matrix(rows: Iterable[Iterable[object]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -200,15 +204,44 @@ class Instance:
 
     @property
     def m(self) -> int:
-        rows = self._rows
+        # a reduced instance counts its source's items, building no rows
+        permutation = self.__dict__.get("_permutation")
+        rows = self._rows if permutation is None else permutation[1]
         return len(rows[0][0]) if rows else 0
 
     __getstate__ = _field_state
 
-    @cached_property
-    def _rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Per row, its :func:`scaled` integers ``r_i`` and denominator ``d_i``."""
-        return tuple(scaled(row) for row in self.costs)
+    def _scaled_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Per row, its :func:`scaled` integers ``r_i`` and denominator ``d_i``.
+
+        A reduced instance permutes its source's rows instead, one
+        :func:`_permute` call per row.  Built afresh on every call; ``_rows``
+        keeps the first one read.
+        """
+        permutation = self.__dict__.get("_permutation")
+        if permutation is None:
+            return tuple(scaled(row) for row in self.costs)
+        _, rows, orders, reverse = permutation
+        return tuple(
+            (_permute(ints, order[::-1] if reverse else order), d)
+            for order, (ints, d) in zip(orders, rows)
+        )
+
+    _rows = cached_property(_scaled_rows)
+
+    def _entry(self, agent: int, item: int) -> int:
+        """``r_agent[item]``, one integer of the rows.
+
+        A reduced instance reads it from its source's row through the
+        permutation, whether or not its own rows are built, and builds
+        nothing.
+        """
+        permutation = self.__dict__.get("_permutation")
+        if permutation is None:
+            return self._rows[agent][0][item]
+        _, source, orders, reverse = permutation
+        order = orders[agent]
+        return source[agent][0][order[~item] if reverse else order[item]]
 
     @cached_property
     def _units(self) -> tuple[tuple[int, int, int], ...]:
@@ -269,13 +302,15 @@ class Instance:
     def _permuted(self, orders: Sequence[Sequence[int]], reverse: bool) -> Instance:
         """This instance with row ``i`` in the order ``orders[i]``, backwards if ``reverse``.
 
-        Only the integer rows are permuted, each with one :func:`_permute`
-        (``itemgetter``) call; goods pass each order backwards.  A
-        permutation changes neither a row's denominator nor its total, so
-        the units are carried over, and the values are already a valid
-        instance's ``Fraction``s, so the constructor is not run again.
-        ``costs`` is built on first read (:meth:`__getattr__`), the same way,
-        from this instance's own ``Fraction`` objects.
+        The result keeps only the permutation: this instance's ``costs`` and
+        integer rows (never the instance itself, which may keep the result),
+        the orders and the direction.  A permutation changes neither a
+        row's denominator nor its total, so the units are carried over, and
+        the values are already a valid instance's ``Fraction``s, so the
+        constructor is not run again.  Its integer rows (:meth:`_scaled_rows`)
+        and ``costs`` (:meth:`__getattr__`) are built on first read, each
+        row with one :func:`_permute` call, from this instance's own
+        objects; :meth:`_entry` reads one entry without building them.
         """
         out = object.__new__(Instance)
         out.__dict__.update(
@@ -283,12 +318,8 @@ class Instance:
             weights=self.weights,
             agent_names=None,
             item_names=None,
-            _rows=tuple(
-                (_permute(ints, order[::-1] if reverse else order), d)
-                for order, (ints, d) in zip(orders, self._rows)
-            ),
             _units=self._units,
-            _permutation=(self.costs, orders, reverse),
+            _permutation=(self.costs, self._rows, orders, reverse),
         )
         return out
 
@@ -298,7 +329,7 @@ class Instance:
         permutation = self.__dict__.get("_permutation") if name == "costs" else None
         if permutation is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        source, orders, reverse = permutation
+        source, _, orders, reverse = permutation
         costs = tuple(
             _permute(row, order[::-1] if reverse else order)
             for order, row in zip(orders, source)
@@ -392,7 +423,13 @@ class IntegralAllocation:
     owner: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "owner", tuple(int(o) for o in self.owner))
+        owner = tuple(self.owner)
+        # one C-level pass over the types: a float, a string or a bool is
+        # no agent index, as in :func:`parse_allocation`
+        if not _INT.issuperset(map(type, owner)):
+            e = next(e for e, o in enumerate(owner) if type(o) is not int)
+            raise ModelError(f"owner[{e}] is {owner[e]!r}, not an agent index")
+        object.__setattr__(self, "owner", owner)
 
     @property
     def m(self) -> int:

@@ -7,7 +7,11 @@ must never exceed its own certificate bound, which brackets the pipeline
 from both sides on any instance small enough to enumerate.  Every
 combination is priced by the rounding kernel (``rounding._Pricer``) over
 all fractional items, based on each agent's share minus the items she
-holds whole, so each combination costs integer additions into one list.
+holds whole, so each combination costs integer additions into one list,
+and the winner's subsidies are that base less the costs of the shared
+items it assigns (``rounding._rounded_subsidies``): the entries read are
+those of the shared items and of each item held whole, and the rows of a
+reduced instance are never built.
 """
 from __future__ import annotations
 
@@ -25,9 +29,8 @@ from .model import (
     IntegralAllocation,
     ModelError,
     SubsidyVector,
-    compute_subsidies,
 )
-from .rounding import _Pricer, _whole_base, integralize
+from .rounding import _Pricer, _rounded_subsidies, _whole_base, integralize
 
 DEFAULT_CAP = 1 << 20
 
@@ -64,7 +67,8 @@ def brute_force_rounding(
             raise EnumerationCapExceeded(
                 f"assignment space exceeds the cap of {cap} combinations"
             )
-    pricer = _Pricer(inst, alloc, [e for e, _ in fracs], _whole_base(inst, alloc))
+    base = _whole_base(inst._entry, inst._units, alloc)
+    pricer = _Pricer(inst, alloc, [e for e, _ in fracs], base)
     # one integer list per combination, a slot per sharer
     slot = {a: i for i, a in enumerate(pricer.offset)}
     offset = list(pricer.offset.values())
@@ -80,10 +84,8 @@ def brute_force_rounding(
             best_total = total
             best_combo = combo
     agents = list(slot)
-    allocation = integralize(
-        alloc, {e: agents[s] for (e, _), (s, _) in zip(fracs, best_combo)}
-    )
-    return allocation, compute_subsidies(inst, allocation)
+    assignment = {e: agents[s] for (e, _), (s, _) in zip(fracs, best_combo)}
+    return integralize(alloc, assignment), _rounded_subsidies(inst, base, assignment)
 
 
 def gen_random_instance(

@@ -31,14 +31,19 @@ agent's share minus the items she holds whole, found in one pass over
 the items, which gives her true subsidy: each tree emits plain
 thresholding instead of its split assignment when its agents' true
 subsidies sum to strictly less under it.  The emitted allocation goes
-through :func:`integralize` and :func:`compute_subsidies` once.
+through :func:`integralize` once, and its subsidies are that same base
+less the cost of each shared item it emits (:func:`_rounded_subsidies`).
 
 Rounding is the only step of :func:`run_pipeline` that depends on the
-method.  Validation, the reduction, bid-and-take, the forest and the
-fractional items form one stage per instance (:func:`_fractional_stage`),
-computed on its first run and shared by every later run, of either
-method, so comparing the tree rounding with the per-item baseline costs
-one fractional stage, not two.
+method.  Validation, the reduction, bid-and-take, the forest, the
+fractional items and that base form one stage per instance
+(:func:`_fractional_stage`), computed on its first run and shared by every
+later run, of either method, so comparing the tree rounding with the
+per-item baseline costs one fractional stage, not two.  The stage keeps no
+n×m object but the rank profile: it builds the reduced rows for
+bid-and-take and the base and lets them go, and the rounding reads each
+shared item's cost through the reduced instance's permutation
+(``Instance._entry``).
 """
 from __future__ import annotations
 
@@ -46,9 +51,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
-from .fbta import NORMALIZED, AllocationTrace, bid_and_take, fractional_items
+from .fbta import NORMALIZED, AllocationTrace, _bid_and_take, fractional_items
 from .graph import ItemSharingGraph, Tree, build_graph, trees
 from .ido import RankProfile, lift_allocation, reduce_to_ido
 from .model import (
@@ -65,7 +70,6 @@ from .model import (
     exact_sum,
     frac,
     rational_text,
-    require_valid,
 )
 from .split import ExpandedAtomPath, Pair, SingleEdge, split_tree
 
@@ -105,16 +109,16 @@ class _Pricer:
         inst: Instance,
         alloc: FractionalAllocation,
         items: Iterable[int],
-        base: list[int] | None = None,
+        base: Sequence[int] | None = None,
     ) -> None:
-        rows, units = inst._rows, inst._units
+        entry, units = inst._entry, inst._units
         # item -> sharer -> u_a(e); agent -> (N_a, M_a)
         costs: dict[int, dict[int, int]] = {}
         loads: dict[int, tuple[int, int]] = {}
         for e in items:
             costs[e] = {}
             for a, held in alloc.columns[e]:
-                costs[e][a] = u = units[a][0] * rows[a][0][e]
+                costs[e][a] = u = units[a][0] * entry(a, e)
                 if base is not None:
                     loads[a] = (base[a], 1)
                     continue
@@ -155,15 +159,41 @@ class _Pricer:
         return Fraction(score, self.denominator)
 
 
-def _whole_base(inst: Instance, alloc: FractionalAllocation) -> list[int]:
-    """Per agent, her share minus the items she holds whole, over her unit."""
-    rows, units = inst._rows, inst._units
+def _whole_base(
+    entry: Callable[[int, int], int], units, alloc: FractionalAllocation
+) -> tuple[int, ...]:
+    """Per agent, her share minus the items she holds whole, over her unit.
+
+    ``entry(a, e)`` is the row integer ``r_a[e]`` (``Instance._entry``) and
+    ``units`` the instance's ``_units``.
+    """
     base = [share for _, share, _ in units]
     for e, column in enumerate(alloc.columns):
         if len(column) == 1:
             a = column[0][0]
-            base[a] -= units[a][0] * rows[a][0][e]
-    return base
+            base[a] -= units[a][0] * entry(a, e)
+    return tuple(base)
+
+
+def _rounded_subsidies(
+    inst: Instance, base: Sequence[int], assignment: dict[int, int]
+) -> SubsidyVector:
+    """:func:`compute_subsidies` of the rounding that gives each shared item
+    to ``assignment[item]`` and leaves every whole item where it is.
+
+    Each agent's gap is her :func:`_whole_base` less the cost of each shared
+    item she gets, over her unit, negated for chores: only the shared
+    items' entries are read.
+    """
+    entry, units = inst._entry, inst._units
+    rest = list(base)
+    for e, a in assignment.items():
+        rest[a] -= units[a][0] * entry(a, e)
+    sign = -1 if inst.kind == CHORES else 1
+    return SubsidyVector(tuple([
+        Fraction(gap, unit) if (gap := sign * r) > 0 else ZERO
+        for r, (_, _, unit) in zip(rest, units)
+    ]))
 
 
 def local_subsidy(
@@ -624,23 +654,27 @@ def _fractional_stage(inst: Instance) -> tuple:
 
     None of it depends on the rounding method, so the first run of an
     instance keeps ``(reduced instance, rank profile, fractional allocation,
-    trace, graph, forest, fractional items)`` in the instance's ``__dict__``,
-    as ``cached_property`` keeps ``_rows``, and every later run, of either
-    method, reads it there: ``==``, ``hash``, ``repr``, pickling and
-    ``dataclasses.replace`` never see it.  An invalid instance raises
-    before anything is kept, so it raises on every call.
+    trace, graph, forest, fractional items, whole base)`` in the instance's
+    ``__dict__``, as ``cached_property`` keeps ``_rows``, and every later
+    run, of either method, reads it there: ``==``, ``hash``, ``repr``,
+    pickling and ``dataclasses.replace`` never see it.  The reduced rows
+    are built here, read by bid-and-take and :func:`_whole_base`, and let
+    go: the reduced instance keeps only its permutation, and the base is n
+    integers.  :func:`reduce_to_ido` validates, so an invalid instance
+    raises before anything is kept, and raises on every call.
     """
     stage = inst.__dict__.get("_fractional_stage")
     if stage is None:
-        require_valid(inst)
         ido_inst, profile = reduce_to_ido(inst)
         # the reduction keeps the input valid and makes it IDO, so
         # bid-and-take runs without its own precondition checks
-        alloc, trace = bid_and_take(ido_inst, NORMALIZED)
+        rows, units = ido_inst._scaled_rows(), ido_inst._units
+        alloc, trace = _bid_and_take(inst.kind, rows, units, NORMALIZED)
+        base = _whole_base(lambda a, e: rows[a][0][e], units, alloc)
         graph = build_graph(trace)
         stage = inst.__dict__["_fractional_stage"] = (
             ido_inst, profile, alloc, trace, graph,
-            tuple(trees(graph)), tuple(fractional_items(alloc)),
+            tuple(trees(graph)), tuple(fractional_items(alloc)), base,
         )
     return stage
 
@@ -656,12 +690,11 @@ def run_pipeline(inst: Instance, method: str = TREE) -> PipelineResult:
     """
     if method not in (TREE, BASELINE):
         raise RoundingError(f"unknown rounding method {method!r}")
-    ido_inst, profile, alloc, trace, graph, forest, fracs = _fractional_stage(inst)
+    ido_inst, profile, alloc, trace, graph, forest, fracs, base = _fractional_stage(inst)
     tree_roundings: tuple[TreeRounding, ...] = ()
     if method == TREE:
         # every fractional item's sharers lie in one tree and trees share no
         # agents, so a tree's assignment moves only its own agents' subsidies
-        base = _whole_base(ido_inst, alloc)
         assignment: dict[int, int] = {}
         rounded_trees = []
         for tree in forest:
@@ -689,7 +722,7 @@ def run_pipeline(inst: Instance, method: str = TREE) -> PipelineResult:
         )
         assignment = _merged_assignment(components)
     ido_allocation = integralize(alloc, assignment)
-    rounded = compute_subsidies(ido_inst, ido_allocation)
+    rounded = _rounded_subsidies(ido_inst, base, assignment)
     allocation = lift_allocation(inst, profile, ido_allocation)
     subsidies = compute_subsidies(inst, allocation)
     shattered = any(len(sharers) >= 3 for _, sharers in fracs)

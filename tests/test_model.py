@@ -86,6 +86,24 @@ def test_compute_subsidies_goods_shortfall():
     assert subs.amounts == (Fraction(0), Fraction(1))
 
 
+@pytest.mark.parametrize(
+    "owner, bad",
+    [
+        ((0, 0.9, 1), 1),  # a float, which ``int`` would truncate to 0
+        (("1", 0), 0),  # a string
+        ((0, 1, True), 2),  # a bool, an int to Python but no agent index
+    ],
+)
+def test_integral_allocation_refuses_owners_that_are_not_ints(owner, bad):
+    with pytest.raises(ModelError, match=rf"^owner\[{bad}\] is {owner[bad]!r}, not an agent index$"):
+        IntegralAllocation(owner)
+
+
+def test_integral_allocation_keeps_int_owners_as_a_tuple():
+    assert IntegralAllocation([2, 0, 1]).owner == (2, 0, 1)
+    assert IntegralAllocation(()).owner == ()
+
+
 def test_compute_subsidies_requires_complete_allocation(reference_instance):
     with pytest.raises(ModelError):
         compute_subsidies(reference_instance, IntegralAllocation((0, 1)))

@@ -14,12 +14,19 @@ in each tree, the two trees alternating which goes first:
   (``reduce_to_ido``), ``bid_and_take``, ``forest`` (the graph, its trees
   and the fractional items), and ``split`` (``split_tree`` on each tree of
   that forest, fresh from ``forest``, so any index a tree keeps is built
-  inside it);
-- ``split_round``: ``round_tree`` on each tree of the first copy, which
-  keeps its fractional stage;
+  inside it).  A tree whose reduced instance builds its integer rows only
+  when they are read builds them in ``bid_and_take``, not in ``reduce``;
+- ``split_round``: ``round_tree`` on each tree of ``graph.trees`` of the
+  first run's graph, on that run's reduced instance and fractional
+  allocation, all read from its ``PipelineResult``;
 - ``rest``: a second ``run_pipeline`` on the first copy, timed directly,
   with ``round_tree`` handing back the roundings ``split_round`` made: the
   per-tree emit choice, integralize, lift, subsidies and the certificate.
+
+Each rung also records ``kept_mb``, per tree: the memory, in 10^6 bytes,
+that ``tracemalloc`` finds still allocated after ``_fractional_stage`` runs
+on a fresh copy whose integer rows are already built, and a full
+collection; that is what an instance keeps for its later runs.
 
 Beside the ladder, ``chains`` times ``split_tree`` alone on paths of
 ``CHAINS`` edges cut into two-edge atom-paths, item j on edges 2j and
@@ -28,10 +35,13 @@ fresh tree per run, the two trees alternating.
 
 Every timed call starts after a full ``gc.collect()``.  Each stage gets
 the median over ``RUNS`` runs and the distance between their quartiles, in
-seconds: a change smaller than that distance is not resolved.  The speed
-probe of ``perfbench/speed.py`` (loaded by path, read-only) runs between
-rungs, and its median is recorded, so that files written on different
-hosts or days can be compared.  Each tree's tier-1 suite is run once and
+seconds, and the change's section counts the runs in which its time was
+below the parent's time of the same round (``wins``): the host drifts
+between rounds more than within one, so a change that is slower by more
+than the quartile distance but wins about half the runs is not resolved
+either.  The speed probe of ``perfbench/speed.py`` (loaded by path,
+read-only) runs between rungs, and its median is recorded, so that files
+written on different hosts or days can be compared.  Each tree's tier-1 suite is run once and
 its wall time recorded.  The JSON document goes to standard output.
 """
 from __future__ import annotations
@@ -47,6 +57,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -55,7 +66,7 @@ MODULES = ("model", "ido", "fbta", "graph", "split", "rounding", "oracle")
 SIZES = ((10, 20), (30, 60), (120, 240), (300, 600), (1200, 2400))
 KINDS = ("chores", "goods")
 CHAINS = (300, 600, 1200, 2400)
-RUNS = 5
+RUNS = 7
 STAGES = (
     "validate", "reduce", "bid_and_take", "forest", "split", "split_round", "rest", "pipeline",
 )
@@ -118,17 +129,19 @@ def one_run(mods: dict, source) -> dict[str, float]:
 
     times: dict[str, float] = {}
     first = fresh()
-    _, times["pipeline"] = timed(rounding.run_pipeline, first)
+    result, times["pipeline"] = timed(rounding.run_pipeline, first)
     inst = fresh()
     _, times["validate"] = timed(model.require_valid, inst)
     (ido_inst, _), times["reduce"] = timed(ido.reduce_to_ido, inst)
     (alloc, trace), times["bid_and_take"] = timed(fbta.bid_and_take, ido_inst, fbta.NORMALIZED)
     (fresh_trees, _), times["forest"] = timed(forest, alloc, trace)
     _, times["split"] = timed(split_all, fresh_trees)
-    # split + round on the first copy's own stage, so that its results can
-    # stand in for ``round_tree`` while its second pipeline run is timed
-    ido_first, _, alloc_first, _, _, trees, _ = first.__dict__["_fractional_stage"]
-    rounded, times["split_round"] = timed(split_round, ido_first, alloc_first, trees)
+    # split + round on the first run's forest, so that its results can stand
+    # in for ``round_tree`` while the second pipeline run is timed
+    trees = tuple(graph.trees(result.graph))
+    rounded, times["split_round"] = timed(
+        split_round, result.ido_instance, result.fractional, trees
+    )
     round_tree = rounding.round_tree
     rounding.round_tree = lambda _inst, _alloc, _tree, done=iter(rounded): next(done)
     try:
@@ -136,6 +149,22 @@ def one_run(mods: dict, source) -> dict[str, float]:
     finally:
         rounding.round_tree = round_tree
     return times
+
+
+def kept_mb(mods: dict, source) -> float:
+    """Memory, in 10^6 bytes, that ``_fractional_stage`` keeps on a fresh copy
+    of ``source`` whose integer rows are built, after a full collection."""
+    inst = mods["model"].Instance(source.kind, source.weights, source.costs)
+    mods["model"].require_valid(inst)  # builds the integer rows
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mods["rounding"]._fractional_stage(inst)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return round(kept / 1e6, 3)
 
 
 def iqr(times: list[float]) -> float:
@@ -149,6 +178,7 @@ def ladder(trees: dict[str, Path], probe) -> dict:
 
     Each rung's instance is generated once, by the last tree listed; every
     tree builds its own ``Instance`` from those same ``Fraction`` objects.
+    The last tree's ``wins`` count its runs faster than the first tree's.
     """
     mods = {label: import_tree(path) for label, path in trees.items()}
     labels = list(trees)
@@ -163,18 +193,24 @@ def ladder(trees: dict[str, Path], probe) -> dict:
                 for label in labels[r % 2:] + labels[: r % 2]:
                     for stage, t in one_run(mods[label], source).items():
                         samples[label][stage].append(t)
+            kept = {label: kept_mb(mods[label], source) for label in labels}
             del source
             for label in labels:
                 result[label].append({
                     "kind": kind,
                     "n": n,
                     "m": m,
+                    "kept_mb": kept[label],
                     "median_s": {
                         stage: round(statistics.median(samples[label][stage]), 6)
                         for stage in STAGES
                     },
                     "iqr_s": {stage: round(iqr(samples[label][stage]), 6) for stage in STAGES},
                 })
+            first, last = samples[labels[0]], samples[labels[-1]]
+            result[labels[-1]][-1]["wins"] = {
+                stage: sum(map(float.__lt__, last[stage], first[stage])) for stage in STAGES
+            }
     return {"sections": result, "probes": probes}
 
 
@@ -228,7 +264,9 @@ def main(argv=None) -> int:
     split_chains = chains(trees)
     doc = {
         "what": "median and interquartile range, in seconds, per stage of run_pipeline, "
-                "gen_random_instance(seed=1), fresh Instance per run; see tools/ladder.py",
+                "gen_random_instance(seed=1), fresh Instance per run; the change's runs "
+                "faster than the parent's of the same round (wins); memory the fractional "
+                "stage keeps, in 10^6 bytes (kept_mb); see tools/ladder.py",
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
