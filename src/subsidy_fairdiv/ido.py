@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import le
 from typing import Iterator
 
-from .model import CHORES, Instance, IntegralAllocation, ModelError, require_valid
+from .model import CHORES, GOODS, Instance, IntegralAllocation, ModelError, require_valid
 
 
 @dataclass(frozen=True)
@@ -56,25 +56,20 @@ def is_ido(inst: Instance) -> bool:
 
 
 def reduce_to_ido(inst: Instance) -> tuple[Instance, RankProfile]:
-    """Sort each agent's row into her preference order, once.
+    """Permute each agent's row into her preference order.
 
-    The rows are sorted by the instance's integer rows; the sort is
-    stable, so ties go to the smaller index.  The reduced instance keeps
-    kind, weights, every row total and each row's integers, each row
-    permuted by one ``itemgetter`` call, so each agent's proportional share
-    is unchanged.  Its ``costs`` are built only when read, the same way,
-    from ``inst``'s own ``Fraction`` objects.  An invalid instance raises
-    :class:`ModelError` before any row is read.
+    The orders are the instance's rank orders (``Instance._orders``), which
+    validation sorted, once, by the integer rows; the sort is stable, so
+    ties go to the smaller index, and nothing is sorted here.  The reduced
+    instance keeps kind, weights, every row total and each row's integers,
+    each row permuted by one ``itemgetter`` call, so each agent's
+    proportional share is unchanged.  Its ``costs`` are built only when
+    read, the same way, from ``inst``'s own ``Fraction`` objects.  An
+    invalid instance raises :class:`ModelError` before anything is kept.
     """
     require_valid(inst)
-    goods = inst.kind != CHORES
-    # one set of index objects shared by every row's order: 8 bytes per
-    # sigma entry instead of a new int each
-    items = list(range(inst.m))
-    sigma = tuple(
-        tuple(sorted(items, key=ints.__getitem__, reverse=goods)) for ints, _ in inst._rows
-    )
-    ido_inst = inst._permuted(sigma, reverse=goods)
+    sigma = inst._orders
+    ido_inst = inst._permuted(sigma, reverse=inst.kind == GOODS)
     return ido_inst, RankProfile._of(sigma)
 
 
@@ -91,9 +86,10 @@ def lift_allocation(
 
     A :class:`RankProfile` is an order of the items row by row once built,
     so only its shape is checked here: one row per agent, each owner an
-    agent whose row covers the ``m`` items.  Each owner's row is walked by
-    a cursor that skips items already taken: O(m) per owner, O(k m) for k
-    distinct owners.
+    agent whose row covers the ``m`` items.  Each owner keeps one lazy
+    cursor over her row that skips items already taken, advanced by
+    ``next`` at each of her slots: O(m) per owner, O(k m) for k distinct
+    owners.
     """
     m = inst.m
     if ido_alloc.m != m:
@@ -107,13 +103,13 @@ def lift_allocation(
     favorites: dict[int, Iterator[int]] = {}
     for slot in order:
         agent = ido_alloc.owner[slot]
-        if agent not in favorites:
+        cursor = favorites.get(agent)
+        if cursor is None:
             if not 0 <= agent < inst.n:
                 raise ModelError(f"item {slot} assigned to unknown agent {agent}")
             row = profile.sigma[agent]
             if len(row) != m:
                 raise ModelError(f"rank profile row {agent} is not an order of the items")
-            favorites[agent] = iter(row)
-        pick = next(e for e in favorites[agent] if owner[e] is None)
-        owner[pick] = agent
+            cursor = favorites[agent] = (e for e in row if owner[e] is None)
+        owner[next(cursor)] = agent
     return IntegralAllocation(tuple(owner))

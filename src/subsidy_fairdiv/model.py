@@ -11,10 +11,14 @@ integers instead.  Each instance writes every cost row once over the row's
 least common denominator (:func:`scaled`), on first use, and keeps it:
 sorting or adding those integers sorts or adds the rationals exactly, and
 bid-and-take compares two ratios by cross-multiplying them.  A row is read
-from its ``Fraction``s' slots in two passes, numerators then denominators:
-a few C-level calls per row, not a Python call per entry.  Loads and
-shares are integers as well: agent ``i`` with weight ``p_i / q_i`` gets
-the unit ``q_i * d_i`` (``Instance._units``), in which item ``e`` costs
+from its ``Fraction``s' slots in two passes, its distinct denominators and
+then its integers: a few C-level calls per row, not a Python call per
+entry.  Each integer row is then sorted once into its rank order
+(``Instance._orders``): validation reads the row's range from the order's
+two ends, and the reduction takes the orders as its rank profile, so no
+other pass reads a row for its minimum or maximum.  Loads and shares are
+integers as well: agent ``i`` with weight ``p_i / q_i`` gets the unit
+``q_i * d_i`` (``Instance._units``), in which item ``e`` costs
 ``q_i * r_i[e]`` and the share is ``p_i * R_i``; bid-and-take's capacities
 and :func:`compute_subsidies` compute in it, and so does the one pricing
 kernel (``rounding._Pricer``) behind component prices, the per-tree emit
@@ -27,11 +31,12 @@ source's units.  Its integer rows and ``costs`` are built from these, one
 through the permutation without building either (``Instance._entry``), so
 the rounding, which prices at most ``n - 1`` shared items, never builds
 them.  A fractional allocation stores only the positive fractions of each
-item.  Every cache of a value object (integer rows, units, which give the
-row totals and shares, an instance's violations and fractional stage, the
-lazy rows and ``costs`` of a reduced instance, the dense view of an
-allocation, a subsidy total, a certificate's verdict) is computed on first
-use and is invisible to ``==``, ``hash``, ``repr`` and pickling.
+item.  Every cache of a value object (integer rows and their rank orders,
+units, which give the row totals and shares, an instance's violations and
+fractional stage, the lazy rows and ``costs`` of a reduced instance, the
+dense view of an allocation, a subsidy total, a certificate's verdict) is
+computed on first use and is invisible to ``==``, ``hash``, ``repr`` and
+pickling.
 
 Every document the package emits is written by :func:`_document`, byte for
 byte what ``json.dumps(doc, indent=2, sort_keys=True)`` writes, from one
@@ -123,15 +128,16 @@ def scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """The ``Fraction``s as integers over their least common denominator ``d``, and ``d``.
 
     The integers order and add exactly as the values do.  They are read
-    from each ``Fraction``'s slots in two passes: the public ``numerator``
-    and ``as_integer_ratio`` would cost a Python-level call per entry.  A
-    value whose denominator is already ``d`` lends its own numerator
-    object.
+    from each ``Fraction``'s slots in two passes, the distinct denominators
+    and then the integers: the public ``numerator`` and
+    ``as_integer_ratio`` would cost a Python-level call per entry.  A value
+    whose denominator is already ``d`` lends its own numerator object.
     """
-    nums = [v._numerator for v in values]
-    dens = [v._denominator for v in values]
-    d = lcm(*set(dens))
-    return tuple([p if q == d else p * (d // q) for p, q in zip(nums, dens)]), d
+    d = lcm(*{v._denominator for v in values})
+    return tuple([
+        v._numerator if v._denominator == d else v._numerator * (d // v._denominator)
+        for v in values
+    ]), d
 
 
 def exact_sum(values: Sequence[Fraction]) -> Fraction:
@@ -178,10 +184,10 @@ class Instance:
     item ``e``.  Weights must be positive and sum to one exactly; every
     cost must lie in [0, 1].  :func:`validate_instance` lists the rules
     an instance breaks, and :func:`require_valid` raises on any of them.
-    The integer rows, units and violations are computed once, on first use,
-    and so is the fractional stage of its runs (``rounding._fractional_stage``:
-    the reduction, bid-and-take and the forest), shared by both rounding
-    methods.
+    The integer rows, their rank orders, units and violations are computed
+    once, on first use, and so is the fractional stage of its runs
+    (``rounding._fractional_stage``: the reduction, bid-and-take and the
+    forest), shared by both rounding methods.
     """
 
     kind: str
@@ -228,6 +234,30 @@ class Instance:
         )
 
     _rows = cached_property(_scaled_rows)
+
+    @cached_property
+    def _orders(self) -> tuple[tuple[int, ...], ...]:
+        """Per row ``r_i``, its items from favorite to least favorite.
+
+        Cheapest first for chores, most valuable first for goods (an unknown
+        kind sorts as chores), ties to the smaller index: the stable
+        ``sorted(range(m), key=r_i.__getitem__, reverse=goods)``.  Every
+        row's order is built over one shared list of index objects, 8 bytes
+        per entry instead of a new int each; a row of another length, in an
+        instance that is not valid, sorts its own range.  Validation reads
+        each row's range from the two ends of its order, and the reduction
+        takes the orders as its rank profile.
+        """
+        goods = self.kind == GOODS
+        items = list(range(self.m))
+        return tuple(
+            tuple(sorted(
+                items if len(ints) == len(items) else range(len(ints)),
+                key=ints.__getitem__,
+                reverse=goods,
+            ))
+            for ints, _ in self._rows
+        )
 
     def _entry(self, agent: int, item: int) -> int:
         """``r_agent[item]``, one integer of the rows.
@@ -279,8 +309,10 @@ class Instance:
         weight_sum = exact_sum(self.weights)
         if self.weights and weight_sum != ONE:
             violations.append(f"weights sum to {weight_sum}, not 1")
-        for i, (row, (ints, d)) in enumerate(zip(self.costs, self._rows)):
-            if ints and (min(ints) < 0 or max(ints) > d):
+        # a row's range is the two ends of its order, lowest last for goods
+        low, high = (-1, 0) if self.kind == GOODS else (0, -1)
+        for i, (row, (ints, d), order) in enumerate(zip(self.costs, self._rows, self._orders)):
+            if order and (ints[order[low]] < 0 or ints[order[high]] > d):
                 for e, p in enumerate(ints):
                     if p < 0:
                         violations.append(f"cost of item {e} for agent {i} is {row[e]}, below 0")
@@ -436,15 +468,29 @@ class IntegralAllocation:
         return len(self.owner)
 
     def _bundle_ints(self, inst: Instance) -> list[int]:
-        """Every agent's bundle as the sum of its row integers ``r_i``."""
+        """Every agent's bundle as the sum of its row integers ``r_i``.
+
+        Raises :class:`ModelError` unless the allocation covers the
+        instance's items and every owner is one of its agents; the owners'
+        range is checked in C, and the first bad item found only on failure.
+        """
+        owner, n = self.owner, inst.n
+        if len(owner) != inst.m:
+            raise ModelError(f"allocation covers {len(owner)} items, instance has {inst.m}")
+        if owner and (min(owner) < 0 or max(owner) >= n):
+            e = next(e for e, o in enumerate(owner) if not 0 <= o < n)
+            raise ModelError(f"item {e} assigned to unknown agent {owner[e]}")
         rows = inst._rows
-        sums = [0] * inst.n
-        for e, o in enumerate(self.owner):
+        sums = [0] * n
+        for e, o in enumerate(owner):
             sums[o] += rows[o][0][e]
         return sums
 
     def bundle_costs(self, inst: Instance) -> tuple[Fraction, ...]:
-        """Every agent's bundle cost, from one pass over ``owner``."""
+        """Every agent's bundle cost, from one pass over ``owner``.
+
+        Raises :class:`ModelError` as :func:`compute_subsidies` does.
+        """
         return tuple(
             Fraction(s, d) for s, (_, d) in zip(self._bundle_ints(inst), inst._rows)
         )
@@ -474,14 +520,9 @@ def compute_subsidies(inst: Instance, alloc: IntegralAllocation) -> SubsidyVecto
 
     Each gap is ``+-(q_i * sum(r_i[X_i]) - p_i * R_i)`` over ``q_i * d_i``
     (see ``Instance._units``); only a positive one becomes a ``Fraction``.
+    Raises :class:`ModelError` unless the allocation covers the instance's
+    items and every owner is one of its agents.
     """
-    if alloc.m != inst.m:
-        raise ModelError(
-            f"allocation covers {alloc.m} items, instance has {inst.m}"
-        )
-    for e, o in enumerate(alloc.owner):
-        if not 0 <= o < inst.n:
-            raise ModelError(f"item {e} assigned to unknown agent {o}")
     sign = 1 if inst.kind == CHORES else -1
     amounts = []
     for load, (q, share, unit) in zip(alloc._bundle_ints(inst), inst._units):

@@ -40,10 +40,11 @@ fractional items and that base form one stage per instance
 (:func:`_fractional_stage`), computed on its first run and shared by every
 later run, of either method, so comparing the tree rounding with the
 per-item baseline costs one fractional stage, not two.  The stage keeps no
-n×m object but the rank profile: it builds the reduced rows for
-bid-and-take and the base and lets them go, and the rounding reads each
-shared item's cost through the reduced instance's permutation
-(``Instance._entry``).
+n×m object of its own: its rank profile is the instance's rank orders
+(``Instance._orders``), which validation sorted and the instance keeps; it
+builds the reduced rows for bid-and-take and the base and lets them go,
+and the rounding reads each shared item's cost through the reduced
+instance's permutation (``Instance._entry``).
 """
 from __future__ import annotations
 
@@ -657,11 +658,13 @@ def _fractional_stage(inst: Instance) -> tuple:
     trace, graph, forest, fractional items, whole base)`` in the instance's
     ``__dict__``, as ``cached_property`` keeps ``_rows``, and every later
     run, of either method, reads it there: ``==``, ``hash``, ``repr``,
-    pickling and ``dataclasses.replace`` never see it.  The reduced rows
-    are built here, read by bid-and-take and :func:`_whole_base`, and let
-    go: the reduced instance keeps only its permutation, and the base is n
-    integers.  :func:`reduce_to_ido` validates, so an invalid instance
-    raises before anything is kept, and raises on every call.
+    pickling and ``dataclasses.replace`` never see it.  The rank profile
+    is the instance's own rank orders, sorted once by validation.  The
+    reduced rows are built here, read by bid-and-take and
+    :func:`_whole_base`, and let go: the reduced instance keeps only its
+    permutation, and the base is n integers.  :func:`reduce_to_ido`
+    validates, so an invalid instance raises before anything is kept, and
+    raises on every call.
     """
     stage = inst.__dict__.get("_fractional_stage")
     if stage is None:

@@ -213,9 +213,14 @@ def atom_path_split(tree: Tree) -> list[Component]:
     at least halved, however deep the atom-paths nest.
     """
     index = _TreeIndex(tree)
-    paths, parent, children = index.paths, index.parent, index.children
-    if not paths:
+    if not index.paths:
         raise SplitError("tree has no atom-path; use simple_split")
+    return _peel(tree, index)
+
+
+def _peel(tree: Tree, index: _TreeIndex) -> list[Component]:
+    """:func:`atom_path_split` of a tree with an atom-path, on its index."""
+    paths, parent, children = index.paths, index.parent, index.children
     bottom = {path.agents[0]: item for item, path in paths.items()}
     cut: set[int] = set()  # tails of the edges peeled or donated
     label: dict[int, int] = {}  # node -> its piece's label, 0 until it moves
@@ -315,8 +320,10 @@ def split_tree(tree: Tree) -> list[Component]:
     A tree with an atom-path yields its :func:`atom_path_split`: the
     expanded atom-path first, then the split of each remaining piece in
     turn, depth first; any other tree yields its :func:`simple_split`, an
-    edgeless one nothing.
+    edgeless one nothing.  The tree is indexed once, and the index both
+    answers whether it has an atom-path and serves the split.
     """
-    if has_atom_path(tree.edges):
-        return atom_path_split(tree)
-    return simple_split(tree) if tree.size else []
+    if not tree.size:
+        return []
+    index = _TreeIndex(tree)
+    return _peel(tree, index) if index.paths else _pairs(index, index.order)

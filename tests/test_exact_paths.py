@@ -81,7 +81,7 @@ def test_pipeline_pieces_match_reference(inst):
 # Caches are invisible
 # ---------------------------------------------------------------------------
 
-CACHES = {"_rows", "_units", "_violations", "_fractional_stage"}
+CACHES = {"_rows", "_orders", "_units", "_violations", "_fractional_stage"}
 
 
 def _warm_instance(inst):
@@ -90,7 +90,7 @@ def _warm_instance(inst):
     assert validate_instance(inst) == ()
     compute_subsidies(inst, IntegralAllocation((0,) * inst.m))
     assert inst._rows
-    assert "_violations" in vars(inst)
+    assert "_violations" in vars(inst) and "_orders" in vars(inst)
     is_ido(inst)
     reduce_to_ido(inst)
     run_pipeline(inst)
@@ -231,6 +231,17 @@ def test_both_methods_share_one_fractional_stage(inst):
             fresh = run_pipeline(Instance(inst.kind, inst.weights, inst.costs), method=method)
             assert result.certificate.method == method
             assert _documents(result) == _documents(fresh)
+
+
+@with_edge_cases
+@given(instances())
+@settings(max_examples=50, deadline=None)
+def test_the_rank_profile_is_the_orders_validation_sorted(inst):
+    # the rows are sorted once, by validation; the reduction sorts nothing
+    inst = Instance(inst.kind, inst.weights, inst.costs)
+    result = run_pipeline(inst)
+    assert result.profile.sigma is inst._orders
+    assert result.ido_instance._permutation[2] is inst._orders
 
 
 def test_an_invalid_instance_raises_on_every_run():

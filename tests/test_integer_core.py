@@ -9,7 +9,10 @@ keys and capacities.  The properties require the same sigma, reduced rows,
 lifted owners, columns (of ``Fraction``s), dense shares, sharers,
 successors and ``StuckError``s, on the reference instance strategy and its
 ``EDGE_CASES`` (the goods lone-agent path, m = 0, n = 1, zero rows).
+Validation reads each row's range from the ends of its rank order; its
+out-of-range messages must equal a plain scan of the ``Fraction``s.
 """
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -21,6 +24,7 @@ from subsidy_fairdiv import (
     GOODS,
     Instance,
     IntegralAllocation,
+    gen_random_instance,
     validate_instance,
     wprop_share,
 )
@@ -98,6 +102,18 @@ def test_lift_matches_reference(inst, data):
     assert lifted.owner == reference_lift(inst, ido_owner)
 
 
+@pytest.mark.parametrize("kind", [CHORES, GOODS])
+@pytest.mark.parametrize("seed", range(3))
+def test_lift_matches_reference_on_wide_instances(kind, seed):
+    # m >> n: each owner's cursor passes many items other owners took
+    inst = gen_random_instance(10, 200, kind, seed=seed)
+    _, profile = reduce_to_ido(inst)
+    rng = random.Random(seed)
+    ido_owner = tuple(rng.randrange(inst.n) for _ in range(inst.m))
+    lifted = lift_allocation(inst, profile, IntegralAllocation(ido_owner))
+    assert lifted.owner == reference_lift(inst, ido_owner)
+
+
 @with_edge_cases
 @given(instances(max_n=10, max_m=14))
 @settings(max_examples=400, deadline=None)
@@ -157,19 +173,84 @@ def entries(draw):
     return draw(st.sampled_from((Fraction, Tagged)))(draw(st.integers(-q, 2 * q)), q)
 
 
-@given(st.lists(entries(), max_size=8))
+def plain_range_violations(costs):
+    """The out-of-range messages of ``validate_instance``, from a plain scan of the ``Fraction``s."""
+    return tuple(
+        f"cost of item {e} for agent {i} is {v}, {'below 0' if v < 0 else 'exceeds 1'}"
+        for i, row in enumerate(costs)
+        for e, v in enumerate(row)
+        if not 0 <= v <= 1
+    )
+
+
+@given(st.lists(entries(), max_size=8), st.sampled_from((CHORES, GOODS)))
 @settings(max_examples=300, deadline=None)
-def test_scaled_matches_a_plain_recomputation(row):
+def test_scaled_matches_a_plain_recomputation(row, kind):
     ints, d = scaled(row)
     assert d == lcm(*(v.denominator for v in row))
     assert ints == tuple((v * d).numerator for v in row)
     assert all(p is v.numerator for p, v in zip(ints, row) if v.denominator == d)
-    inst = Instance(CHORES, ("1",), (row,))
+    inst = Instance(kind, ("1",), (row,))
     assert inst._rows == ((ints, d),)
-    assert validate_instance(inst) == tuple(
-        f"cost of item {e} for agent 0 is {v}, {'below 0' if v < 0 else 'exceeds 1'}"
-        for e, v in enumerate(row)
-        if not 0 <= v <= 1
+    assert validate_instance(inst) == plain_range_violations((row,))
+
+
+# Each row's range is read from the two ends of its rank order, which runs
+# from the lowest entry up for chores and from the highest down for goods,
+# so the cases put a lone bad entry at either end, tie the extremes, make
+# every entry equal, or leave a row of zero or one item.
+RANGE_ROWS = [
+    ("-1/2", "1/2"),  # one entry below 0, lowest
+    ("1/2", "3/2"),  # one entry above 1, highest
+    ("1/2", "-1/3", "1/4"),  # the lowest in the middle
+    ("1/4", "5/4", "1/2"),  # the highest in the middle
+    ("-1", "1/2", "-1", "2", "2"),  # ties at both extremes, both out of range
+    ("0", "1", "0", "1"),  # ties at both extremes, both bounds met exactly
+    ("3/2", "3/2", "3/2"),  # all equal, above 1
+    ("-1/7", "-1/7"),  # all equal, below 0
+    ("1/3", "1/3", "1/3"),  # all equal, in range
+    ("-1",),  # one item, below 0
+    ("2",),  # one item, above 1
+    ("1",),  # one item, in range
+    (),  # no items
+]
+
+
+@pytest.mark.parametrize("kind", [CHORES, GOODS])
+@pytest.mark.parametrize("row", RANGE_ROWS)
+def test_a_row_range_comes_from_the_ends_of_its_order(kind, row):
+    inst = Instance(kind, ("1",), (row,))
+    assert validate_instance(inst) == plain_range_violations(inst.costs)
+    ((ints, _),) = inst._rows
+    (order,) = inst._orders
+    assert list(order) == sorted(range(len(row)), key=ints.__getitem__, reverse=kind == GOODS)
+
+
+@pytest.mark.parametrize(
+    "costs",
+    [
+        (("1/2", "-1/4"), ("1/2", "0", "5/4")),  # a row longer than row 0
+        (("1/2", "0", "-1/4"), ("5/4", "1/4")),  # a row shorter than row 0
+        (("2", "1/2"), ()),  # an empty row beside a full one
+    ],
+)
+@pytest.mark.parametrize("kind", [CHORES, GOODS])
+def test_ragged_rows_are_ranged_over_their_own_items(kind, costs):
+    inst = Instance(kind, ("1/2", "1/2"), costs)
+    lengths = sorted({len(row) for row in costs})
+    assert validate_instance(inst) == (
+        f"cost rows have inconsistent lengths {lengths}",
+        *plain_range_violations(inst.costs),
+    )
+    assert [sorted(order) for order in inst._orders] == [list(range(len(r))) for r in costs]
+
+
+def test_an_unknown_kind_sorts_as_chores_and_is_still_ranged():
+    inst = Instance("services", ("1",), (("3/2", "-1", "1/2"),))
+    assert inst._orders == ((1, 2, 0),)
+    assert validate_instance(inst) == (
+        "unknown kind 'services'",
+        *plain_range_violations(inst.costs),
     )
 
 

@@ -109,6 +109,39 @@ def test_compute_subsidies_requires_complete_allocation(reference_instance):
         compute_subsidies(reference_instance, IntegralAllocation((0, 1)))
 
 
+THREE_ITEMS = Instance(
+    CHORES, ("1/2", "1/2"), (("1/2", "1/4", "1/4"), ("1/3", "1/3", "1/3"))
+)
+
+
+@pytest.mark.parametrize(
+    "owner, message",
+    [
+        ((0, -1, 1), "item 1 assigned to unknown agent -1"),  # would wrap to the last agent
+        ((0, 1), "allocation covers 2 items, instance has 3"),  # would drop item 2
+        ((0, 1, 1, 0), "allocation covers 4 items, instance has 3"),
+        ((0, 2, 1), "item 1 assigned to unknown agent 2"),
+    ],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda alloc: alloc.bundle_costs(THREE_ITEMS),
+        lambda alloc: compute_subsidies(THREE_ITEMS, alloc),
+    ],
+    ids=["bundle_costs", "compute_subsidies"],
+)
+def test_bundles_are_read_only_for_a_partition_of_the_items(call, owner, message):
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        call(IntegralAllocation(owner))
+
+
+def test_bundle_costs_of_a_partition():
+    alloc = IntegralAllocation((0, 1, 1))
+    assert alloc.bundle_costs(THREE_ITEMS) == (Fraction(1, 2), Fraction(2, 3))
+    assert IntegralAllocation(()).bundle_costs(Instance(GOODS, ("1",), ((),))) == (0,)
+
+
 @pytest.mark.parametrize(
     "shares, row",
     [

@@ -10,12 +10,14 @@ in each tree, the two trees alternating which goes first:
 
 - ``pipeline``: one ``run_pipeline`` call, end to end;
 - on a second copy, each stage on its own, in pipeline order: ``validate``
-  (``require_valid``, which builds the integer rows), ``reduce``
-  (``reduce_to_ido``), ``bid_and_take``, ``forest`` (the graph, its trees
-  and the fractional items), and ``split`` (``split_tree`` on each tree of
-  that forest, fresh from ``forest``, so any index a tree keeps is built
-  inside it).  A tree whose reduced instance builds its integer rows only
-  when they are read builds them in ``bid_and_take``, not in ``reduce``;
+  (``require_valid``, which builds the integer rows and sorts each into its
+  rank order), ``reduce`` (``reduce_to_ido``, which only permutes: it takes
+  the rank orders validation sorted), ``bid_and_take``, ``forest`` (the
+  graph, its trees and the fractional items), and ``split``
+  (``split_tree`` on each tree of that forest, fresh from ``forest``, so
+  any index a tree keeps is built inside it).  A tree whose reduced
+  instance builds its integer rows only when they are read builds them in
+  ``bid_and_take``, not in ``reduce``;
 - ``split_round``: ``round_tree`` on each tree of ``graph.trees`` of the
   first run's graph, on that run's reduced instance and fractional
   allocation, all read from its ``PipelineResult``;
@@ -25,8 +27,9 @@ in each tree, the two trees alternating which goes first:
 
 Each rung also records ``kept_mb``, per tree: the memory, in 10^6 bytes,
 that ``tracemalloc`` finds still allocated after ``_fractional_stage`` runs
-on a fresh copy whose integer rows are already built, and a full
-collection; that is what an instance keeps for its later runs.
+on a fresh copy whose integer rows, and nothing else, are already built,
+and a full collection; that is what an instance keeps for its later runs,
+the rank profile included, whichever step sorts it.
 
 Beside the ladder, ``chains`` times ``split_tree`` alone on paths of
 ``CHAINS`` edges cut into two-edge atom-paths, item j on edges 2j and
@@ -155,7 +158,7 @@ def kept_mb(mods: dict, source) -> float:
     """Memory, in 10^6 bytes, that ``_fractional_stage`` keeps on a fresh copy
     of ``source`` whose integer rows are built, after a full collection."""
     inst = mods["model"].Instance(source.kind, source.weights, source.costs)
-    mods["model"].require_valid(inst)  # builds the integer rows
+    inst._rows  # builds the integer rows, and nothing the stage keeps
     gc.collect()
     tracemalloc.start()
     try:
