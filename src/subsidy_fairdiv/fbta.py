@@ -24,9 +24,9 @@ Selection keys, chores:
 
 Goods use only the symmetric ``normalized`` rule (maximize
 ``v_i(e)/v_i(M)``) and hand all remaining items to the last active agent.
-:func:`fbta` checks its input, then runs :func:`bid_and_take`, which
-runs the unchecked core on the instance's integer rows; the pipeline calls
-that core on the reduced rows it builds and then lets go.
+:func:`fbta` checks its input, then runs the unchecked core
+``_bid_and_take`` on the instance's integer rows; the pipeline calls that
+core on the reduced rows it builds and then lets go.
 
 Agents with an all-zero row have share zero and an undefined ratio; they
 participate with key 0 and never turn inactive, so for chores they soak
@@ -92,42 +92,33 @@ class AllocationTrace:
     successors: tuple[SuccessorRecord, ...]
 
 
-def bid_and_take(
-    inst: Instance, selection: str
-) -> tuple[FractionalAllocation, AllocationTrace]:
-    """Bid-and-take without precondition checks.
-
-    The caller guarantees a valid IDO instance and a known selection rule;
-    :func:`fbta` checks both first.
-    """
-    return _bid_and_take(inst.kind, inst._rows, inst._units, selection)
-
-
 def _bid_and_take(
-    kind: str,
+    inst: Instance,
     rows: tuple[tuple[tuple[int, ...], int], ...],
-    units: tuple[tuple[int, int, int], ...],
     selection: str,
 ) -> tuple[FractionalAllocation, AllocationTrace]:
-    """:func:`bid_and_take` on an instance's integer rows and units.
+    """Bid-and-take on the instance's integer ``rows``, its kind and units, unchecked.
 
-    The fractional stage of the pipeline builds the reduced rows, runs
-    this on them and lets them go, so the reduced instance never keeps them.
+    The caller guarantees a valid IDO instance and a known selection rule,
+    as :func:`fbta` checks.  The pipeline hands in reduced rows it then lets go.
     """
     n, m = len(rows), len(rows[0][0]) if rows else 0
-    goods = kind == GOODS
+    units = inst._units
+    goods = inst.kind == GOODS
     # With agent a's row as integers r_a over its denominator d_a, her key
     # for item e is r_a[e] / den_a for keys[a] = (r_a, den_a).  Normalized,
-    # c_a(e) / c_a(M) = r_a[e] / R_a with R_a = sum(r_a), so d_a cancels; a
-    # degenerate row (R_a = 0) is all zeros and keeps key 0 / 1.  Raw cost,
-    # c_a(e) = r_a[e] / d_a.  Goods take the largest key: over negated
-    # denominators the ratios order in reverse, so one strict ``<`` picks
-    # the best key of either kind, ties to the lower index.
+    # c_a(e) / c_a(M) = r_a[e] / R_a with R_a = sum(r_a), the units' share
+    # p_a * R_a over p_a, so d_a cancels; a degenerate row (R_a = 0) is all
+    # zeros and keeps key 0 / 1.  Raw cost, c_a(e) = r_a[e] / d_a.  Goods
+    # take the largest key: over negated denominators the ratios order in
+    # reverse, so one strict ``<`` picks the best key of either kind, ties to
+    # the lower index.
     sign = -1 if goods else 1
     if selection == RAW_COST:
         keys = [(ints, sign * d) for ints, d in rows]
     else:
-        keys = [(ints, sign * (sum(ints) or 1)) for ints, _ in rows]
+        totals = (share // w.numerator for (_, share, _), w in zip(units, inst.weights))
+        keys = [(ints, sign * (total or 1)) for (ints, _), total in zip(rows, totals)]
     # in agent a's unit item e costs q_a * r_a[e]; her capacity (share minus
     # load) is capacity[a] / over[a] in that unit, and over[a] leaves 1 only
     # once she takes the rest of a split item
@@ -201,7 +192,7 @@ def _bid_and_take(
     )
     if not allocation.is_complete():
         raise FBTAError("bid-and-take left an item partially allocated")
-    return allocation, AllocationTrace(kind, n, m, tuple(successors))
+    return allocation, AllocationTrace(inst.kind, n, m, tuple(successors))
 
 
 def fbta(
@@ -218,7 +209,7 @@ def fbta(
         raise FBTAError("instance is not in canonical non-decreasing order")
     if selection != NORMALIZED and (selection != RAW_COST or inst.kind != CHORES):
         raise FBTAError(f"unknown selection rule {selection!r} for {inst.kind}")
-    return bid_and_take(inst, selection)
+    return _bid_and_take(inst, inst._rows, selection)
 
 
 def fractional_items(

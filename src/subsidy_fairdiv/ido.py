@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import le
 from typing import Iterator
 
-from .model import CHORES, GOODS, Instance, IntegralAllocation, ModelError, require_valid
+from .model import CHORES, Instance, IntegralAllocation, ModelError, require_valid
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,14 @@ def reduce_to_ido(inst: Instance) -> tuple[Instance, RankProfile]:
     The orders are the instance's rank orders (``Instance._orders``), which
     validation sorted, once, by the integer rows; the sort is stable, so
     ties go to the smaller index, and nothing is sorted here.  The reduced
-    instance keeps kind, weights, every row total and each row's integers,
-    each row permuted by one ``itemgetter`` call, so each agent's
-    proportional share is unchanged.  Its ``costs`` are built only when
-    read, the same way, from ``inst``'s own ``Fraction`` objects.  An
+    instance keeps kind, weights, the verdict, every row total and each
+    row's integers, each row permuted by one ``itemgetter`` call, so each
+    agent's proportional share is unchanged.  Its ``costs`` are built only
+    when read, the same way, from ``inst``'s own ``Fraction`` objects.  An
     invalid instance raises :class:`ModelError` before anything is kept.
     """
     require_valid(inst)
-    sigma = inst._orders
-    ido_inst = inst._permuted(sigma, reverse=inst.kind == GOODS)
-    return ido_inst, RankProfile._of(sigma)
+    return inst._permuted(), RankProfile._of(inst._orders)
 
 
 def lift_allocation(

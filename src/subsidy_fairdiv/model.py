@@ -161,6 +161,14 @@ def rational_text(value: Fraction | int) -> str:
         ) from exc
 
 
+def _shown(value: Fraction) -> str:
+    """:func:`rational_text` for a message, which names the digit limit instead of raising."""
+    try:
+        return rational_text(value)
+    except ModelError:
+        return f"<a rational of more than {sys.get_int_max_str_digits()} digits>"
+
+
 def _permute(row: Sequence, order: Sequence[int]) -> tuple:
     """The entries ``row[i]`` for ``i`` in ``order``, as a tuple.
 
@@ -305,19 +313,20 @@ class Instance:
             violations.append(f"cost rows have inconsistent lengths {sorted(row_lengths)}")
         for i, w in enumerate(self.weights):
             if w.numerator <= 0:
-                violations.append(f"weight of agent {i} is {w}, must be positive")
+                violations.append(f"weight of agent {i} is {_shown(w)}, must be positive")
         weight_sum = exact_sum(self.weights)
         if self.weights and weight_sum != ONE:
-            violations.append(f"weights sum to {weight_sum}, not 1")
+            violations.append(f"weights sum to {_shown(weight_sum)}, not 1")
         # a row's range is the two ends of its order, lowest last for goods
         low, high = (-1, 0) if self.kind == GOODS else (0, -1)
         for i, (row, (ints, d), order) in enumerate(zip(self.costs, self._rows, self._orders)):
             if order and (ints[order[low]] < 0 or ints[order[high]] > d):
                 for e, p in enumerate(ints):
-                    if p < 0:
-                        violations.append(f"cost of item {e} for agent {i} is {row[e]}, below 0")
-                    elif p > d:
-                        violations.append(f"cost of item {e} for agent {i} is {row[e]}, exceeds 1")
+                    if p < 0 or p > d:
+                        violations.append(
+                            f"cost of item {e} for agent {i} is {_shown(row[e])}, "
+                            + ("below 0" if p < 0 else "exceeds 1")
+                        )
         if self.agent_names is not None and len(self.agent_names) != self.n:
             violations.append("agent_names length does not match agent count")
         if self.item_names is not None and len(self.item_names) != self.m:
@@ -331,18 +340,18 @@ class Instance:
                 violations.append(f"{field} entries must be encodable as UTF-8")
         return tuple(violations)
 
-    def _permuted(self, orders: Sequence[Sequence[int]], reverse: bool) -> Instance:
-        """This instance with row ``i`` in the order ``orders[i]``, backwards if ``reverse``.
+    def _permuted(self) -> Instance:
+        """This valid instance with row ``i`` in its rank order ``_orders[i]``, backwards for goods.
 
         The result keeps only the permutation: this instance's ``costs`` and
         integer rows (never the instance itself, which may keep the result),
-        the orders and the direction.  A permutation changes neither a
-        row's denominator nor its total, so the units are carried over, and
-        the values are already a valid instance's ``Fraction``s, so the
-        constructor is not run again.  Its integer rows (:meth:`_scaled_rows`)
-        and ``costs`` (:meth:`__getattr__`) are built on first read, each
-        row with one :func:`_permute` call, from this instance's own
-        objects; :meth:`_entry` reads one entry without building them.
+        the orders and the direction.  A permutation changes no row's
+        denominator or total and breaks no validation rule, so the units
+        are carried over and the verdict is no violations (``reduce_to_ido``
+        has just validated this instance).  Its integer rows and ``costs``
+        are built on first read, each row with one :func:`_permute` call,
+        from this instance's own objects; :meth:`_entry` reads one entry
+        without building them.
         """
         out = object.__new__(Instance)
         out.__dict__.update(
@@ -351,7 +360,8 @@ class Instance:
             agent_names=None,
             item_names=None,
             _units=self._units,
-            _permutation=(self.costs, self._rows, orders, reverse),
+            _violations=(),
+            _permutation=(self.costs, self._rows, self._orders, self.kind == GOODS),
         )
         return out
 
@@ -405,7 +415,7 @@ class FractionalAllocation:
                 )
             for e, x in enumerate(row):
                 if x.numerator < 0:
-                    raise ModelError(f"share of item {e} for agent {i} is {x}, below 0")
+                    raise ModelError(f"share of item {e} for agent {i} is {_shown(x)}, below 0")
                 if x.numerator:
                     columns[e].append((i, x))
         object.__setattr__(self, "n", len(matrix))
@@ -764,7 +774,7 @@ def parse_allocation(text: str) -> tuple[IntegralAllocation, SubsidyVector | Non
         amounts = tuple(_exact_field(s, f"subsidies[{i}]") for i, s in enumerate(raw))
         for i, s in enumerate(amounts):
             if s < 0:
-                raise ModelError(f"subsidies[{i}]: {s} is negative")
+                raise ModelError(f"subsidies[{i}]: {_shown(s)} is negative")
         subsidies = SubsidyVector(amounts)
     return IntegralAllocation(tuple(owner)), subsidies
 

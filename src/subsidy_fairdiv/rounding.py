@@ -660,7 +660,7 @@ def _fractional_stage(inst: Instance) -> tuple:
     run, of either method, reads it there: ``==``, ``hash``, ``repr``,
     pickling and ``dataclasses.replace`` never see it.  The rank profile
     is the instance's own rank orders, sorted once by validation.  The
-    reduced rows are built here, read by bid-and-take and
+    reduced rows are built here, read by bid-and-take's unchecked core and
     :func:`_whole_base`, and let go: the reduced instance keeps only its
     permutation, and the base is n integers.  :func:`reduce_to_ido`
     validates, so an invalid instance raises before anything is kept, and
@@ -671,9 +671,9 @@ def _fractional_stage(inst: Instance) -> tuple:
         ido_inst, profile = reduce_to_ido(inst)
         # the reduction keeps the input valid and makes it IDO, so
         # bid-and-take runs without its own precondition checks
-        rows, units = ido_inst._scaled_rows(), ido_inst._units
-        alloc, trace = _bid_and_take(inst.kind, rows, units, NORMALIZED)
-        base = _whole_base(lambda a, e: rows[a][0][e], units, alloc)
+        rows = ido_inst._scaled_rows()
+        alloc, trace = _bid_and_take(ido_inst, rows, NORMALIZED)
+        base = _whole_base(lambda a, e: rows[a][0][e], ido_inst._units, alloc)
         graph = build_graph(trace)
         stage = inst.__dict__["_fractional_stage"] = (
             ido_inst, profile, alloc, trace, graph,

@@ -30,7 +30,7 @@ from fractions import Fraction
 from hypothesis import example, strategies as st
 
 from subsidy_fairdiv import CHORES, GOODS, Instance
-from subsidy_fairdiv.fbta import NORMALIZED, RAW_COST, StuckError, bid_and_take
+from subsidy_fairdiv.fbta import RAW_COST, StuckError, fbta
 from subsidy_fairdiv.graph import AtomPath, GraphError, Tree, build_graph, trees
 from subsidy_fairdiv.ido import reduce_to_ido
 from subsidy_fairdiv.split import ExpandedAtomPath, Pair, SingleEdge, SplitError
@@ -619,7 +619,7 @@ def with_edge_cases(test):
 def fractional_run(inst):
     """(reduced instance, fractional allocation, forest) of the pipeline's run."""
     ido_inst, _ = reduce_to_ido(inst)
-    alloc, trace = bid_and_take(ido_inst, NORMALIZED)
+    alloc, trace = fbta(ido_inst)
     return ido_inst, alloc, trees(build_graph(trace))
 
 

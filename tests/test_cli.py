@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -159,6 +160,47 @@ def test_verify_rejects_long_owner_literal(istar_file, tmp_path, capsys):
     path.write_text('{"owner": [1' + "0" * 4400 + "]}")
     assert main(["verify", "--input", str(istar_file), "--allocation", str(path)]) == 2
     assert_one_error_line(capsys)
+
+
+TOO_LONG = f"<a rational of more than {sys.get_int_max_str_digits()} digits>"
+
+# each message shows a rational whose numerator or denominator has 4,301
+# digits, which str() refuses to write
+UNPRINTABLE = [
+    ({"kind": "chores", "weights": ["1e-4300", "1"], "costs": [["1/2"], ["1/2"]]},
+     f"weights sum to {TOO_LONG}, not 1"),
+    ({"kind": "chores", "weights": ["1"], "costs": [["1e4300"]]},
+     f"cost of item 0 for agent 0 is {TOO_LONG}, exceeds 1"),
+    ({"kind": "chores", "weights": ["1"], "costs": [["-1e4300"]]},
+     f"cost of item 0 for agent 0 is {TOO_LONG}, below 0"),
+]
+UNPRINTABLE_IDS = ["weight_sum", "cost_above_one", "cost_below_zero"]
+
+
+@pytest.mark.parametrize("doc, message", UNPRINTABLE, ids=UNPRINTABLE_IDS)
+def test_allocate_refuses_an_instance_whose_violation_is_unprintable(
+    doc, message, tmp_path, capsys
+):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "alloc.json"
+    assert main(["allocate", "--input", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: invalid instance: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("doc, message", UNPRINTABLE[:2], ids=UNPRINTABLE_IDS[:2])
+def test_validate_instance_shows_an_unprintable_rational(doc, message):
+    inst = Instance(doc["kind"], doc["weights"], doc["costs"])
+    assert validate_instance(inst) == (message,)
+
+
+def test_verify_refuses_an_unprintable_negative_subsidy(istar_file, tmp_path, capsys):
+    path = tmp_path / "alloc.json"
+    path.write_text(json.dumps({"owner": [0] * 6, "subsidies": ["-1e-4300", "0"]}))
+    assert main(["verify", "--input", str(istar_file), "--allocation", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: subsidies[0]: {TOO_LONG} is negative\n"
+    assert sorted(tmp_path.iterdir()) == sorted([istar_file, path])
 
 
 def test_allocate_unwritable_out(istar_file, tmp_path, capsys):

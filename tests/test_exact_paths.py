@@ -20,6 +20,7 @@ import collections
 import dataclasses
 import json
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from subsidy_fairdiv import (
     compute_subsidies,
     format_decimal,
     gen_random_instance,
+    parse_allocation,
     parse_instance,
     serialize_allocation,
     serialize_instance,
@@ -45,10 +47,17 @@ from subsidy_fairdiv import (
 )
 from subsidy_fairdiv import model
 from subsidy_fairdiv.cli import main
-from subsidy_fairdiv.fbta import NORMALIZED, bid_and_take
+from subsidy_fairdiv.fbta import NORMALIZED, fbta
 from subsidy_fairdiv.ido import is_ido, reduce_to_ido
 from subsidy_fairdiv.model import ONE, frac, require_valid
-from subsidy_fairdiv.rounding import BASELINE, TREE, ComponentRounding, HALF, run_pipeline
+from subsidy_fairdiv.rounding import (
+    BASELINE,
+    TREE,
+    ComponentRounding,
+    HALF,
+    integralize,
+    run_pipeline,
+)
 from reference import (
     instances,
     reference_bid_and_take,
@@ -175,7 +184,7 @@ def test_subsidy_and_certificate_totals_are_invisible(reference_instance):
 
 
 def test_allocation_from_columns_equals_dense_one(reference_instance):
-    alloc, _ = bid_and_take(reduce_to_ido(reference_instance)[0], NORMALIZED)
+    alloc, _ = fbta(reduce_to_ido(reference_instance)[0])
     assert "shares" not in vars(alloc)
     dense = FractionalAllocation(alloc.shares)
     assert dense == alloc and hash(dense) == hash(alloc) and repr(dense) == repr(alloc)
@@ -322,6 +331,74 @@ BAD_DOCUMENTS = [
 def test_parse_names_the_first_bad_field(body, message):
     with pytest.raises(ModelError) as exc:
         parse_instance('{"kind": "chores", %s}' % body)
+    assert str(exc.value) == message
+
+
+def _instance_doc(**fields):
+    """A valid two-agent, two-item chores document with ``fields`` replaced."""
+    doc = {"kind": "chores", "weights": ["1/2", "1/2"], "costs": [["1", "0"], ["1", "0"]]}
+    return json.dumps({**doc, **fields})
+
+
+# each refusal with the exact message it raises
+REFUSALS = {
+    "zero_agents": (
+        lambda: parse_instance(_instance_doc(weights=[], costs=[])),
+        "invalid instance: instance needs at least one agent"),
+    "zero_weight": (
+        lambda: parse_instance(_instance_doc(weights=["0", "1"])),
+        "invalid instance: weight of agent 0 is 0, must be positive"),
+    "negative_weight": (
+        lambda: parse_instance(_instance_doc(weights=["3/2", "-1/2"])),
+        "invalid instance: weight of agent 1 is -1/2, must be positive"),
+    "agent_names_length": (
+        lambda: parse_instance(_instance_doc(agent_names=["a"])),
+        "invalid instance: agent_names length does not match agent count"),
+    "item_names_length": (
+        lambda: parse_instance(_instance_doc(item_names=["a", "b", "c"])),
+        "invalid instance: item_names length does not match item count"),
+    "missing_field": (
+        lambda: parse_instance('{"kind": "chores", "weights": ["1"]}'),
+        "instance: missing field 'costs'"),
+    "weights_not_an_array": (
+        lambda: parse_instance(_instance_doc(weights="1")),
+        "instance: weights and costs must be arrays"),
+    "costs_not_an_array": (
+        lambda: parse_instance(_instance_doc(costs={"0": ["1", "0"]})),
+        "instance: weights and costs must be arrays"),
+    "cost_row_not_an_array": (
+        lambda: parse_instance(_instance_doc(costs=[["1", "0"], "1"])),
+        "costs[1]: must be an array"),
+    "instance_not_an_object": (
+        lambda: parse_instance("[]"),
+        "instance: top-level value must be an object"),
+    "allocation_not_an_object": (
+        lambda: parse_allocation('"owner"'),
+        "allocation: top-level value must be an object"),
+    "subsidies_not_an_array": (
+        lambda: parse_allocation('{"owner": [0], "subsidies": "0"}'),
+        "allocation: subsidies must be an array"),
+    "unknown_method": (
+        lambda: run_pipeline(gen_random_instance(2, 3, CHORES, 0), method="x"),
+        "unknown rounding method 'x'"),
+    "unassigned_fractional_item": (
+        lambda: integralize(FractionalAllocation([["1", "1/2"], ["0", "1/2"]]), {}),
+        "fractional item 1 has no assignment"),
+    "negative_share": (
+        lambda: FractionalAllocation([["1/2", "-1/3"], ["1/2", "4/3"]]),
+        "share of item 1 for agent 0 is -1/3, below 0"),
+    "unprintable_negative_share": (
+        lambda: FractionalAllocation([["-1e-4300"], ["1"]]),
+        "share of item 0 for agent 0 is "
+        f"<a rational of more than {sys.get_int_max_str_digits()} digits>, below 0"),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(REFUSALS))
+def test_refusal_message_is_exact(refusal):
+    call, message = REFUSALS[refusal]
+    with pytest.raises(ModelError) as exc:
+        call()
     assert str(exc.value) == message
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from subsidy_fairdiv.cli import main
-from subsidy_fairdiv.fbta import NORMALIZED, bid_and_take
+from subsidy_fairdiv.fbta import fbta
 from subsidy_fairdiv.graph import build_graph, trees
 from subsidy_fairdiv.ido import reduce_to_ido
 from subsidy_fairdiv.model import parse_instance, serialize_instance
@@ -97,7 +97,7 @@ def test_golden_corpus_keeps_tied_cases_of_both_kinds():
 def test_golden_forests_match_the_reference_forests():
     for case in CASES:
         ido_inst, _ = reduce_to_ido(parse_instance(regen.instance_text(case)))
-        graph = build_graph(bid_and_take(ido_inst, NORMALIZED)[1])
+        graph = build_graph(fbta(ido_inst)[1])
         expected = reference_components(graph.edges, range(graph.n))
         assert trees(graph) == expected, case["name"]
 

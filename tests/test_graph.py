@@ -12,7 +12,7 @@ from subsidy_fairdiv import (
     gen_random_instance,
     to_dot,
 )
-from subsidy_fairdiv.fbta import NORMALIZED, bid_and_take, fbta
+from subsidy_fairdiv.fbta import fbta
 from subsidy_fairdiv.graph import (
     GraphError,
     build_graph,
@@ -203,7 +203,7 @@ def test_forest_matches_the_reference_on_acceptance_shapes():
             n=n, m=n + (seed * 7) % (21 - n), kind=(CHORES, GOODS)[seed % 2],
             seed=seed, dist=("uniform", "correlated")[(seed // 2) % 2],
         )
-        _, trace = bid_and_take(reduce_to_ido(inst)[0], NORMALIZED)
+        _, trace = fbta(reduce_to_ido(inst)[0])
         assert_forest_matches_reference(build_graph(trace))
 
 

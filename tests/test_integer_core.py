@@ -3,7 +3,8 @@
 Each instance scales its cost rows to integers once and keeps them; the
 reduction hands the reduced instance its rows permuted and its totals
 unchanged; bid-and-take selects by comparing ``r_a[e] * R_b`` with
-``r_b[e] * R_a`` and stores only the positive fractions of each item.  The
+``r_b[e] * R_a``, each ``R_a`` read off the units, and stores only the
+positive fractions of each item.  The
 references in ``tests/reference.py`` sort, pick and take with ``Fraction``
 keys and capacities.  The properties require the same sigma, reduced rows,
 lifted owners, columns (of ``Fraction``s), dense shares, sharers,
@@ -28,7 +29,7 @@ from subsidy_fairdiv import (
     validate_instance,
     wprop_share,
 )
-from subsidy_fairdiv.fbta import NORMALIZED, RAW_COST, StuckError, bid_and_take
+from subsidy_fairdiv.fbta import NORMALIZED, RAW_COST, StuckError, _bid_and_take, fbta
 from subsidy_fairdiv.ido import is_ido, lift_allocation, reduce_to_ido
 from subsidy_fairdiv.model import scaled
 from reference import (
@@ -52,9 +53,9 @@ def assert_run_matches_reference(inst, selection):
         columns, successors = reference_bid_and_take(inst, selection)
     except StuckError:
         with pytest.raises(StuckError):
-            bid_and_take(inst, selection)
+            _bid_and_take(inst, inst._rows, selection)
         return
-    alloc, trace = bid_and_take(inst, selection)
+    alloc, trace = _bid_and_take(inst, inst._rows, selection)
     assert (alloc.n, alloc.m) == (inst.n, inst.m)
     assert alloc.columns == columns
     assert alloc.shares == tuple(
@@ -132,7 +133,7 @@ def test_raw_cost_run_matches_reference(inst):
 
 def test_examples_reach_the_lone_agent_path_and_stuck_runs():
     # agent 0 fills up halfway through item 1; the lone agent 1 takes the rest
-    alloc, trace = bid_and_take(reduce_to_ido(LONE_AGENT)[0], NORMALIZED)
+    alloc, trace = fbta(reduce_to_ido(LONE_AGENT)[0])
     half = Fraction(1, 2)
     assert alloc.columns == (((0, 1),), ((0, half), (1, half)), ((1, 1),))
     assert [(r.agent, r.successor, r.item) for r in trace.successors] == [(0, 1, 1)]
@@ -144,7 +145,25 @@ def test_examples_reach_the_lone_agent_path_and_stuck_runs():
     with pytest.raises(StuckError):
         reference_bid_and_take(stuck, RAW_COST)
     with pytest.raises(StuckError):
-        bid_and_take(stuck, RAW_COST)
+        fbta(stuck, RAW_COST)
+
+
+@with_edge_cases
+@given(instances())
+@settings(max_examples=200, deadline=None)
+def test_row_totals_read_from_the_units(inst):
+    # the normalized keys take R_i as the share p_i * R_i over p_i
+    assert [share // w.numerator for (_, share, _), w in zip(inst._units, inst.weights)] == [
+        sum(ints) for ints, _ in inst._rows
+    ]
+
+
+def test_an_all_zero_row_totals_zero_in_the_units():
+    inst = Instance(GOODS, ("2/3", "1/3"), (("0", "0", "0"), ("1/4", "1/2", "1")))
+    assert [share // w.numerator for (_, share, _), w in zip(inst._units, inst.weights)] == [
+        0, 7
+    ]
+    assert_run_matches_reference(inst, NORMALIZED)
 
 
 def test_row_integers_reuse_numerators():

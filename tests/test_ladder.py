@@ -1,0 +1,58 @@
+"""Every package attribute the stage ladder reads still exists.
+
+``tools/ladder.py`` is run by hand, outside the suite, so a renamed or
+deleted function it times would only show when the ladder is next run.
+This test parses the ladder and resolves each attribute it reads from a
+package module, whether through a module variable (``graph.trees``) or
+through the per-tree module table (``mods["rounding"]._fractional_stage``).
+"""
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+LADDER = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
+
+_spec = importlib.util.spec_from_file_location("stage_ladder", LADDER)
+ladder = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ladder)
+
+
+def module_reads(source, modules):
+    """``(module, attribute)`` of every attribute read from one of ``modules``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Attribute):
+            continue
+        value = node.value
+        if isinstance(value, ast.Name) and value.id in modules:
+            found.add((value.id, node.attr))
+        elif (
+            isinstance(value, ast.Subscript)
+            and isinstance(value.slice, ast.Constant)
+            and value.slice.value in modules
+        ):
+            found.add((value.slice.value, node.attr))
+    return sorted(found)
+
+
+READS = module_reads(LADDER.read_text(encoding="utf-8"), ladder.MODULES)
+
+
+def test_the_ladder_reads_each_timed_stage():
+    # the parse finds both spellings, so an empty or partial list is a broken parse
+    assert {
+        ("fbta", "fbta"), ("rounding", "_fractional_stage"), ("oracle", "gen_random_instance"),
+    } <= set(READS)
+
+
+def test_the_parse_finds_a_deleted_name():
+    planted = "def f(mods, fbta):\n    fbta.gone(mods['split'].gone_too)\n"
+    assert module_reads(planted, ladder.MODULES) == [("fbta", "gone"), ("split", "gone_too")]
+
+
+@pytest.mark.parametrize("module, name", READS, ids=[f"{m}.{n}" for m, n in READS])
+def test_ladder_attribute_resolves(module, name):
+    assert hasattr(importlib.import_module(f"{ladder.PACKAGE}.{module}"), name)

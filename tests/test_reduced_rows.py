@@ -9,7 +9,10 @@ goods.  The reduced instance refers to no ``Instance``, so an instance and
 its results are freed without the cycle collector.  The rounded subsidies,
 found from the stage's base and the shared items alone, equal
 ``compute_subsidies`` of the reduced instance and allocation, and so do
-the brute-force oracle's, which builds no reduced rows either.
+the brute-force oracle's, which builds no reduced rows either.  A reduced
+instance carries its source's verdict, which a fresh validation of a
+rebuilt copy agrees with, so ``fbta`` on one builds its rows and nothing
+else, and returns the stage's fractional allocation and trace.
 """
 import gc
 import importlib.util
@@ -166,3 +169,25 @@ def test_a_first_run_validates_once(monkeypatch):
     run_pipeline(inst)
     run_pipeline(inst, method=BASELINE)
     assert len(calls) == 1 and calls[0] is inst
+
+
+def test_golden_reduced_instances_carry_the_verdict_of_a_fresh_validation():
+    for inst in golden_instances():
+        ido_inst, _ = ido.reduce_to_ido(inst)
+        carried = vars(ido_inst)["_violations"]
+        rebuilt = Instance(ido_inst.kind, ido_inst.weights, ido_inst.costs)
+        assert carried == model.validate_instance(rebuilt) == ()
+
+
+@pytest.mark.parametrize("kind", (CHORES, GOODS))
+def test_fbta_on_a_reduced_instance_builds_only_its_rows(kind):
+    runs = 0
+    for inst in [*golden_instances(), *acceptance_shapes(100), *few_items()]:
+        if inst.kind != kind:
+            continue
+        result = run_pipeline(fresh(inst))
+        ido_inst = result.ido_instance
+        assert fbta.fbta(ido_inst) == (result.fractional, result.trace)
+        assert not {"costs", "_orders"} & set(vars(ido_inst))
+        runs += 1
+    assert runs > 100

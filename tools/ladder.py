@@ -12,12 +12,15 @@ in each tree, the two trees alternating which goes first:
 - on a second copy, each stage on its own, in pipeline order: ``validate``
   (``require_valid``, which builds the integer rows and sorts each into its
   rank order), ``reduce`` (``reduce_to_ido``, which only permutes: it takes
-  the rank orders validation sorted), ``bid_and_take``, ``forest`` (the
-  graph, its trees and the fractional items), and ``split``
-  (``split_tree`` on each tree of that forest, fresh from ``forest``, so
-  any index a tree keeps is built inside it).  A tree whose reduced
-  instance builds its integer rows only when they are read builds them in
-  ``bid_and_take``, not in ``reduce``;
+  the rank orders validation sorted), ``bid_and_take`` (``fbta`` on the
+  reduced instance, its checks included), ``forest`` (the graph, its trees
+  and the fractional items), and ``split`` (``split_tree`` on each tree of
+  that forest, fresh from ``forest``, so any index a tree keeps is built
+  inside it).  A tree whose reduced instance builds its integer rows only
+  when they are read builds them in ``bid_and_take``, not in ``reduce``;
+  a tree whose reduced instance does not carry its source's verdict, as
+  before the reduced instance carried it, also validates it again there,
+  building its ``costs`` and sorting rows already in order;
 - ``split_round``: ``round_tree`` on each tree of ``graph.trees`` of the
   first run's graph, on that run's reduced instance and fractional
   allocation, all read from its ``PipelineResult``;
@@ -136,7 +139,7 @@ def one_run(mods: dict, source) -> dict[str, float]:
     inst = fresh()
     _, times["validate"] = timed(model.require_valid, inst)
     (ido_inst, _), times["reduce"] = timed(ido.reduce_to_ido, inst)
-    (alloc, trace), times["bid_and_take"] = timed(fbta.bid_and_take, ido_inst, fbta.NORMALIZED)
+    (alloc, trace), times["bid_and_take"] = timed(fbta.fbta, ido_inst)
     (fresh_trees, _), times["forest"] = timed(forest, alloc, trace)
     _, times["split"] = timed(split_all, fresh_trees)
     # split + round on the first run's forest, so that its results can stand
