@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .fbta import AllocationTrace, SuccessorRecord
 from .graph import Edge, ItemSharingGraph, to_dot
-from .ido import RankProfile
 from .model import (
     CHORES,
     GOODS,
@@ -54,7 +53,6 @@ __all__ = [
     "FractionalAllocation",
     "IntegralAllocation",
     "SubsidyVector",
-    "RankProfile",
     "AllocationTrace",
     "SuccessorRecord",
     "ItemSharingGraph",

@@ -101,6 +101,16 @@ def _rational(value: Fraction, digits: int | None) -> str:
     return f"{text} ({format_decimal(value, digits)})"
 
 
+def _check_decimal(args: argparse.Namespace) -> None:
+    """Refuse, before the input is read, a ``--decimal`` count above the
+    interpreter's digit limit for int text (0 is none): only a value that
+    rounds to zero could be written with more digits, and building one
+    takes time that grows faster than the count."""
+    digits, limit = getattr(args, "decimal", None), sys.get_int_max_str_digits()
+    if digits is not None and limit and digits > limit:
+        raise ModelError(f"--decimal must be at most {limit}, got {digits}")
+
+
 def _judge(failures: list[str]) -> int:
     """The exit code a certificate's failures earn; each one goes to stderr."""
     for failure in failures:
@@ -302,6 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_decimal(args)
         return args.func(args)
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -202,7 +202,9 @@ def fbta(
 
     Returns a complete fractional allocation with ``c_i(x_i) <= share_i``
     (chores) or ``v_i(x_i) >= share_i`` (goods) for every agent and at
-    most ``n - 1`` fractional items, plus the hand-offs.
+    most ``n - 1`` fractional items, plus the hand-offs.  Both checks read
+    a kept verdict, which a reduced instance carries from the reduction,
+    so on one neither scans its rows.
     """
     require_valid(inst)
     if not is_ido(inst):

@@ -14,10 +14,10 @@ bid-and-take compares two ratios by cross-multiplying them.  A row is read
 from its ``Fraction``s' slots in two passes, its distinct denominators and
 then its integers: a few C-level calls per row, not a Python call per
 entry.  Each integer row is then sorted once into its rank order
-(``Instance._orders``): validation reads the row's range from the order's
-two ends, and the reduction takes the orders as its rank profile, so no
-other pass reads a row for its minimum or maximum.  Loads and shares are
-integers as well: agent ``i`` with weight ``p_i / q_i`` gets the unit
+(``Instance._orders``), non-decreasing for both kinds: validation reads the
+row's range from the order's two ends, and the reduction permutes each row
+by its order, so no other pass reads a row for its minimum or maximum.
+Loads and shares are integers as well: agent ``i`` with weight ``p_i / q_i`` gets the unit
 ``q_i * d_i`` (``Instance._units``), in which item ``e`` costs
 ``q_i * r_i[e]`` and the share is ``p_i * R_i``; bid-and-take's capacities
 and :func:`compute_subsidies` compute in it, and so does the one pricing
@@ -25,18 +25,18 @@ kernel (``rounding._Pricer``) behind component prices, the per-tree emit
 choice and the brute-force oracle.  :func:`parse_instance` converts each
 distinct rational string of a document once.  A reduced instance
 (``Instance._permuted``) keeps only its permutation: its source's
-``costs`` and integer rows, one order per row and the direction, with the
-source's units.  Its integer rows and ``costs`` are built from these, one
-``itemgetter`` call per row, only when read, and a single entry is read
-through the permutation without building either (``Instance._entry``), so
-the rounding, which prices at most ``n - 1`` shared items, never builds
-them.  A fractional allocation stores only the positive fractions of each
-item.  Every cache of a value object (integer rows and their rank orders,
-units, which give the row totals and shares, an instance's violations and
-fractional stage, the lazy rows and ``costs`` of a reduced instance, the
-dense view of an allocation, a subsidy total, a certificate's verdict) is
-computed on first use and is invisible to ``==``, ``hash``, ``repr`` and
-pickling.
+``costs``, integer rows and orders, with the source's units.  Its integer
+rows and ``costs`` are built from these, one ``itemgetter`` call per row,
+only when read, and a single entry is read through the permutation
+without building either (``Instance._entry``), so the rounding, which
+prices at most ``n - 1`` shared items, never builds them.  A fractional
+allocation stores only the positive fractions of each item.  Every cache
+of a value object (integer rows and their rank orders, units, which give
+the row totals and shares, an instance's violations, whether it is
+identical-ordering and its fractional stage, the lazy rows and ``costs``
+of a reduced instance, the dense view of an allocation, a subsidy total, a
+certificate's verdict) is computed on first use and is invisible to
+``==``, ``hash``, ``repr`` and pickling.
 
 Every document the package emits is written by :func:`_document`, byte for
 byte what ``json.dumps(doc, indent=2, sort_keys=True)`` writes, from one
@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Iterable, Sequence
 
 CHORES = "chores"
@@ -192,10 +192,11 @@ class Instance:
     item ``e``.  Weights must be positive and sum to one exactly; every
     cost must lie in [0, 1].  :func:`validate_instance` lists the rules
     an instance breaks, and :func:`require_valid` raises on any of them.
-    The integer rows, their rank orders, units and violations are computed
-    once, on first use, and so is the fractional stage of its runs
-    (``rounding._fractional_stage``: the reduction, bid-and-take and the
-    forest), shared by both rounding methods.
+    The integer rows, their rank orders, units, violations and whether it
+    is identical-ordering are computed once, on first use, and so is the
+    fractional stage of its runs (``rounding._fractional_stage``: the
+    reduction, bid-and-take and the forest), shared by both rounding
+    methods.
     """
 
     kind: str
@@ -235,34 +236,31 @@ class Instance:
         permutation = self.__dict__.get("_permutation")
         if permutation is None:
             return tuple(scaled(row) for row in self.costs)
-        _, rows, orders, reverse = permutation
-        return tuple(
-            (_permute(ints, order[::-1] if reverse else order), d)
-            for order, (ints, d) in zip(orders, rows)
-        )
+        _, rows, orders = permutation
+        return tuple((_permute(ints, order), d) for order, (ints, d) in zip(orders, rows))
 
     _rows = cached_property(_scaled_rows)
 
     @cached_property
     def _orders(self) -> tuple[tuple[int, ...], ...]:
-        """Per row ``r_i``, its items from favorite to least favorite.
+        """Per row ``r_i``, its items in the reduced instance's order.
 
-        Cheapest first for chores, most valuable first for goods (an unknown
-        kind sorts as chores), ties to the smaller index: the stable
-        ``sorted(range(m), key=r_i.__getitem__, reverse=goods)``.  Every
-        row's order is built over one shared list of index objects, 8 bytes
-        per entry instead of a new int each; a row of another length, in an
-        instance that is not valid, sorts its own range.  Validation reads
-        each row's range from the two ends of its order, and the reduction
-        takes the orders as its rank profile.
+        Non-decreasing by ``r_i``, ties to the smaller index for chores and
+        to the larger index for goods (an unknown kind sorts as chores): the
+        stable sort by ``r_i`` of the indices, in descending order for goods.
+        So an agent's favorite item is first for chores and last for goods.
+        Every row's order is built over one shared list of index objects, 8
+        bytes per entry instead of a new int each; a row of another length,
+        in an instance that is not valid, sorts its own indices.  Validation
+        reads each row's range from the two ends of its order, and the
+        reduction permutes row ``i`` by ``_orders[i]`` as it stands.
         """
         goods = self.kind == GOODS
-        items = list(range(self.m))
+        shared = sorted(range(self.m), reverse=goods)
         return tuple(
             tuple(sorted(
-                items if len(ints) == len(items) else range(len(ints)),
+                shared if len(ints) == len(shared) else sorted(range(len(ints)), reverse=goods),
                 key=ints.__getitem__,
-                reverse=goods,
             ))
             for ints, _ in self._rows
         )
@@ -270,16 +268,15 @@ class Instance:
     def _entry(self, agent: int, item: int) -> int:
         """``r_agent[item]``, one integer of the rows.
 
-        A reduced instance reads it from its source's row through the
-        permutation, whether or not its own rows are built, and builds
+        A reduced instance reads ``r_agent[_orders[agent][item]]`` from its
+        source's row, whether or not its own rows are built, and builds
         nothing.
         """
         permutation = self.__dict__.get("_permutation")
         if permutation is None:
             return self._rows[agent][0][item]
-        _, source, orders, reverse = permutation
-        order = orders[agent]
-        return source[agent][0][order[~item] if reverse else order[item]]
+        _, source, orders = permutation
+        return source[agent][0][orders[agent][item]]
 
     @cached_property
     def _units(self) -> tuple[tuple[int, int, int], ...]:
@@ -317,10 +314,9 @@ class Instance:
         weight_sum = exact_sum(self.weights)
         if self.weights and weight_sum != ONE:
             violations.append(f"weights sum to {_shown(weight_sum)}, not 1")
-        # a row's range is the two ends of its order, lowest last for goods
-        low, high = (-1, 0) if self.kind == GOODS else (0, -1)
+        # a row's range is the two ends of its non-decreasing order
         for i, (row, (ints, d), order) in enumerate(zip(self.costs, self._rows, self._orders)):
-            if order and (ints[order[low]] < 0 or ints[order[high]] > d):
+            if order and (ints[order[0]] < 0 or ints[order[-1]] > d):
                 for e, p in enumerate(ints):
                     if p < 0 or p > d:
                         violations.append(
@@ -340,18 +336,24 @@ class Instance:
                 violations.append(f"{field} entries must be encodable as UTF-8")
         return tuple(violations)
 
-    def _permuted(self) -> Instance:
-        """This valid instance with row ``i`` in its rank order ``_orders[i]``, backwards for goods.
+    @cached_property
+    def _ido(self) -> bool:
+        """True iff every integer row is non-decreasing in item order."""
+        return all(all(map(le, ints, ints[1:])) for ints, _ in self._rows)
 
-        The result keeps only the permutation: this instance's ``costs`` and
-        integer rows (never the instance itself, which may keep the result),
-        the orders and the direction.  A permutation changes no row's
-        denominator or total and breaks no validation rule, so the units
-        are carried over and the verdict is no violations (``reduce_to_ido``
-        has just validated this instance).  Its integer rows and ``costs``
-        are built on first read, each row with one :func:`_permute` call,
-        from this instance's own objects; :meth:`_entry` reads one entry
-        without building them.
+    def _permuted(self) -> Instance:
+        """This valid instance with row ``i`` in its rank order ``_orders[i]``.
+
+        The result keeps only the permutation: this instance's ``costs``,
+        integer rows and orders (never the instance itself, which may keep
+        the result).  A permutation changes no row's denominator or total
+        and breaks no validation rule, so the units are carried over and the
+        verdict is no violations (``reduce_to_ido`` has just validated this
+        instance); every row in its order is non-decreasing, so the result
+        is identical-ordering by construction.  Its integer rows and
+        ``costs`` are built on first read, each row with one
+        :func:`_permute` call, from this instance's own objects;
+        :meth:`_entry` reads one entry without building them.
         """
         out = object.__new__(Instance)
         out.__dict__.update(
@@ -361,7 +363,8 @@ class Instance:
             item_names=None,
             _units=self._units,
             _violations=(),
-            _permutation=(self.costs, self._rows, self._orders, self.kind == GOODS),
+            _ido=True,
+            _permutation=(self.costs, self._rows, self._orders),
         )
         return out
 
@@ -371,11 +374,8 @@ class Instance:
         permutation = self.__dict__.get("_permutation") if name == "costs" else None
         if permutation is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        source, _, orders, reverse = permutation
-        costs = tuple(
-            _permute(row, order[::-1] if reverse else order)
-            for order, row in zip(orders, source)
-        )
+        source, _, orders = permutation
+        costs = tuple(_permute(row, order) for order, row in zip(orders, source))
         object.__setattr__(self, "costs", costs)
         return costs
 

@@ -40,11 +40,11 @@ fractional items and that base form one stage per instance
 (:func:`_fractional_stage`), computed on its first run and shared by every
 later run, of either method, so comparing the tree rounding with the
 per-item baseline costs one fractional stage, not two.  The stage keeps no
-n×m object of its own: its rank profile is the instance's rank orders
-(``Instance._orders``), which validation sorted and the instance keeps; it
-builds the reduced rows for bid-and-take and the base and lets them go,
-and the rounding reads each shared item's cost through the reduced
-instance's permutation (``Instance._entry``).
+n×m object of its own: the reduction and the lift both read the instance's
+rank orders (``Instance._orders``), which validation sorted and the
+instance keeps; the stage builds the reduced rows for bid-and-take and the
+base and lets them go, and the rounding reads each shared item's cost
+through the reduced instance's permutation (``Instance._entry``).
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Sequence
 
 from .fbta import NORMALIZED, AllocationTrace, _bid_and_take, fractional_items
 from .graph import ItemSharingGraph, Tree, build_graph, trees
-from .ido import RankProfile, lift_allocation, reduce_to_ido
+from .ido import lift_allocation, reduce_to_ido
 from .model import (
     CHORES,
     ZERO,
@@ -634,13 +634,12 @@ class PipelineResult:
     """Everything the full run produced, for callers that want the parts.
 
     The results of one instance share its fractional stage: their
-    ``ido_instance``, ``profile``, ``fractional``, ``trace`` and ``graph``
-    are the same immutable objects, whichever method each one ran.
+    ``ido_instance``, ``fractional``, ``trace`` and ``graph`` are the same
+    immutable objects, whichever method each one ran.
     """
 
     instance: Instance
     ido_instance: Instance
-    profile: RankProfile
     fractional: FractionalAllocation
     trace: AllocationTrace
     graph: ItemSharingGraph
@@ -654,13 +653,14 @@ def _fractional_stage(inst: Instance) -> tuple:
     """Validate, reduce, allocate fractionally and build the forest, once.
 
     None of it depends on the rounding method, so the first run of an
-    instance keeps ``(reduced instance, rank profile, fractional allocation,
-    trace, graph, forest, fractional items, whole base)`` in the instance's
+    instance keeps ``(reduced instance, fractional allocation, trace,
+    graph, forest, fractional items, whole base)`` in the instance's
     ``__dict__``, as ``cached_property`` keeps ``_rows``, and every later
     run, of either method, reads it there: ``==``, ``hash``, ``repr``,
-    pickling and ``dataclasses.replace`` never see it.  The rank profile
-    is the instance's own rank orders, sorted once by validation.  The
-    reduced rows are built here, read by bid-and-take's unchecked core and
+    pickling and ``dataclasses.replace`` never see it.  The reduced
+    instance is the source's rows permuted by the rank orders validation
+    sorted once, which the source keeps for the lift.  The reduced rows
+    are built here, read by bid-and-take's unchecked core and
     :func:`_whole_base`, and let go: the reduced instance keeps only its
     permutation, and the base is n integers.  :func:`reduce_to_ido`
     validates, so an invalid instance raises before anything is kept, and
@@ -668,7 +668,7 @@ def _fractional_stage(inst: Instance) -> tuple:
     """
     stage = inst.__dict__.get("_fractional_stage")
     if stage is None:
-        ido_inst, profile = reduce_to_ido(inst)
+        ido_inst = reduce_to_ido(inst)
         # the reduction keeps the input valid and makes it IDO, so
         # bid-and-take runs without its own precondition checks
         rows = ido_inst._scaled_rows()
@@ -676,7 +676,7 @@ def _fractional_stage(inst: Instance) -> tuple:
         base = _whole_base(lambda a, e: rows[a][0][e], ido_inst._units, alloc)
         graph = build_graph(trace)
         stage = inst.__dict__["_fractional_stage"] = (
-            ido_inst, profile, alloc, trace, graph,
+            ido_inst, alloc, trace, graph,
             tuple(trees(graph)), tuple(fractional_items(alloc)), base,
         )
     return stage
@@ -688,12 +688,13 @@ def run_pipeline(inst: Instance, method: str = TREE) -> PipelineResult:
     Everything before rounding comes from :func:`_fractional_stage`,
     computed on an instance's first run and shared by every later one, so
     the two methods on one instance reduce, allocate and build the forest
-    once, and their results hold the same reduced instance, rank profile,
-    fractional allocation, trace and graph.
+    once, and their results hold the same reduced instance, fractional
+    allocation, trace and graph.  The lift reads the rank orders the
+    reduction permuted by, kept on ``inst``.
     """
     if method not in (TREE, BASELINE):
         raise RoundingError(f"unknown rounding method {method!r}")
-    ido_inst, profile, alloc, trace, graph, forest, fracs, base = _fractional_stage(inst)
+    ido_inst, alloc, trace, graph, forest, fracs, base = _fractional_stage(inst)
     tree_roundings: tuple[TreeRounding, ...] = ()
     if method == TREE:
         # every fractional item's sharers lie in one tree and trees share no
@@ -726,7 +727,7 @@ def run_pipeline(inst: Instance, method: str = TREE) -> PipelineResult:
         assignment = _merged_assignment(components)
     ido_allocation = integralize(alloc, assignment)
     rounded = _rounded_subsidies(ido_inst, base, assignment)
-    allocation = lift_allocation(inst, profile, ido_allocation)
+    allocation = lift_allocation(inst, ido_allocation)
     subsidies = compute_subsidies(inst, allocation)
     shattered = any(len(sharers) >= 3 for _, sharers in fracs)
     strong = None
@@ -752,7 +753,6 @@ def run_pipeline(inst: Instance, method: str = TREE) -> PipelineResult:
     return PipelineResult(
         instance=inst,
         ido_instance=ido_inst,
-        profile=profile,
         fractional=alloc,
         trace=trace,
         graph=graph,

@@ -618,7 +618,7 @@ def with_edge_cases(test):
 
 def fractional_run(inst):
     """(reduced instance, fractional allocation, forest) of the pipeline's run."""
-    ido_inst, _ = reduce_to_ido(inst)
+    ido_inst = reduce_to_ido(inst)
     alloc, trace = fbta(ido_inst)
     return ido_inst, alloc, trees(build_graph(trace))
 

@@ -526,6 +526,48 @@ def test_negative_decimal_is_refused_while_parsing(command, istar_file, tmp_path
     assert list(outputs.iterdir()) == []
 
 
+def test_decimal_at_the_digit_limit_writes_the_golden_case(tmp_path):
+    # every rational this case writes or prints (zero subsidies, a bound of
+    # 1/2) renders in 4,300 digits; every other byte is the golden one
+    golden = ROOT / "fixtures" / "golden" / "cases" / "gen_n2_m2_seed0"
+    out, cert, dot = tmp_path / "tree.json", tmp_path / "tree.cert.json", tmp_path / "tree.dot"
+    assert main([
+        "allocate", "--input", str(ROOT / "fixtures" / "gen_n2_m2_seed0.json"),
+        "--out", str(out), "--certificate", str(cert), "--emit-graph", str(dot),
+        "--decimal", "4300",
+    ]) == 0
+    assert cert.read_bytes() == (golden / "tree.cert.json").read_bytes()
+    assert dot.read_bytes() == (golden / "tree.dot").read_bytes()
+    expected = json.loads((golden / "tree.json").read_text(encoding="utf-8"))
+    zero = "0." + "0" * 4300
+    expected.update(subsidies_decimal=[zero, zero], total_subsidy_decimal=zero)
+    assert out.read_text(encoding="utf-8") == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command", ["allocate", "verify", "oracle"])
+def test_decimal_above_the_digit_limit_is_refused_before_the_input_is_read(
+    command, tmp_path, capsys
+):
+    missing = str(tmp_path / "missing.json")
+    argv = {"allocate": [], "verify": ["--allocation", missing], "oracle": []}[command]
+    assert main([command, "--input", missing, *argv, "--decimal", "4301"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --decimal must be at most 4300, got 4301\n"
+    assert captured.out == ""
+
+
+def test_no_digit_limit_refuses_no_decimal_count(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code = main(["allocate", "--input", str(tmp_path / "missing.json"), "--decimal", "4301"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # the count passes, and the missing input is what is refused
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot read ")
+
+
 def test_gen_command(tmp_path):
     out = tmp_path / "gen.json"
     assert main(

@@ -75,7 +75,7 @@ def test_pipeline_pieces_match_reference(inst):
     result = run_pipeline(inst)
     rows, sigma = reference_reduce(inst)
     assert result.ido_instance.costs == rows
-    assert result.profile.sigma == sigma
+    assert inst._orders == (sigma if inst.kind == CHORES else tuple(s[::-1] for s in sigma))
     _, successors = reference_bid_and_take(result.ido_instance, NORMALIZED)
     assert [(r.agent, r.successor, r.item) for r in result.trace.successors] == successors
     assert result.allocation.owner == reference_lift(inst, result.ido_allocation.owner)
@@ -90,7 +90,7 @@ def test_pipeline_pieces_match_reference(inst):
 # Caches are invisible
 # ---------------------------------------------------------------------------
 
-CACHES = {"_rows", "_orders", "_units", "_violations", "_fractional_stage"}
+CACHES = {"_rows", "_orders", "_units", "_violations", "_ido", "_fractional_stage"}
 
 
 def _warm_instance(inst):
@@ -101,6 +101,7 @@ def _warm_instance(inst):
     assert inst._rows
     assert "_violations" in vars(inst) and "_orders" in vars(inst)
     is_ido(inst)
+    assert "_ido" in vars(inst)
     reduce_to_ido(inst)
     run_pipeline(inst)
     run_pipeline(inst, method=BASELINE)
@@ -184,7 +185,7 @@ def test_subsidy_and_certificate_totals_are_invisible(reference_instance):
 
 
 def test_allocation_from_columns_equals_dense_one(reference_instance):
-    alloc, _ = fbta(reduce_to_ido(reference_instance)[0])
+    alloc, _ = fbta(reduce_to_ido(reference_instance))
     assert "shares" not in vars(alloc)
     dense = FractionalAllocation(alloc.shares)
     assert dense == alloc and hash(dense) == hash(alloc) and repr(dense) == repr(alloc)
@@ -234,7 +235,7 @@ def test_both_methods_share_one_fractional_stage(inst):
     for methods in ((TREE, BASELINE), (BASELINE, TREE)):
         shared = Instance(inst.kind, inst.weights, inst.costs)
         first, second = (run_pipeline(shared, method=method) for method in methods)
-        for name in ("ido_instance", "profile", "fractional", "trace", "graph"):
+        for name in ("ido_instance", "fractional", "trace", "graph"):
             assert getattr(first, name) is getattr(second, name)
         for method, result in zip(methods, (first, second)):
             fresh = run_pipeline(Instance(inst.kind, inst.weights, inst.costs), method=method)
@@ -249,7 +250,6 @@ def test_the_rank_profile_is_the_orders_validation_sorted(inst):
     # the rows are sorted once, by validation; the reduction sorts nothing
     inst = Instance(inst.kind, inst.weights, inst.costs)
     result = run_pipeline(inst)
-    assert result.profile.sigma is inst._orders
     assert result.ido_instance._permutation[2] is inst._orders
 
 
@@ -440,21 +440,17 @@ def test_the_pipeline_never_reads_the_reduced_costs(inst):
         assert "costs" not in vars(ido_inst)
 
 
-def _source_entries(inst, sigma):
-    """The reduced rows, read off the source's own entries through ``sigma``."""
-    goods = inst.kind != CHORES
-    return tuple(
-        tuple(row[e] for e in (reversed(order) if goods else order))
-        for row, order in zip(inst.costs, sigma)
-    )
+def _source_entries(inst, orders):
+    """The reduced rows, read off the source's own entries through ``orders``."""
+    return tuple(tuple(row[e] for e in order) for row, order in zip(inst.costs, orders))
 
 
 @with_edge_cases
 @given(instances())
 @settings(max_examples=100, deadline=None)
 def test_reduced_costs_are_the_source_entries(inst):
-    ido_inst, profile = reduce_to_ido(inst)
-    expected = _source_entries(inst, profile.sigma)
+    ido_inst = reduce_to_ido(inst)
+    expected = _source_entries(inst, inst._orders)
     assert ido_inst.costs == reference_reduce(inst)[0] == expected
     assert all(
         x is y for got, want in zip(ido_inst.costs, expected) for x, y in zip(got, want)
@@ -466,12 +462,11 @@ def test_reduced_costs_are_the_source_entries(inst):
 @settings(max_examples=100, deadline=None)
 def test_a_reduced_instance_behaves_as_a_constructed_one(inst):
     def reduced():
-        ido_inst, profile = reduce_to_ido(inst)
+        ido_inst = reduce_to_ido(inst)
         assert "costs" not in vars(ido_inst)
         return ido_inst
 
-    ido_inst, profile = reduce_to_ido(inst)
-    built = Instance(inst.kind, inst.weights, _source_entries(inst, profile.sigma))
+    built = Instance(inst.kind, inst.weights, _source_entries(inst, inst._orders))
     assert reduced() == built and built == reduced()
     assert hash(reduced()) == hash(built)
     assert repr(reduced()) == repr(built)
@@ -484,7 +479,7 @@ def test_a_reduced_instance_behaves_as_a_constructed_one(inst):
 
 
 def test_an_instance_lacks_only_the_attributes_it_lacks(reference_instance):
-    ido_inst, _ = reduce_to_ido(reference_instance)
+    ido_inst = reduce_to_ido(reference_instance)
     with pytest.raises(AttributeError, match="'Instance' object has no attribute 'price'"):
         ido_inst.price
     with pytest.raises(AttributeError, match="'Instance' object has no attribute 'price'"):

@@ -91,7 +91,7 @@ def test_single_agent_takes_everything():
 def test_zero_cost_item_taken_whole():
     # A zero-cost selected item cannot trip the overflow branch.
     inst = Instance(CHORES, ("1/2", "1/2"), (("0", "1"), ("0.5", "0.5")))
-    ido_inst, _ = reduce_to_ido(inst)
+    ido_inst = reduce_to_ido(inst)
     alloc, _ = fbta(ido_inst)
     assert alloc.is_complete()
 

@@ -96,7 +96,7 @@ def test_golden_corpus_keeps_tied_cases_of_both_kinds():
 
 def test_golden_forests_match_the_reference_forests():
     for case in CASES:
-        ido_inst, _ = reduce_to_ido(parse_instance(regen.instance_text(case)))
+        ido_inst = reduce_to_ido(parse_instance(regen.instance_text(case)))
         graph = build_graph(fbta(ido_inst)[1])
         expected = reference_components(graph.edges, range(graph.n))
         assert trees(graph) == expected, case["name"]

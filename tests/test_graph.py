@@ -203,7 +203,7 @@ def test_forest_matches_the_reference_on_acceptance_shapes():
             n=n, m=n + (seed * 7) % (21 - n), kind=(CHORES, GOODS)[seed % 2],
             seed=seed, dist=("uniform", "correlated")[(seed // 2) % 2],
         )
-        _, trace = fbta(reduce_to_ido(inst)[0])
+        _, trace = fbta(reduce_to_ido(inst))
         assert_forest_matches_reference(build_graph(trace))
 
 

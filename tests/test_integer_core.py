@@ -73,10 +73,11 @@ def assert_run_matches_reference(inst, selection):
 @given(instances())
 @settings(max_examples=300, deadline=None)
 def test_reduction_carries_rows_and_totals(inst):
-    ido_inst, profile = reduce_to_ido(inst)
+    ido_inst = reduce_to_ido(inst)
     costs, sigma = reference_reduce(inst)
     assert ido_inst.costs == costs
-    assert profile.sigma == sigma
+    # the reduced row order: favorite first for chores, last for goods
+    assert inst._orders == (sigma if inst.kind == CHORES else tuple(s[::-1] for s in sigma))
     # what the reduction carries over equals a fresh scaling
     again = fresh(ido_inst)
     assert ido_inst._rows == again._rows
@@ -97,9 +98,8 @@ def test_is_ido_matches_reference(inst):
 @given(instances(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_lift_matches_reference(inst, data):
-    _, profile = reduce_to_ido(inst)
     ido_owner = tuple(data.draw(st.integers(0, inst.n - 1)) for _ in range(inst.m))
-    lifted = lift_allocation(inst, profile, IntegralAllocation(ido_owner))
+    lifted = lift_allocation(inst, IntegralAllocation(ido_owner))
     assert lifted.owner == reference_lift(inst, ido_owner)
 
 
@@ -108,10 +108,9 @@ def test_lift_matches_reference(inst, data):
 def test_lift_matches_reference_on_wide_instances(kind, seed):
     # m >> n: each owner's cursor passes many items other owners took
     inst = gen_random_instance(10, 200, kind, seed=seed)
-    _, profile = reduce_to_ido(inst)
     rng = random.Random(seed)
     ido_owner = tuple(rng.randrange(inst.n) for _ in range(inst.m))
-    lifted = lift_allocation(inst, profile, IntegralAllocation(ido_owner))
+    lifted = lift_allocation(inst, IntegralAllocation(ido_owner))
     assert lifted.owner == reference_lift(inst, ido_owner)
 
 
@@ -119,7 +118,7 @@ def test_lift_matches_reference_on_wide_instances(kind, seed):
 @given(instances(max_n=10, max_m=14))
 @settings(max_examples=400, deadline=None)
 def test_normalized_run_matches_reference(inst):
-    ido_inst, _ = reduce_to_ido(inst)
+    ido_inst = reduce_to_ido(inst)
     assert_run_matches_reference(ido_inst, NORMALIZED)
 
 
@@ -127,13 +126,13 @@ def test_normalized_run_matches_reference(inst):
 @given(instances(kinds=(CHORES,), max_n=10, max_m=14))
 @settings(max_examples=300, deadline=None)
 def test_raw_cost_run_matches_reference(inst):
-    ido_inst, _ = reduce_to_ido(inst)
+    ido_inst = reduce_to_ido(inst)
     assert_run_matches_reference(ido_inst, RAW_COST)
 
 
 def test_examples_reach_the_lone_agent_path_and_stuck_runs():
     # agent 0 fills up halfway through item 1; the lone agent 1 takes the rest
-    alloc, trace = fbta(reduce_to_ido(LONE_AGENT)[0])
+    alloc, trace = fbta(reduce_to_ido(LONE_AGENT))
     half = Fraction(1, 2)
     assert alloc.columns == (((0, 1),), ((0, half), (1, half)), ((1, 1),))
     assert [(r.agent, r.successor, r.item) for r in trace.successors] == [(0, 1, 1)]
@@ -242,7 +241,9 @@ def test_a_row_range_comes_from_the_ends_of_its_order(kind, row):
     assert validate_instance(inst) == plain_range_violations(inst.costs)
     ((ints, _),) = inst._rows
     (order,) = inst._orders
-    assert list(order) == sorted(range(len(row)), key=ints.__getitem__, reverse=kind == GOODS)
+    # non-decreasing for both kinds: goods' favorite-first order, reversed
+    expected = sorted(range(len(row)), key=ints.__getitem__, reverse=kind == GOODS)
+    assert list(order) == (expected[::-1] if kind == GOODS else expected)
 
 
 @pytest.mark.parametrize(
@@ -278,10 +279,9 @@ def test_an_unknown_kind_sorts_as_chores_and_is_still_ranged():
 def test_reduction_of_zero_one_and_two_items(kind, m):
     # agent 1 ranks the two items the other way round from agent 0
     inst = Instance(kind, ("1/4", "3/4"), (("1/3", "1/2")[:m], ("1", "0")[:m]))
-    ido_inst, profile = reduce_to_ido(inst)
+    ido_inst = reduce_to_ido(inst)
     assert "costs" not in vars(ido_inst)
-    for i, order in enumerate(profile.sigma):
-        slots = order if kind == CHORES else order[::-1]
+    for i, slots in enumerate(inst._orders):
         ints, d = inst._rows[i]
         assert ido_inst._rows[i] == (tuple(ints[e] for e in slots), d)
         assert type(ido_inst.costs[i]) is tuple and len(ido_inst.costs[i]) == m

@@ -9,6 +9,7 @@ through the per-tree module table (``mods["rounding"]._fractional_stage``).
 import ast
 import importlib
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,26 @@ def test_the_parse_finds_a_deleted_name():
 @pytest.mark.parametrize("module, name", READS, ids=[f"{m}.{n}" for m, n in READS])
 def test_ladder_attribute_resolves(module, name):
     assert hasattr(importlib.import_module(f"{ladder.PACKAGE}.{module}"), name)
+
+
+def this_tree():
+    """The ladder's module table, from the modules this suite imports."""
+    return {name: importlib.import_module(f"{ladder.PACKAGE}.{name}") for name in ladder.MODULES}
+
+
+@pytest.mark.parametrize("kind", ["chores", "goods"])
+def test_the_ladder_runs_every_stage_on_this_tree(kind):
+    mods = this_tree()
+    source = mods["oracle"].gen_random_instance(4, 6, kind, seed=1)
+    times = ladder.one_run(mods, source)
+    assert set(ladder.STAGES) <= set(times)
+    assert all(t >= 0 for t in times.values())
+    assert ladder.kept_mb(mods, source) >= 0
+
+
+def test_the_ladder_reads_the_pair_a_parent_tree_reduces_to():
+    mods = this_tree()
+    reduce_to_ido = mods["ido"].reduce_to_ido
+    mods["ido"] = types.SimpleNamespace(reduce_to_ido=lambda inst: (reduce_to_ido(inst), None))
+    times = ladder.one_run(mods, mods["oracle"].gen_random_instance(4, 6, "goods", seed=1))
+    assert set(ladder.STAGES) <= set(times)

@@ -21,7 +21,6 @@ SURFACE = [
     "FractionalAllocation",
     "IntegralAllocation",
     "SubsidyVector",
-    "RankProfile",
     "AllocationTrace",
     "SuccessorRecord",
     "ItemSharingGraph",

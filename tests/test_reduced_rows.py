@@ -4,15 +4,16 @@ After bid-and-take the pipeline needs only each agent's share minus the
 items she holds whole, and the costs of the shared items, so the reduced
 instance keeps only its permutation: no integer rows and no ``costs``
 until something reads them.  Read afterwards they must equal an eager
-reduction: each source row in its ``profile.sigma`` order, backwards for
-goods.  The reduced instance refers to no ``Instance``, so an instance and
+reduction: each source row in its rank order ``_orders``.  The reduced
+instance refers to no ``Instance``, so an instance and
 its results are freed without the cycle collector.  The rounded subsidies,
 found from the stage's base and the shared items alone, equal
 ``compute_subsidies`` of the reduced instance and allocation, and so do
 the brute-force oracle's, which builds no reduced rows either.  A reduced
-instance carries its source's verdict, which a fresh validation of a
-rebuilt copy agrees with, so ``fbta`` on one builds its rows and nothing
-else, and returns the stage's fractional allocation and trace.
+instance carries its source's verdict and its own identical-ordering one,
+which a fresh validation and a fresh scan of a rebuilt copy agree with, so
+``fbta`` on one builds its rows and nothing else, and returns the stage's
+fractional allocation and trace.
 """
 import gc
 import importlib.util
@@ -71,9 +72,9 @@ def fresh(inst):
     return Instance(inst.kind, inst.weights, inst.costs)
 
 
-def eager(inst, sigma):
-    """The reduced rows and costs: each source row in its sigma order, backwards for goods."""
-    orders = [order[::-1] if inst.kind == GOODS else order for order in sigma]
+def eager(inst):
+    """The reduced rows and costs: each source row in its rank order."""
+    orders = inst._orders
     rows = tuple(
         (tuple(ints[e] for e in order), d) for order, (ints, d) in zip(orders, inst._rows)
     )
@@ -89,7 +90,7 @@ def assert_rows_kept_out(inst):
         results = [run_pipeline(shared, method=method) for method in methods]
         ido_inst = results[0].ido_instance
         assert not {"_rows", "costs"} & set(vars(ido_inst)), methods
-        rows, costs = eager(shared, results[0].profile.sigma)
+        rows, costs = eager(shared)
         assert ido_inst.m == shared.m and not {"_rows", "costs"} & set(vars(ido_inst))
         assert [
             [ido_inst._entry(a, e) for e in range(shared.m)] for a in range(shared.n)
@@ -173,7 +174,7 @@ def test_a_first_run_validates_once(monkeypatch):
 
 def test_golden_reduced_instances_carry_the_verdict_of_a_fresh_validation():
     for inst in golden_instances():
-        ido_inst, _ = ido.reduce_to_ido(inst)
+        ido_inst = ido.reduce_to_ido(inst)
         carried = vars(ido_inst)["_violations"]
         rebuilt = Instance(ido_inst.kind, ido_inst.weights, ido_inst.costs)
         assert carried == model.validate_instance(rebuilt) == ()
@@ -187,7 +188,25 @@ def test_fbta_on_a_reduced_instance_builds_only_its_rows(kind):
             continue
         result = run_pipeline(fresh(inst))
         ido_inst = result.ido_instance
+        kept = set(vars(ido_inst))
         assert fbta.fbta(ido_inst) == (result.fractional, result.trace)
         assert not {"costs", "_orders"} & set(vars(ido_inst))
+        assert set(vars(ido_inst)) - kept == {"_rows"}
+        runs += 1
+    assert runs > 100
+
+
+@pytest.mark.parametrize("kind", (CHORES, GOODS))
+def test_reduced_instances_carry_the_ido_verdict_of_a_fresh_scan(kind):
+    runs = 0
+    for inst in [*golden_instances(), *acceptance_shapes(100), *few_items()]:
+        if inst.kind != kind:
+            continue
+        ido_inst = ido.reduce_to_ido(fresh(inst))
+        carried = vars(ido_inst)["_ido"]
+        rebuilt = Instance(ido_inst.kind, ido_inst.weights, ido_inst.costs)
+        assert "_ido" not in vars(rebuilt)
+        assert carried is ido.is_ido(rebuilt) is True
+        assert len(ido_inst._permutation) == 3
         runs += 1
     assert runs > 100

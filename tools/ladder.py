@@ -12,7 +12,9 @@ in each tree, the two trees alternating which goes first:
 - on a second copy, each stage on its own, in pipeline order: ``validate``
   (``require_valid``, which builds the integer rows and sorts each into its
   rank order), ``reduce`` (``reduce_to_ido``, which only permutes: it takes
-  the rank orders validation sorted), ``bid_and_take`` (``fbta`` on the
+  the rank orders validation sorted; it returns the reduced instance, and a
+  tree from before it did returns the pair of that instance and its rank
+  profile, which is read too), ``bid_and_take`` (``fbta`` on the
   reduced instance, its checks included), ``forest`` (the graph, its trees
   and the fractional items), and ``split`` (``split_tree`` on each tree of
   that forest, fresh from ``forest``, so any index a tree keeps is built
@@ -20,7 +22,9 @@ in each tree, the two trees alternating which goes first:
   when they are read builds them in ``bid_and_take``, not in ``reduce``;
   a tree whose reduced instance does not carry its source's verdict, as
   before the reduced instance carried it, also validates it again there,
-  building its ``costs`` and sorting rows already in order;
+  building its ``costs`` and sorting rows already in order, and one whose
+  reduced instance does not carry its identical-ordering verdict also
+  scans its rows there;
 - ``split_round``: ``round_tree`` on each tree of ``graph.trees`` of the
   first run's graph, on that run's reduced instance and fractional
   allocation, all read from its ``PipelineResult``;
@@ -32,7 +36,7 @@ Each rung also records ``kept_mb``, per tree: the memory, in 10^6 bytes,
 that ``tracemalloc`` finds still allocated after ``_fractional_stage`` runs
 on a fresh copy whose integer rows, and nothing else, are already built,
 and a full collection; that is what an instance keeps for its later runs,
-the rank profile included, whichever step sorts it.
+the rank orders included, whichever step sorts them.
 
 Beside the ladder, ``chains`` times ``split_tree`` alone on paths of
 ``CHAINS`` edges cut into two-edge atom-paths, item j on edges 2j and
@@ -138,7 +142,9 @@ def one_run(mods: dict, source) -> dict[str, float]:
     result, times["pipeline"] = timed(rounding.run_pipeline, first)
     inst = fresh()
     _, times["validate"] = timed(model.require_valid, inst)
-    (ido_inst, _), times["reduce"] = timed(ido.reduce_to_ido, inst)
+    ido_inst, times["reduce"] = timed(ido.reduce_to_ido, inst)
+    if isinstance(ido_inst, tuple):  # a parent tree's (reduced instance, rank profile)
+        ido_inst = ido_inst[0]
     (alloc, trace), times["bid_and_take"] = timed(fbta.fbta, ido_inst)
     (fresh_trees, _), times["forest"] = timed(forest, alloc, trace)
     _, times["split"] = timed(split_all, fresh_trees)
