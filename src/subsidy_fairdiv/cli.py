@@ -147,14 +147,15 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         docs.append((args.certificate, cert.to_json()))
     if args.emit_graph:
         docs.append((args.emit_graph, to_dot(result.graph, inst.agent_names, inst.item_names)))
-    _write(*docs)
-    if not args.out:
-        sys.stdout.write(text)
-    print(
+    summary = (
         f"total subsidy {_rational(result.subsidies.total, args.decimal)} "
         f"<= bound {_rational(cert.global_bound, args.decimal)}: "
         f"{'VIOLATED' if failures else 'ok'}"
     )
+    _write(*docs)
+    if not args.out:
+        sys.stdout.write(text)
+    print(summary)
     return _judge(failures)
 
 

@@ -14,15 +14,15 @@ directed path, the item's *atom-path*, and any valid splitting must keep
 them together.
 
 A tree's index (:class:`_TreeIndex`) is what one walk of it finds: each
-node's edge to its parent, its children and its depth, the nodes in
-preorder, and the atom-path of each shattered item.  A split builds it
-once and reads it at every peel.
+node's edge to its parent, its children and its depth, and the
+atom-path of each shattered item.  A split builds it once and reads it
+at every peel.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .fbta import AllocationTrace
 from .model import ModelError
@@ -84,12 +84,11 @@ class _TreeIndex:
 
     ``parent[v]`` is node ``v``'s edge to its parent (the root has none),
     ``children[v]`` the tails of the edges into ``v``, ``depth[v]`` its
-    distance from the root, ``order`` the nodes in preorder (each subtree a
-    contiguous run, the root first), and ``paths`` the atom-path of each
-    shattered item, by item index.
+    distance from the root, and ``paths`` the atom-path of each shattered
+    item, by item index.
     """
 
-    __slots__ = ("parent", "children", "depth", "order", "paths")
+    __slots__ = ("parent", "children", "depth", "paths")
 
     def __init__(self, tree: Tree) -> None:
         children: dict[int, list[int]] = {v: [] for v in tree.nodes}
@@ -98,11 +97,9 @@ class _TreeIndex:
             children[e.head].append(e.tail)
             by_item[e.item].append(e)
         depth = {tree.root: 0}
-        order = []
         stack = [tree.root]
         while stack:
             v = stack.pop()
-            order.append(v)
             below = children[v]
             d = depth[v] + 1
             for c in below:
@@ -111,7 +108,6 @@ class _TreeIndex:
         self.parent = {e.tail: e for e in tree.edges}
         self.children = children
         self.depth = depth
-        self.order = order
         self.paths = {
             item: _chain(item, edges)
             for item, edges in sorted(by_item.items())
@@ -196,11 +192,6 @@ def make_tree(edges: tuple[Edge, ...], nodes: tuple[int, ...] = ()) -> Tree:
     if len(found) != 1:
         raise GraphError(f"edge set forms {len(found)} trees, expected exactly one")
     return found[0]
-
-
-def has_atom_path(edges: Sequence[Edge]) -> bool:
-    """Whether some item labels two or more of the edges."""
-    return len({e.item for e in edges}) < len(edges)
 
 
 def find_atom_paths(tree: Tree) -> list[AtomPath]:

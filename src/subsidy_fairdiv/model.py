@@ -805,7 +805,11 @@ def serialize_allocation(
 
 
 def format_decimal(value: Fraction, digits: int) -> str:
-    """Round a rational to a fixed-point decimal string (display only)."""
+    """Round a rational to a fixed-point decimal string (display only).
+
+    The whole part and the ``digits`` fraction digits are written as two
+    integers, so any count up to the interpreter's digit limit is writable.
+    """
     if digits < 0:
         raise ModelError("decimal digits must be non-negative")
     sign = "-" if value < 0 else ""
@@ -813,7 +817,7 @@ def format_decimal(value: Fraction, digits: int) -> str:
     whole = scaled.numerator // scaled.denominator
     if 2 * (scaled - whole) >= 1:
         whole += 1
-    text = rational_text(whole).rjust(digits + 1, "0")
+    whole, fraction = divmod(whole, 10**digits)
     if digits == 0:
-        return sign + text
-    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+        return sign + rational_text(whole)
+    return f"{sign}{rational_text(whole)}.{rational_text(fraction).rjust(digits, '0')}"

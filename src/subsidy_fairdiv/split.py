@@ -20,7 +20,9 @@ split in turn, depth first.
 A split builds its tree's index (``graph._TreeIndex``) once, reads it at
 every peel, and drops it on return: kept on the trees of a 120-agent
 instance, its ~450 containers moved the garbage collector's full passes
-into the pipeline's own calls.
+into the pipeline's own calls.  A donation reads the peel's walk of its
+region and the index's parent edges: it counts subtree sizes, and walks
+nothing again.
 
 :func:`split_tree` is the entry point and alone fixes the component
 order that every certificate records.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop
 from itertools import count
 
-from .graph import AtomPath, Edge, GraphError, Tree, _TreeIndex, has_atom_path
+from .graph import AtomPath, Edge, GraphError, Tree, _TreeIndex
 from .model import ModelError
 
 
@@ -153,42 +155,30 @@ def simple_split(tree: Tree) -> list[Pair | SingleEdge]:
     index = _TreeIndex(tree)
     if index.paths:
         raise SplitError("tree contains an atom-path; use atom_path_split")
-    return _pairs(index, index.order)
+    return _pairs(index, [tree.root, *index.parent])
 
 
-def choose_attachment(edges: list[Edge], contact: int) -> Edge:
-    """Pick the donated edge of an odd atom-path-free component.
+def choose_attachment(index: _TreeIndex, nodes: list[int], contact: int) -> Edge:
+    """Pick the donated edge of an odd atom-path-free region at its path agent.
 
-    Returns an edge incident to ``contact`` whose removal leaves the far
-    side with an even number of edges (the near side is then also even);
-    a parity argument guarantees one exists.  Ties go to the smallest
-    item index.  Each far side is walked once, so this is linear in the
-    component.
+    ``nodes`` are the region's nodes, its root first and each node after
+    its parent, and ``contact`` is the region's path agent.  Returns an
+    edge incident to ``contact`` whose removal leaves an even number of
+    edges on each side; ties go to the smallest item index, then tail.
+    One pass over ``nodes``, from the last, counts each node's subtree in
+    the region.  A child's edge leaves its subtree on the far side, so it
+    qualifies when that subtree has an odd node count; so does the
+    contact's own edge to its parent, when the contact is not the region's
+    root and its subtree is odd, since the region has an even node count.
+    That count also guarantees a candidate.
     """
-    if len(edges) % 2 == 0:
-        raise SplitError("component has even size, nothing to donate")
-    if has_atom_path(edges):
-        raise SplitError("component contains an atom-path, nothing to donate")
-    neighbors: dict[int, list[int]] = defaultdict(list)
-    for e in edges:
-        neighbors[e.tail].append(e.head)
-        neighbors[e.head].append(e.tail)
-    candidates = []
-    for e in edges:
-        if contact not in (e.tail, e.head):
-            continue
-        # the far side is what the far end reaches without the contact
-        far_side = [e.head if e.tail == contact else e.tail]
-        seen = {contact, far_side[0]}
-        for v in far_side:
-            for w in neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    far_side.append(w)
-        if len(far_side) % 2 == 1:
-            candidates.append(e)
-    if not candidates:
-        raise GraphError("no even-side edge at the atom-path agent; parity broken")
+    parent = index.parent
+    size = dict.fromkeys(nodes, 1)
+    for v in reversed(nodes[1:]):
+        size[parent[v].head] += size[v]
+    candidates = [parent[c] for c in index.children[contact] if size.get(c, 0) % 2]
+    if contact != nodes[0] and size[contact] % 2:
+        candidates.append(parent[contact])
     return min(candidates, key=lambda e: (e.item, e.tail))
 
 
@@ -220,7 +210,7 @@ def atom_path_split(tree: Tree) -> list[Component]:
 
 def _peel(tree: Tree, index: _TreeIndex) -> list[Component]:
     """:func:`atom_path_split` of a tree with an atom-path, on its index."""
-    paths, parent, children = index.paths, index.parent, index.children
+    paths, children = index.paths, index.children
     bottom = {path.agents[0]: item for item, path in paths.items()}
     cut: set[int] = set()  # tails of the edges peeled or donated
     label: dict[int, int] = {}  # node -> its piece's label, 0 until it moves
@@ -299,7 +289,7 @@ def _peel(tree: Tree, index: _TreeIndex) -> list[Component]:
             if n % 2 == 1:
                 good.append(_pairs(index, nodes))
                 continue
-            donated = choose_attachment([parent[v] for v in nodes[1:]], contact)
+            donated = choose_attachment(index, nodes, contact)
             attachments.append((contact, donated))
             cut.add(donated.tail)
             far = walk(donated.tail)
@@ -326,4 +316,4 @@ def split_tree(tree: Tree) -> list[Component]:
     if not tree.size:
         return []
     index = _TreeIndex(tree)
-    return _peel(tree, index) if index.paths else _pairs(index, index.order)
+    return _peel(tree, index) if index.paths else _pairs(index, [tree.root, *index.parent])

@@ -526,22 +526,38 @@ def test_negative_decimal_is_refused_while_parsing(command, istar_file, tmp_path
     assert list(outputs.iterdir()) == []
 
 
-def test_decimal_at_the_digit_limit_writes_the_golden_case(tmp_path):
-    # every rational this case writes or prints (zero subsidies, a bound of
-    # 1/2) renders in 4,300 digits; every other byte is the golden one
-    golden = ROOT / "fixtures" / "golden" / "cases" / "gen_n2_m2_seed0"
-    out, cert, dot = tmp_path / "tree.json", tmp_path / "tree.cert.json", tmp_path / "tree.dot"
-    assert main([
-        "allocate", "--input", str(ROOT / "fixtures" / "gen_n2_m2_seed0.json"),
-        "--out", str(out), "--certificate", str(cert), "--emit-graph", str(dot),
-        "--decimal", "4300",
-    ]) == 0
-    assert cert.read_bytes() == (golden / "tree.cert.json").read_bytes()
-    assert dot.read_bytes() == (golden / "tree.dot").read_bytes()
-    expected = json.loads((golden / "tree.json").read_text(encoding="utf-8"))
-    zero = "0." + "0" * 4300
-    expected.update(subsidies_decimal=[zero, zero], total_subsidy_decimal=zero)
-    assert out.read_text(encoding="utf-8") == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+def test_decimal_at_the_digit_limit_writes_the_golden_case(tmp_path, capsys):
+    # every rational these cases write or print renders in 4,300 digits,
+    # reference_6x6's bound of 11/6 with its whole part too; every other
+    # byte is the golden one
+    def fixed(text):
+        return (text if "." in text else text + ".").ljust(4302, "0")
+
+    cases = {  # subsidies, total, summary line
+        "gen_n2_m2_seed0": (
+            ["0", "0"], "0", f"total subsidy 0 ({fixed('0')}) <= bound 1/2 ({fixed('0.5')})",
+        ),
+        "reference_6x6": (
+            ["0.3", "0.4", "0", "0", "0", "0"], "0.7",
+            f"total subsidy 7/10 ({fixed('0.7')}) <= bound 11/6 (1.8{'3' * 4299})",
+        ),
+    }
+    for case, (subsidies, total, summary) in cases.items():
+        golden = ROOT / "fixtures" / "golden" / "cases" / case
+        out, cert, dot = tmp_path / "tree.json", tmp_path / "tree.cert.json", tmp_path / "tree.dot"
+        assert main([
+            "allocate", "--input", str(ROOT / "fixtures" / f"{case}.json"),
+            "--out", str(out), "--certificate", str(cert), "--emit-graph", str(dot),
+            "--decimal", "4300",
+        ]) == 0
+        assert cert.read_bytes() == (golden / "tree.cert.json").read_bytes()
+        assert dot.read_bytes() == (golden / "tree.dot").read_bytes()
+        expected = json.loads((golden / "tree.json").read_text(encoding="utf-8"))
+        expected.update(
+            subsidies_decimal=[fixed(s) for s in subsidies], total_subsidy_decimal=fixed(total)
+        )
+        assert out.read_text(encoding="utf-8") == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == summary + ": ok\n"
 
 
 @pytest.mark.parametrize("command", ["allocate", "verify", "oracle"])

@@ -9,7 +9,6 @@ through the per-tree module table (``mods["rounding"]._fractional_stage``).
 import ast
 import importlib
 import importlib.util
-import types
 from pathlib import Path
 
 import pytest
@@ -74,9 +73,9 @@ def test_the_ladder_runs_every_stage_on_this_tree(kind):
     assert ladder.kept_mb(mods, source) >= 0
 
 
-def test_the_ladder_reads_the_pair_a_parent_tree_reduces_to():
+def test_the_ladder_broom_donates_once_per_path_agent():
     mods = this_tree()
-    reduce_to_ido = mods["ido"].reduce_to_ido
-    mods["ido"] = types.SimpleNamespace(reduce_to_ido=lambda inst: (reduce_to_ido(inst), None))
-    times = ladder.one_run(mods, mods["oracle"].gen_random_instance(4, 6, "goods", seed=1))
-    assert set(ladder.STAGES) <= set(times)
+    tree = ladder.broom(mods["graph"], 29)
+    eap, *rest = mods["split"].split_tree(tree)
+    assert (tree.size, eap.k, eap.h) == (29, 4, 5)
+    assert [p.kind for p in rest] == ["pair"] * 10

@@ -266,6 +266,9 @@ def test_round_trip_identity_property(data):
         (Fraction(2, 3), 2, "0.67"),
         (Fraction(11, 6), 0, "2"),
         (Fraction(-1, 8), 2, "-0.13"),
+        # a whole part beside 4,300 fraction digits, a rounding carry into it
+        pytest.param(Fraction(-23, 6), 4300, "-3.8" + "3" * 4299, id="limit-negative"),
+        pytest.param(1 - Fraction(1, 10**4301), 4300, "1." + "0" * 4300, id="limit-carry"),
     ],
 )
 def test_format_decimal(value, digits, expected):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subsidy_fairdiv import CHORES, GOODS, Edge
-from subsidy_fairdiv.graph import find_atom_paths, make_tree
+from subsidy_fairdiv.graph import _TreeIndex, find_atom_paths, make_tree
 from subsidy_fairdiv.split import (
     ExpandedAtomPath,
     Pair,
@@ -249,26 +249,32 @@ def test_simple_split_properties_on_random_trees():
     assert checked >= 40
 
 
+def attach(edges, contact):
+    """:func:`choose_attachment` on the tree of ``edges``, walked from its root."""
+    tree = make_tree(tuple(edges))
+    index = _TreeIndex(tree)
+    nodes = [tree.root]
+    for v in nodes:
+        nodes.extend(index.children[v])
+    return choose_attachment(index, nodes, contact)
+
+
 def test_choose_attachment_single_edge_component():
     edges = [Edge(7, 1, 4)]
-    donated = choose_attachment(edges, contact=1)
-    assert donated is edges[0]
+    assert attach(edges, contact=1) == edges[0]
+    assert attach(edges, contact=7) == edges[0]
 
 
 def test_choose_attachment_star_prefers_smallest_item():
     edges = [Edge(10, 1, 6), Edge(11, 1, 5), Edge(12, 1, 8)]
-    donated = choose_attachment(edges, contact=1)
+    donated = attach(edges, contact=1)
     assert donated.item == 5
-
-
-def test_choose_attachment_rejects_even_component():
-    with pytest.raises(SplitError):
-        choose_attachment([Edge(10, 1, 0), Edge(11, 1, 1)], contact=1)
 
 
 def test_choose_attachment_matches_the_per_edge_walk():
     # random odd atom-path-free trees: every node touches an edge whose far
-    # side is even, so every node is a valid contact
+    # side is even, so every node is a valid contact; one that is not the
+    # root has its own edge to its parent among the candidates
     rng = random.Random(7)
     checked = 0
     for _ in range(200):
@@ -281,7 +287,7 @@ def test_choose_attachment_matches_the_per_edge_walk():
         ]
         rng.shuffle(edges)
         for contact in range(size + 1):
-            got = choose_attachment(edges, contact)
+            got = attach(edges, contact)
             assert got == reference_choose_attachment(edges, contact)
             checked += 1
     assert checked > 1000
@@ -300,6 +306,18 @@ def chain(size, order=None):
     return make_tree(
         tuple(Edge(i, i + 1, order[i // 2]) for i in range(size))
     )
+
+
+def broom(k, leaves):
+    """An atom-path of ``k`` edges, agent i -> i + 1 on item 0, with a hub edge
+    into each path agent and ``leaves`` leaf edges into each hub, each edge
+    off the path on the item of its tail."""
+    edges = [Edge(i, i + 1, 0) for i in range(k)]
+    for agent in range(k + 1):
+        hub = k + 1 + (leaves + 1) * agent
+        edges.append(Edge(hub, agent, hub))
+        edges += [Edge(leaf, hub, leaf) for leaf in range(hub + 1, hub + 1 + leaves)]
+    return make_tree(tuple(edges))
 
 
 def test_split_matches_the_reference_on_tie_free_forests():
@@ -342,7 +360,8 @@ def test_split_of_a_long_chain_in_closed_form():
 @pytest.mark.parametrize("arms", [1, 2, 3, 7, 20])
 def test_split_matches_the_reference_on_stars_of_atom_paths(arms):
     # arm a: a two- or three-edge atom-path into agent 0, with a pendant
-    # edge at every other path agent and a two-edge tail on every third
+    # edge at every other path agent and a two-edge tail on every third;
+    # then brooms of arms + 1 path edges with hubs of 2 to 4 leaves
     rng = random.Random(arms)
     edges = []
     agents = iter(range(1, 10_000))
@@ -360,6 +379,13 @@ def test_split_matches_the_reference_on_stars_of_atom_paths(arms):
     parts = split_tree(tree)
     assert parts == reference_split_tree(tree)
     assert sum(isinstance(p, ExpandedAtomPath) for p in parts) == arms
+    # brooms: each path agent's region, a hub and its leaves, donates the
+    # hub's edge when it has an odd edge count and stays whole otherwise
+    for leaves in (arms % 2 + 2, arms % 2 + 3):
+        tree = broom(arms + 1, leaves)
+        parts = split_tree(tree)
+        assert parts == reference_split_tree(tree)
+        assert parts[0].h == (arms + 2) * (leaves % 2 == 0)
 
 
 @st.composite

@@ -12,19 +12,12 @@ in each tree, the two trees alternating which goes first:
 - on a second copy, each stage on its own, in pipeline order: ``validate``
   (``require_valid``, which builds the integer rows and sorts each into its
   rank order), ``reduce`` (``reduce_to_ido``, which only permutes: it takes
-  the rank orders validation sorted; it returns the reduced instance, and a
-  tree from before it did returns the pair of that instance and its rank
-  profile, which is read too), ``bid_and_take`` (``fbta`` on the
+  the rank orders validation sorted), ``bid_and_take`` (``fbta`` on the
   reduced instance, its checks included), ``forest`` (the graph, its trees
   and the fractional items), and ``split`` (``split_tree`` on each tree of
   that forest, fresh from ``forest``, so any index a tree keeps is built
   inside it).  A tree whose reduced instance builds its integer rows only
   when they are read builds them in ``bid_and_take``, not in ``reduce``;
-  a tree whose reduced instance does not carry its source's verdict, as
-  before the reduced instance carried it, also validates it again there,
-  building its ``costs`` and sorting rows already in order, and one whose
-  reduced instance does not carry its identical-ordering verdict also
-  scans its rows there;
 - ``split_round``: ``round_tree`` on each tree of ``graph.trees`` of the
   first run's graph, on that run's reduced instance and fractional
   allocation, all read from its ``PipelineResult``;
@@ -38,10 +31,16 @@ on a fresh copy whose integer rows, and nothing else, are already built,
 and a full collection; that is what an instance keeps for its later runs,
 the rank orders included, whichever step sorts them.
 
-Beside the ladder, ``chains`` times ``split_tree`` alone on paths of
-``CHAINS`` edges cut into two-edge atom-paths, item j on edges 2j and
-2j + 1, so every peel leaves one piece holding every later atom-path: a
-fresh tree per run, the two trees alternating.
+Beside the ladder, ``chains`` times ``split_tree`` alone on two families
+of trees, a fresh tree per run, the two source trees alternating:
+
+- ``chain``: paths of ``CHAINS`` edges cut into two-edge atom-paths, item j
+  on edges 2j and 2j + 1, so every peel leaves one piece holding every
+  later atom-path;
+- ``broom``: one atom-path of k edges, item 0, with a hub edge into each
+  of its k + 1 agents and four leaf edges into each hub, so 6k + 5 edges,
+  the most that fit in each of ``CHAINS``; every path agent's region has
+  five edges and donates its hub edge (``choose_attachment``).
 
 Every timed call starts after a full ``gc.collect()``.  Each stage gets
 the median over ``RUNS`` runs and the distance between their quartiles, in
@@ -143,8 +142,6 @@ def one_run(mods: dict, source) -> dict[str, float]:
     inst = fresh()
     _, times["validate"] = timed(model.require_valid, inst)
     ido_inst, times["reduce"] = timed(ido.reduce_to_ido, inst)
-    if isinstance(ido_inst, tuple):  # a parent tree's (reduced instance, rank profile)
-        ido_inst = ido_inst[0]
     (alloc, trace), times["bid_and_take"] = timed(fbta.fbta, ido_inst)
     (fresh_trees, _), times["forest"] = timed(forest, alloc, trace)
     _, times["split"] = timed(split_all, fresh_trees)
@@ -231,24 +228,40 @@ def chain(graph, size: int):
     return graph.make_tree(tuple(graph.Edge(i, i + 1, i // 2) for i in range(size)))
 
 
+def broom(graph, size: int):
+    """The broom of at most ``size`` edges: an atom-path of k = (size - 5) // 6
+    edges, agent i -> i + 1 on item 0, and at each path agent a hub edge into
+    it and four leaf edges into the hub, each on the item of its tail."""
+    k = (size - 5) // 6
+    edges = [graph.Edge(i, i + 1, 0) for i in range(k)]
+    for agent in range(k + 1):
+        hub = k + 1 + 5 * agent
+        edges.append(graph.Edge(hub, agent, hub))
+        edges += [graph.Edge(leaf, hub, leaf) for leaf in range(hub + 1, hub + 5)]
+    return graph.make_tree(tuple(edges))
+
+
 def chains(trees: dict[str, Path]) -> dict[str, list]:
-    """Median and interquartile range of ``split_tree`` on each chain, per tree."""
+    """Median and interquartile range of ``split_tree`` on each chain and
+    broom, per tree."""
     mods = {label: import_tree(path) for label, path in trees.items()}
     labels = list(trees)
     result: dict[str, list] = {label: [] for label in labels}
-    for size in CHAINS:
-        samples: dict[str, list[float]] = {label: [] for label in labels}
-        for r in range(RUNS):
-            for label in labels[r % 2:] + labels[: r % 2]:
-                tree = chain(mods[label]["graph"], size)
-                _, t = timed(mods[label]["split"].split_tree, tree)
-                samples[label].append(t)
-        for label in labels:
-            result[label].append({
-                "edges": size,
-                "median_s": round(statistics.median(samples[label]), 6),
-                "iqr_s": round(iqr(samples[label]), 6),
-            })
+    for family, make in (("chain", chain), ("broom", broom)):
+        for size in CHAINS:
+            samples: dict[str, list[float]] = {label: [] for label in labels}
+            for r in range(RUNS):
+                for label in labels[r % 2:] + labels[: r % 2]:
+                    tree = make(mods[label]["graph"], size)
+                    _, t = timed(mods[label]["split"].split_tree, tree)
+                    samples[label].append(t)
+            for label in labels:
+                result[label].append({
+                    "family": family,
+                    "edges": tree.size,
+                    "median_s": round(statistics.median(samples[label]), 6),
+                    "iqr_s": round(iqr(samples[label]), 6),
+                })
     return result
 
 
