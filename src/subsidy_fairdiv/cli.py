@@ -166,8 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ModelError(
             f"subsidy vector has {len(claimed.amounts)} entries for n={inst.n}"
         )
-    minimum = compute_subsidies(inst, allocation)
-    subsidies = claimed if claimed is not None else minimum
+    subsidies = claimed if claimed is not None else compute_subsidies(inst, allocation)
     violations = 0
     for i, load in enumerate(allocation.bundle_costs(inst)):
         share = wprop_share(inst, i)

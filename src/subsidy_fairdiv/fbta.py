@@ -23,10 +23,10 @@ Selection keys, chores:
     useful reference fixtures; not used by the allocation pipeline.
 
 Goods use only the symmetric ``normalized`` rule (maximize
-``v_i(e)/v_i(M)``) and hand all remaining items to the last active agent.
-:func:`fbta` checks its input, then runs the unchecked core
-``_bid_and_take`` on the instance's integer rows; the pipeline calls that
-core on the reduced rows it builds and then lets go.
+``v_i(e)/v_i(M)``), and the last active agent never turns inactive: she
+takes all that is left.  :func:`fbta` is the one bid-and-take function;
+the pipeline calls it on the reduced instance, whose carried verdicts
+make its checks free.
 
 Agents with an all-zero row have share zero and an undefined ratio; they
 participate with key 0 and never turn inactive, so for chores they soak
@@ -54,6 +54,7 @@ from .model import (
     Instance,
     ModelError,
     require_valid,
+    validate_instance,
 )
 
 NORMALIZED = "normalized"
@@ -92,17 +93,29 @@ class AllocationTrace:
     successors: tuple[SuccessorRecord, ...]
 
 
-def _bid_and_take(
-    inst: Instance,
-    rows: tuple[tuple[tuple[int, ...], int], ...],
-    selection: str,
+def fbta(
+    inst: Instance, selection: str = NORMALIZED
 ) -> tuple[FractionalAllocation, AllocationTrace]:
-    """Bid-and-take on the instance's integer ``rows``, its kind and units, unchecked.
+    """Bid-and-take on a valid IDO instance, by the ``selection`` rule.
 
-    The caller guarantees a valid IDO instance and a known selection rule,
-    as :func:`fbta` checks.  The pipeline hands in reduced rows it then lets go.
+    Returns a complete fractional allocation with ``c_i(x_i) <= share_i``
+    (chores) or ``v_i(x_i) >= share_i`` (goods) for every agent and at
+    most ``n - 1`` fractional items, plus the hand-offs.  Raises
+    :class:`ModelError` on an invalid instance and :class:`FBTAError` on
+    one that is not IDO or on an unknown rule.  Both checks read a kept
+    verdict, which a reduced instance carries from the reduction, so on
+    one neither scans its rows and ``require_valid`` is not called.  The
+    run reads the integer rows the instance keeps; a reduced instance
+    keeps none, so they are built for the run and let go.
     """
-    n, m = len(rows), len(rows[0][0]) if rows else 0
+    if validate_instance(inst):
+        require_valid(inst)  # raises, naming every violation
+    if not is_ido(inst):
+        raise FBTAError("instance is not in canonical non-decreasing order")
+    if selection != NORMALIZED and (selection != RAW_COST or inst.kind != CHORES):
+        raise FBTAError(f"unknown selection rule {selection!r} for {inst.kind}")
+    rows = inst.__dict__.get("_rows") or inst._scaled_rows()
+    n, m = inst.n, inst.m
     units = inst._units
     goods = inst.kind == GOODS
     # With agent a's row as integers r_a over its denominator d_a, her key
@@ -128,19 +141,8 @@ def _bid_and_take(
     active = list(range(n))
     columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
     successors: list[SuccessorRecord] = []
-
-    def take(agent: int, item: int, fraction: Fraction, inactivated: bool) -> None:
-        nonlocal pending
-        if fraction.numerator > 0:
-            columns[item].append((agent, fraction))
-            if pending is not None:
-                successors.append(SuccessorRecord(pending, agent, item))
-                pending = None
-            if inactivated:
-                pending = agent
-
-    j = 0
-    while j < m:
+    for j in range(m):
+        # who took the last positive piece of item j; the next taker succeeds her
         pending = None
         z = ONE
         while True:
@@ -162,29 +164,26 @@ def _bid_and_take(
             z_num, z_den = z.as_integer_ratio()
             need = z_num * cost * over[i]
             have = capacity[i] * z_den
-            if need > have:
-                fraction = Fraction(capacity[i], over[i] * cost)
-                take(i, j, fraction, inactivated=True)
-                z -= fraction
+            if need > have and not (goods and len(active) == 1):
+                # she fills up and leaves; the last goods agent never does
+                piece = Fraction(capacity[i], over[i] * cost)
                 active.remove(i)
-                if goods and len(active) == 1:
-                    # lone active agent absorbs everything that is left
-                    only = active[0]
-                    take(only, j, z, inactivated=False)
-                    for rest in range(j + 1, m):
-                        columns[rest].append((only, ONE))
-                    j = m
-                    break
             else:
+                piece = z
                 if z_den == 1:
                     capacity[i] = have - need
                 else:
                     left, den = have - need, over[i] * z_den
                     g = gcd(left, den)
                     capacity[i], over[i] = left // g, den // g
-                take(i, j, z, inactivated=False)
-                j += 1
+            if piece:
+                columns[j].append((i, piece))
+                if pending is not None:
+                    successors.append(SuccessorRecord(pending, i, j))
+                pending = i
+            if piece is z:
                 break
+            z -= piece
 
     # takes reach an item in take order; columns list agents by index
     allocation = FractionalAllocation._from_columns(
@@ -193,25 +192,6 @@ def _bid_and_take(
     if not allocation.is_complete():
         raise FBTAError("bid-and-take left an item partially allocated")
     return allocation, AllocationTrace(inst.kind, n, m, tuple(successors))
-
-
-def fbta(
-    inst: Instance, selection: str = NORMALIZED
-) -> tuple[FractionalAllocation, AllocationTrace]:
-    """Check the instance is valid and IDO and the rule known; run bid-and-take.
-
-    Returns a complete fractional allocation with ``c_i(x_i) <= share_i``
-    (chores) or ``v_i(x_i) >= share_i`` (goods) for every agent and at
-    most ``n - 1`` fractional items, plus the hand-offs.  Both checks read
-    a kept verdict, which a reduced instance carries from the reduction,
-    so on one neither scans its rows.
-    """
-    require_valid(inst)
-    if not is_ido(inst):
-        raise FBTAError("instance is not in canonical non-decreasing order")
-    if selection != NORMALIZED and (selection != RAW_COST or inst.kind != CHORES):
-        raise FBTAError(f"unknown selection rule {selection!r} for {inst.kind}")
-    return _bid_and_take(inst, inst._rows, selection)
 
 
 def fractional_items(

@@ -194,11 +194,6 @@ def make_tree(edges: tuple[Edge, ...], nodes: tuple[int, ...] = ()) -> Tree:
     return found[0]
 
 
-def find_atom_paths(tree: Tree) -> list[AtomPath]:
-    """One atom-path per shattered item of the tree, by item index."""
-    return list(_TreeIndex(tree).paths.values())
-
-
 def _chain(item: int, edges: list[Edge]) -> AtomPath:
     step = {}
     heads = set()

@@ -791,7 +791,8 @@ def serialize_allocation(
     decimal under ``total_subsidy_decimal``.  ``extra`` holds JSON values
     only: ``str`` keys, lists, tuples, strings, ints, booleans and ``None``.
     A float is refused with ``TypeError``, as floats are refused on input;
-    write a rational with :func:`rational_text`.
+    write a rational with :func:`rational_text`.  A key the document
+    already holds is refused with :class:`ModelError`.
     """
     doc: dict[str, object] = {"owner": list(alloc.owner)}
     if subsidies is not None:
@@ -800,6 +801,9 @@ def serialize_allocation(
         if decimal_digits is not None:
             doc["total_subsidy_decimal"] = format_decimal(subsidies.total, decimal_digits)
     if extra:
+        for key in extra:
+            if key in doc:
+                raise ModelError(f"extra field {key!r} would overwrite the document's own")
         doc.update(extra)
     return _document(doc)
 

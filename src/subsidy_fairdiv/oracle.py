@@ -67,7 +67,7 @@ def brute_force_rounding(
             raise EnumerationCapExceeded(
                 f"assignment space exceeds the cap of {cap} combinations"
             )
-    base = _whole_base(inst._entry, inst._units, alloc)
+    base = _whole_base(inst, alloc)
     pricer = _Pricer(inst, alloc, [e for e, _ in fracs], base)
     # one integer list per combination, a slot per sharer
     slot = {a: i for i, a in enumerate(pricer.offset)}

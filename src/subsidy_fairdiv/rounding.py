@@ -42,9 +42,9 @@ later run, of either method, so comparing the tree rounding with the
 per-item baseline costs one fractional stage, not two.  The stage keeps no
 n×m object of its own: the reduction and the lift both read the instance's
 rank orders (``Instance._orders``), which validation sorted and the
-instance keeps; the stage builds the reduced rows for bid-and-take and the
-base and lets them go, and the rounding reads each shared item's cost
-through the reduced instance's permutation (``Instance._entry``).
+instance keeps; bid-and-take builds the reduced rows for its run and lets
+them go, and the base and the rounding read each cost they need through
+the reduced instance's permutation (``Instance._entry``).
 """
 from __future__ import annotations
 
@@ -52,9 +52,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .fbta import NORMALIZED, AllocationTrace, _bid_and_take, fractional_items
+from .fbta import AllocationTrace, fbta, fractional_items
 from .graph import ItemSharingGraph, Tree, build_graph, trees
 from .ido import lift_allocation, reduce_to_ido
 from .model import (
@@ -160,14 +160,13 @@ class _Pricer:
         return Fraction(score, self.denominator)
 
 
-def _whole_base(
-    entry: Callable[[int, int], int], units, alloc: FractionalAllocation
-) -> tuple[int, ...]:
+def _whole_base(inst: Instance, alloc: FractionalAllocation) -> tuple[int, ...]:
     """Per agent, her share minus the items she holds whole, over her unit.
 
-    ``entry(a, e)`` is the row integer ``r_a[e]`` (``Instance._entry``) and
-    ``units`` the instance's ``_units``.
+    Each entry is read through ``Instance._entry``, so a reduced instance
+    builds no rows for it.
     """
+    entry, units = inst._entry, inst._units
     base = [share for _, share, _ in units]
     for e, column in enumerate(alloc.columns):
         if len(column) == 1:
@@ -659,21 +658,19 @@ def _fractional_stage(inst: Instance) -> tuple:
     run, of either method, reads it there: ``==``, ``hash``, ``repr``,
     pickling and ``dataclasses.replace`` never see it.  The reduced
     instance is the source's rows permuted by the rank orders validation
-    sorted once, which the source keeps for the lift.  The reduced rows
-    are built here, read by bid-and-take's unchecked core and
-    :func:`_whole_base`, and let go: the reduced instance keeps only its
-    permutation, and the base is n integers.  :func:`reduce_to_ido`
-    validates, so an invalid instance raises before anything is kept, and
-    raises on every call.
+    sorted once, which the source keeps for the lift.  It carries its
+    source's verdict and its own IDO verdict, so :func:`fbta` checks it
+    without a scan; bid-and-take builds its rows for the run and lets them
+    go, and :func:`_whole_base` reads its entries through the permutation:
+    the reduced instance keeps only its permutation, and the base is n
+    integers.  :func:`reduce_to_ido` validates, so an invalid instance
+    raises before anything is kept, and raises on every call.
     """
     stage = inst.__dict__.get("_fractional_stage")
     if stage is None:
         ido_inst = reduce_to_ido(inst)
-        # the reduction keeps the input valid and makes it IDO, so
-        # bid-and-take runs without its own precondition checks
-        rows = ido_inst._scaled_rows()
-        alloc, trace = _bid_and_take(ido_inst, rows, NORMALIZED)
-        base = _whole_base(lambda a, e: rows[a][0][e], ido_inst._units, alloc)
+        alloc, trace = fbta(ido_inst)
+        base = _whole_base(ido_inst, alloc)
         graph = build_graph(trace)
         stage = inst.__dict__["_fractional_stage"] = (
             ido_inst, alloc, trace, graph,

@@ -29,7 +29,7 @@ from subsidy_fairdiv import (
     wprop_share,
 )
 from subsidy_fairdiv.fbta import fractional_items
-from subsidy_fairdiv.graph import build_graph, find_atom_paths, trees
+from subsidy_fairdiv.graph import _TreeIndex, build_graph, trees
 from subsidy_fairdiv.ido import is_ido
 from subsidy_fairdiv.rounding import local_subsidy
 from subsidy_fairdiv.split import ExpandedAtomPath, split_tree
@@ -239,7 +239,7 @@ def test_criterion_02_worked_example_graph(reference_instance):
     graph = build_graph(trace)
     got = tuple((e.tail, e.head, e.item) for e in graph.edges)
     forest = trees(graph)
-    paths = find_atom_paths(forest[0]) if len(forest) == 1 else []
+    paths = list(_TreeIndex(forest[0]).paths.values()) if len(forest) == 1 else []
     ok = (
         got == REFERENCE_EDGES
         and len(forest) == 1

@@ -15,8 +15,8 @@ from subsidy_fairdiv import (
 from subsidy_fairdiv.fbta import fbta
 from subsidy_fairdiv.graph import (
     GraphError,
+    _TreeIndex,
     build_graph,
-    find_atom_paths,
     make_tree,
     trees,
 )
@@ -41,7 +41,7 @@ def test_worked_example_graph(reference_run):
 
 
 def test_worked_example_atom_path(reference_tree):
-    paths = find_atom_paths(reference_tree)
+    paths = list(_TreeIndex(reference_tree).paths.values())
     assert len(paths) == 1
     path = paths[0]
     assert path.item == 1
@@ -98,7 +98,7 @@ def test_four_agent_chain_on_one_item():
         (2, 3, 0),
     ]
     tree = trees(graph)[0]
-    paths = find_atom_paths(tree)
+    paths = list(_TreeIndex(tree).paths.values())
     assert len(paths) == 1
     assert paths[0].agents == (0, 1, 2, 3)
     assert paths[0].k == 3
@@ -132,7 +132,7 @@ def test_forest_invariants_on_random_instances():
             by_item = {}
             for e in t.edges:
                 by_item.setdefault(e.item, []).append(e)
-            paths = find_atom_paths(t)
+            paths = list(_TreeIndex(t).paths.values())
             assert len(paths) == sum(1 for v in by_item.values() if len(v) >= 2)
             assert sum(p.k for p in paths) == sum(
                 len(v) for v in by_item.values() if len(v) >= 2
@@ -257,7 +257,7 @@ def test_broken_atom_path_rejected():
     # Same-item edges that fork instead of chaining.
     tree = make_tree((Edge(0, 2, 7), Edge(1, 2, 7)))
     with pytest.raises(GraphError):
-        find_atom_paths(tree)
+        _TreeIndex(tree)
 
 
 def test_dot_export(reference_run, reference_instance):

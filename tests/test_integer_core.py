@@ -9,7 +9,8 @@ references in ``tests/reference.py`` sort, pick and take with ``Fraction``
 keys and capacities.  The properties require the same sigma, reduced rows,
 lifted owners, columns (of ``Fraction``s), dense shares, sharers,
 successors and ``StuckError``s, on the reference instance strategy and its
-``EDGE_CASES`` (the goods lone-agent path, m = 0, n = 1, zero rows).
+``EDGE_CASES`` (the goods lone-agent path, m = 0, n = 1, zero rows); a
+goods edge case under the raw-cost rule must raise ``FBTAError``.
 Validation reads each row's range from the ends of its rank order; its
 out-of-range messages must equal a plain scan of the ``Fraction``s.
 """
@@ -29,7 +30,7 @@ from subsidy_fairdiv import (
     validate_instance,
     wprop_share,
 )
-from subsidy_fairdiv.fbta import NORMALIZED, RAW_COST, StuckError, _bid_and_take, fbta
+from subsidy_fairdiv.fbta import NORMALIZED, RAW_COST, FBTAError, StuckError, fbta
 from subsidy_fairdiv.ido import is_ido, lift_allocation, reduce_to_ido
 from subsidy_fairdiv.model import scaled
 from reference import (
@@ -49,13 +50,18 @@ def fresh(inst):
 
 
 def assert_run_matches_reference(inst, selection):
+    if selection == RAW_COST and inst.kind == GOODS:
+        # goods have only the normalized rule
+        with pytest.raises(FBTAError):
+            fbta(inst, selection)
+        return
     try:
         columns, successors = reference_bid_and_take(inst, selection)
     except StuckError:
         with pytest.raises(StuckError):
-            _bid_and_take(inst, inst._rows, selection)
+            fbta(inst, selection)
         return
-    alloc, trace = _bid_and_take(inst, inst._rows, selection)
+    alloc, trace = fbta(inst, selection)
     assert (alloc.n, alloc.m) == (inst.n, inst.m)
     assert alloc.columns == columns
     assert alloc.shares == tuple(

@@ -12,8 +12,9 @@ found from the stage's base and the shared items alone, equal
 the brute-force oracle's, which builds no reduced rows either.  A reduced
 instance carries its source's verdict and its own identical-ordering one,
 which a fresh validation and a fresh scan of a rebuilt copy agree with, so
-``fbta`` on one builds its rows and nothing else, and returns the stage's
-fractional allocation and trace.
+``fbta`` on one builds its rows for the run, keeps nothing on it, and
+returns the stage's fractional allocation and trace; a first run validates
+once and runs ``fbta`` once.
 """
 import gc
 import importlib.util
@@ -166,10 +167,18 @@ def test_a_first_run_validates_once(monkeypatch):
             monkeypatch.setattr(
                 module, "require_valid", lambda inst: calls.append(inst) or require_valid(inst)
             )
+    runs = []
+    bid_and_take = rounding.fbta
+    monkeypatch.setattr(
+        rounding, "fbta", lambda inst: runs.append(inst) or bid_and_take(inst)
+    )
     inst = gen_random_instance(n=4, m=9, kind=GOODS, seed=5)
-    run_pipeline(inst)
+    first = run_pipeline(inst)
     run_pipeline(inst, method=BASELINE)
     assert len(calls) == 1 and calls[0] is inst
+    # the stage runs bid-and-take once, on the reduced instance, whose
+    # carried verdict spares it a second ``require_valid``
+    assert len(runs) == 1 and runs[0] is first.ido_instance
 
 
 def test_golden_reduced_instances_carry_the_verdict_of_a_fresh_validation():
@@ -190,8 +199,9 @@ def test_fbta_on_a_reduced_instance_builds_only_its_rows(kind):
         ido_inst = result.ido_instance
         kept = set(vars(ido_inst))
         assert fbta.fbta(ido_inst) == (result.fractional, result.trace)
-        assert not {"costs", "_orders"} & set(vars(ido_inst))
-        assert set(vars(ido_inst)) - kept == {"_rows"}
+        # its rows are built for the run and let go, like the stage's
+        assert set(vars(ido_inst)) == kept
+        assert not {"costs", "_orders", "_rows"} & kept
         runs += 1
     assert runs > 100
 

@@ -22,8 +22,8 @@ from subsidy_fairdiv import (
 from subsidy_fairdiv.fbta import fbta, fractional_items
 from subsidy_fairdiv.graph import (
     AtomPath,
+    _TreeIndex,
     build_graph,
-    find_atom_paths,
     make_tree,
     trees,
 )
@@ -198,7 +198,7 @@ def test_round_pair_equals_four_way_enumeration_on_random_components():
         alloc, trace = fbta(inst)
         graph = build_graph(trace)
         for tree in trees(graph):
-            if find_atom_paths(tree):
+            if _TreeIndex(tree).paths:
                 continue
             from subsidy_fairdiv.split import simple_split
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subsidy_fairdiv import CHORES, GOODS, Edge
-from subsidy_fairdiv.graph import _TreeIndex, find_atom_paths, make_tree
+from subsidy_fairdiv.graph import _TreeIndex, make_tree
 from subsidy_fairdiv.split import (
     ExpandedAtomPath,
     Pair,
@@ -186,7 +186,7 @@ def test_atom_path_split_donation_with_even_remainders():
     # size-3 survivor with its own atom-path
     _, good = reference_atom_path_split(tree)
     assert sorted(t.size for t in good) == [2, 2, 2, 3]
-    assert find_atom_paths([t for t in good if t.size == 3][0])
+    assert _TreeIndex([t for t in good if t.size == 3][0]).paths
     # donated plus surviving edges partition the original tree
     covered = [(e.tail, e.head, e.item) for p in [eap] + rest for e in p.edges]
     assert sorted(covered) == sorted(
@@ -227,7 +227,7 @@ def test_simple_split_properties_on_random_trees():
         )
         _, trace = fbta(inst)
         for tree in trees(build_graph(trace)):
-            if tree.size == 0 or find_atom_paths(tree):
+            if tree.size == 0 or _TreeIndex(tree).paths:
                 continue
             checked += 1
             parts = simple_split(tree)
@@ -327,7 +327,7 @@ def test_split_matches_the_reference_on_tie_free_forests():
         inst = tie_free((CHORES, GOODS)[seed % 2], n, n + seed % (2 * n), seed)
         for tree in fractional_run(inst)[2]:
             assert split_tree(tree) == reference_split_tree(tree)
-            checked += bool(find_atom_paths(tree))
+            checked += bool(_TreeIndex(tree).paths)
     assert checked >= 10
 
 

@@ -21,6 +21,9 @@ from subsidy_fairdiv import (
     GOODS,
     TREE,
     Instance,
+    IntegralAllocation,
+    ModelError,
+    SubsidyVector,
     gen_random_instance,
     run_pipeline,
     serialize_allocation,
@@ -101,6 +104,16 @@ def test_allocation_document_refuses_a_float_extra():
     alloc = run_pipeline(gen_random_instance(n=3, m=5, seed=0)).allocation
     with pytest.raises(TypeError):
         serialize_allocation(alloc, extra={"score": 0.5})
+
+
+@pytest.mark.parametrize(
+    "key", ["owner", "subsidies", "total_subsidy", "total_subsidy_decimal"]
+)
+def test_allocation_document_refuses_an_extra_that_overwrites_a_field(key):
+    alloc = IntegralAllocation((0, 1))
+    subsidies = SubsidyVector(("1/2", "0"))
+    with pytest.raises(ModelError, match=repr(key)):
+        serialize_allocation(alloc, subsidies, extra={key: "0"}, decimal_digits=2)
 
 
 def test_instance_document_peak_memory_is_a_few_times_its_size():
