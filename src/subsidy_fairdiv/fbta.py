@@ -36,11 +36,14 @@ Each agent's remaining capacity is an integer numerator over an integer
 denominator in her unit (``Instance._units``).  The denominator is 1 until
 she takes the rest of a split item, and is reduced by ``gcd`` only after
 such a take, so a whole take is one integer comparison and subtraction.
-A ``Fraction`` is built only at a split, for the leaving agent's piece and
-for the rest of the item, and there are at most ``n - 1`` splits per run.
+The rest of the item is an integer pair too, in lowest terms.  A whole
+take appends the item's column ``((i, ONE),)`` and builds nothing else; a
+``Fraction`` is built only at a split, for the leaving agent's piece and
+for the last taker's rest, and there are at most ``n - 1`` splits per run.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -119,32 +122,36 @@ def fbta(
     units = inst._units
     goods = inst.kind == GOODS
     # With agent a's row as integers r_a over its denominator d_a, her key
-    # for item e is r_a[e] / den_a for keys[a] = (r_a, den_a).  Normalized,
+    # for item e is r_a[e] / den_a for her entry (a, r_a, den_a).  Normalized,
     # c_a(e) / c_a(M) = r_a[e] / R_a with R_a = sum(r_a), the units' share
     # p_a * R_a over p_a, so d_a cancels; a degenerate row (R_a = 0) is all
     # zeros and keeps key 0 / 1.  Raw cost, c_a(e) = r_a[e] / d_a.  Goods
     # take the largest key: over negated denominators the ratios order in
     # reverse, so one strict ``<`` picks the best key of either kind, ties to
-    # the lower index.
+    # the lower index.  ``active`` holds the entries of the active agents by
+    # index, so the scan unpacks one tuple per agent.
     sign = -1 if goods else 1
     if selection == RAW_COST:
-        keys = [(ints, sign * d) for ints, d in rows]
+        active = [(a, ints, sign * d) for a, (ints, d) in enumerate(rows)]
     else:
         totals = (share // w.numerator for (_, share, _), w in zip(units, inst.weights))
-        keys = [(ints, sign * (total or 1)) for (ints, _), total in zip(rows, totals)]
+        active = [
+            (a, ints, sign * (total or 1))
+            for a, ((ints, _), total) in enumerate(zip(rows, totals))
+        ]
     # in agent a's unit item e costs q_a * r_a[e]; her capacity (share minus
     # load) is capacity[a] / over[a] in that unit, and over[a] leaves 1 only
     # once she takes the rest of a split item
     scale = [q for q, _, _ in units]
     capacity = [share for _, share, _ in units]
     over = [1] * n
-    active = list(range(n))
-    columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
+    columns: list[tuple[tuple[int, Fraction], ...]] = []
     successors: list[SuccessorRecord] = []
     for j in range(m):
-        # who took the last positive piece of item j; the next taker succeeds her
-        pending = None
-        z = ONE
+        # the rest of item j is z_num / z_den in lowest terms; takers lists
+        # who took a positive piece of it, once it splits
+        z_num = z_den = 1
+        takers = None
         while True:
             if not active:
                 raise StuckError(
@@ -152,43 +159,47 @@ def fbta(
                     f"the {selection!r} selection rule cannot complete this instance"
                 )
             # the best key; ``active`` is ascending, so ties go to the lower index
-            i = active[0]
-            row, best_den = keys[i]
+            i, row, best_den = active[0]
             best_num = row[j]
-            for a in active:
-                row, den = keys[a]
+            for a, row, den in active:
                 if row[j] * best_den < best_num * den:
                     i, best_num, best_den = a, row[j], den
             cost = scale[i] * best_num
             # z * cost against capacity[i] / over[i], over over[i] * z_den
-            z_num, z_den = z.as_integer_ratio()
             need = z_num * cost * over[i]
             have = capacity[i] * z_den
             if need > have and not (goods and len(active) == 1):
                 # she fills up and leaves; the last goods agent never does
-                piece = Fraction(capacity[i], over[i] * cost)
-                active.remove(i)
+                del active[bisect_left(active, (i,))]
+                if not capacity[i]:
+                    continue
+                p_num, p_den = capacity[i], over[i] * cost
             else:
-                piece = z
+                # she takes the rest
                 if z_den == 1:
                     capacity[i] = have - need
                 else:
                     left, den = have - need, over[i] * z_den
                     g = gcd(left, den)
                     capacity[i], over[i] = left // g, den // g
-            if piece:
-                columns[j].append((i, piece))
-                if pending is not None:
-                    successors.append(SuccessorRecord(pending, i, j))
-                pending = i
-            if piece is z:
+                if takers is None:
+                    columns.append(((i, ONE),))
+                    break
+                p_num, p_den = z_num, z_den
+            if takers is None:
+                takers = []
+            else:
+                successors.append(SuccessorRecord(takers[-1][0], i, j))
+            takers.append((i, Fraction(p_num, p_den)))
+            z_num, z_den = z_num * p_den - p_num * z_den, z_den * p_den
+            if not z_num:
+                # takes reach an item in take order; columns list agents by index
+                columns.append(tuple(sorted(takers)))
                 break
-            z -= piece
+            g = gcd(z_num, z_den)
+            z_num, z_den = z_num // g, z_den // g
 
-    # takes reach an item in take order; columns list agents by index
-    allocation = FractionalAllocation._from_columns(
-        n, tuple(tuple(sorted(column)) for column in columns)
-    )
+    allocation = FractionalAllocation._from_columns(n, tuple(columns))
     if not allocation.is_complete():
         raise FBTAError("bid-and-take left an item partially allocated")
     return allocation, AllocationTrace(inst.kind, n, m, tuple(successors))

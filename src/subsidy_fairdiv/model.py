@@ -253,14 +253,16 @@ class Instance:
         bytes per entry instead of a new int each; a row of another length,
         in an instance that is not valid, sorts its own indices.  Validation
         reads each row's range from the two ends of its order, and the
-        reduction permutes row ``i`` by ``_orders[i]`` as it stands.
+        reduction permutes row ``i`` by ``_orders[i]`` as it stands.  The
+        key is a list's ``__getitem__``, a builtin method, which costs less
+        per call than a tuple's slot wrapper.
         """
         goods = self.kind == GOODS
         shared = sorted(range(self.m), reverse=goods)
         return tuple(
             tuple(sorted(
                 shared if len(ints) == len(shared) else sorted(range(len(ints)), reverse=goods),
-                key=ints.__getitem__,
+                key=list(ints).__getitem__,
             ))
             for ints, _ in self._rows
         )
@@ -449,7 +451,9 @@ class FractionalAllocation:
     def is_complete(self) -> bool:
         """Every item's fractions sum to one; a lone holder must hold all of it."""
         return all(
-            column[0][1] == 1 if len(column) == 1 else exact_sum([x for _, x in column]) == 1
+            column[0][1] is ONE or column[0][1] == 1
+            if len(column) == 1
+            else exact_sum([x for _, x in column]) == 1
             for column in self.columns
         )
 

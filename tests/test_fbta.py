@@ -14,6 +14,7 @@ from subsidy_fairdiv.fbta import (
     fractional_items,
 )
 from subsidy_fairdiv.ido import reduce_to_ido
+from subsidy_fairdiv.model import ONE, FractionalAllocation
 from conftest import REFERENCE_FRACTIONS, fmatrix
 from reference import agent_load, total_cost
 
@@ -94,6 +95,19 @@ def test_zero_cost_item_taken_whole():
     ido_inst = reduce_to_ido(inst)
     alloc, _ = fbta(ido_inst)
     assert alloc.is_complete()
+
+
+def test_a_lone_holder_completes_an_item_only_holding_all_of_it():
+    def lone(x):
+        return FractionalAllocation._from_columns(1, (((0, x),),))
+
+    assert not lone(Fraction(1, 2)).is_complete()
+    assert lone(1).is_complete() and lone(Fraction(3, 3)).is_complete()
+    # bid-and-take hands every whole item the shared ONE, which the check
+    # recognises without comparing
+    alloc, _ = fbta(reduce_to_ido(gen_random_instance(12, 60, GOODS, seed=0)))
+    whole = [column[0][1] for column in alloc.columns if len(column) == 1]
+    assert whole and all(x is ONE for x in whole)
 
 
 def test_degenerate_agent_absorbs_for_free():

@@ -9,8 +9,9 @@ references in ``tests/reference.py`` sort, pick and take with ``Fraction``
 keys and capacities.  The properties require the same sigma, reduced rows,
 lifted owners, columns (of ``Fraction``s), dense shares, sharers,
 successors and ``StuckError``s, on the reference instance strategy and its
-``EDGE_CASES`` (the goods lone-agent path, m = 0, n = 1, zero rows); a
-goods edge case under the raw-cost rule must raise ``FBTAError``.
+``EDGE_CASES`` (the goods lone-agent path, m = 0, n = 1, zero rows), and
+on wide 1/997-grid instances; a goods edge case under the raw-cost rule
+must raise ``FBTAError``.
 Validation reads each row's range from the ends of its rank order; its
 out-of-range messages must equal a plain scan of the ``Fraction``s.
 """
@@ -33,6 +34,7 @@ from subsidy_fairdiv import (
 from subsidy_fairdiv.fbta import NORMALIZED, RAW_COST, FBTAError, StuckError, fbta
 from subsidy_fairdiv.ido import is_ido, lift_allocation, reduce_to_ido
 from subsidy_fairdiv.model import scaled
+from subsidy_fairdiv.oracle import CORRELATED, UNIFORM
 from reference import (
     LONE_AGENT,
     instances,
@@ -118,6 +120,16 @@ def test_lift_matches_reference_on_wide_instances(kind, seed):
     ido_owner = tuple(rng.randrange(inst.n) for _ in range(inst.m))
     lifted = lift_allocation(inst, IntegralAllocation(ido_owner))
     assert lifted.owner == reference_lift(inst, ido_owner)
+
+
+@pytest.mark.parametrize("dist", [UNIFORM, CORRELATED])
+@pytest.mark.parametrize("kind", [CHORES, GOODS])
+@pytest.mark.parametrize("seed", range(3))
+def test_run_matches_reference_on_wide_fine_grid_instances(kind, dist, seed):
+    # 60 items on the 1/997 grid: long runs of hand-offs, and remainders of
+    # split items with wide denominators
+    inst = gen_random_instance(12, 60, kind, seed=seed, dist=dist, denominator=997)
+    assert_run_matches_reference(reduce_to_ido(inst), NORMALIZED)
 
 
 @with_edge_cases

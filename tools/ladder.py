@@ -9,10 +9,12 @@ kind, seed=1)`` of the change tree, and every run times fresh copies of it
 in each tree, the two trees alternating which goes first:
 
 - ``pipeline``: one ``run_pipeline`` call, end to end;
-- on a second copy, each stage on its own, in pipeline order: ``validate``
-  (``require_valid``, which builds the integer rows and sorts each into its
-  rank order), ``reduce`` (``reduce_to_ido``, which only permutes: it takes
-  the rank orders validation sorted), ``bid_and_take`` (``fbta`` on the
+- on a second copy, each stage on its own, in pipeline order: ``rows``
+  (``Instance._rows``, the integer rows), ``orders`` (``Instance._orders``,
+  each row sorted into its rank order), ``validate`` (``require_valid``,
+  the checks alone; in ``BENCH_*.json`` files written before ``rows`` and
+  ``orders`` were timed, ``validate`` includes both), ``reduce``
+  (``reduce_to_ido``, which only permutes), ``bid_and_take`` (``fbta`` on the
   reduced instance, its checks included), ``forest`` (the graph, its trees
   and the fractional items), and ``split`` (``split_tree`` on each tree of
   that forest, fresh from ``forest``, so any index a tree keeps is built
@@ -77,7 +79,8 @@ KINDS = ("chores", "goods")
 CHAINS = (300, 600, 1200, 2400)
 RUNS = 7
 STAGES = (
-    "validate", "reduce", "bid_and_take", "forest", "split", "split_round", "rest", "pipeline",
+    "rows", "orders", "validate", "reduce", "bid_and_take", "forest", "split", "split_round",
+    "rest", "pipeline",
 )
 
 
@@ -140,6 +143,8 @@ def one_run(mods: dict, source) -> dict[str, float]:
     first = fresh()
     result, times["pipeline"] = timed(rounding.run_pipeline, first)
     inst = fresh()
+    _, times["rows"] = timed(getattr, inst, "_rows")
+    _, times["orders"] = timed(getattr, inst, "_orders")
     _, times["validate"] = timed(model.require_valid, inst)
     ido_inst, times["reduce"] = timed(ido.reduce_to_ido, inst)
     (alloc, trace), times["bid_and_take"] = timed(fbta.fbta, ido_inst)
