@@ -314,9 +314,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_decimal(args)
         return args.func(args)
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,21 +1,22 @@
 """Splitting a tree of the item-sharing forest into roundable components.
 
-Trees without shattered items split into adjacent-edge pairs (plus at
-most one leftover single edge) in one pass over the non-root nodes,
-deepest first and ties to the smaller agent: a node whose edge is still
-unpaired takes it together with its smallest unpaired sibling's edge if
-one exists, otherwise with its parent's edge.  The remainder stays a
-connected tree with the same root and depths, so a size-z tree yields
-exactly ``z // 2`` pairs and ``z % 2`` singletons.
+Trees without shattered items split (:func:`simple_split`) into
+adjacent-edge pairs (plus at most one leftover single edge) in one pass
+over the non-root nodes, deepest first and ties to the smaller agent: a
+node whose edge is still unpaired takes it together with its smallest
+unpaired sibling's edge if one exists, otherwise with its parent's edge.
+The remainder stays a connected tree with the same root and depths, so
+a size-z tree yields exactly ``z // 2`` pairs and ``z % 2`` singletons.
 
-Trees with a shattered item instead split around an atom-path.  The
-atom-path's edges come out as one unit; every remaining component that
-contains an atom-path or has an even number of edges survives intact,
-and every odd atom-path-free component donates one edge incident to its
-(unique) atom-path agent, chosen so that the donation leaves only
-even-size pieces.  The donated edges attach to the atom-path, at most
-one per path agent, forming an expanded atom-path.  The survivors are
-split in turn, depth first.
+Trees with a shattered item instead split around an atom-path
+(:func:`atom_path_split`, which holds the peel).  The atom-path's edges
+come out as one unit; every remaining component that contains an
+atom-path or has an even number of edges survives intact, and every odd
+atom-path-free component donates one edge incident to its (unique)
+atom-path agent, chosen so that the donation leaves only even-size
+pieces.  The donated edges attach to the atom-path, at most one per path
+agent, forming an expanded atom-path.  The survivors are split in turn,
+depth first.
 
 A split builds its tree's index (``graph._TreeIndex``) once, reads it at
 every peel, and drops it on return: kept on the trees of a 120-agent
@@ -24,8 +25,8 @@ into the pipeline's own calls.  A donation reads the peel's walk of its
 region and the index's parent edges: it counts subtree sizes, and walks
 nothing again.
 
-:func:`split_tree` is the entry point and alone fixes the component
-order that every certificate records.
+:func:`split_tree` is the entry point: it picks the splitter, and alone
+fixes the component order that every certificate records.
 """
 from __future__ import annotations
 
@@ -205,11 +206,6 @@ def atom_path_split(tree: Tree) -> list[Component]:
     index = _TreeIndex(tree)
     if not index.paths:
         raise SplitError("tree has no atom-path; use simple_split")
-    return _peel(tree, index)
-
-
-def _peel(tree: Tree, index: _TreeIndex) -> list[Component]:
-    """:func:`atom_path_split` of a tree with an atom-path, on its index."""
     paths, children = index.paths, index.children
     bottom = {path.agents[0]: item for item, path in paths.items()}
     cut: set[int] = set()  # tails of the edges peeled or donated
@@ -307,13 +303,14 @@ def _peel(tree: Tree, index: _TreeIndex) -> list[Component]:
 def split_tree(tree: Tree) -> list[Component]:
     """A tree's components in their canonical order.
 
-    A tree with an atom-path yields its :func:`atom_path_split`: the
-    expanded atom-path first, then the split of each remaining piece in
-    turn, depth first; any other tree yields its :func:`simple_split`, an
-    edgeless one nothing.  The tree is indexed once, and the index both
-    answers whether it has an atom-path and serves the split.
+    A tree in which some item labels two or more edges has an atom-path
+    and yields its :func:`atom_path_split`: the expanded atom-path first,
+    then the split of each remaining piece in turn, depth first.  Any
+    other tree yields its :func:`simple_split`, an edgeless one nothing.
+    The test reads only the edges' items; the splitter indexes the tree.
     """
     if not tree.size:
         return []
-    index = _TreeIndex(tree)
-    return _peel(tree, index) if index.paths else _pairs(index, [tree.root, *index.parent])
+    if len({e.item for e in tree.edges}) < tree.size:
+        return atom_path_split(tree)
+    return simple_split(tree)

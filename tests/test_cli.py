@@ -308,6 +308,15 @@ def test_verify_rejects_wrong_dimensions(istar_file, tmp_path, capsys):
     assert main(["verify", "--input", str(istar_file), "--allocation", str(path)]) == 2
 
 
+def test_verify_rejects_a_subsidy_vector_of_the_wrong_length(istar_file, tmp_path, capsys):
+    path = tmp_path / "alloc.json"
+    path.write_text('{"owner": [0, 1, 2, 3, 4, 5], "subsidies": ["0", "0"]}')
+    assert main(["verify", "--input", str(istar_file), "--allocation", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: subsidy vector has 2 entries for n=6\n"
+    assert captured.out == ""
+
+
 def test_verify_rejects_boolean_owners(istar_file, tmp_path, capsys):
     text = '{"owner": [true, false, 0, 0, 0, 0]}'
     with pytest.raises(ModelError, match="agent indices"):
@@ -502,6 +511,15 @@ def test_oracle_rejects_a_cap_below_one(agents, cap, tmp_path, capsys):
     assert f"argument --cap: must be at least 1, got {cap}" in capsys.readouterr().err
 
 
+def test_oracle_refuses_a_cap_that_is_no_integer_while_parsing(istar_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--input", str(istar_file), "--cap", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --cap: not an integer: 'x'" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["allocate", "verify", "oracle"])
 def test_negative_decimal_is_refused_while_parsing(command, istar_file, tmp_path, capsys):
     # the oracle's cap of 1 is exceeded on this instance, which would exit 3
@@ -597,6 +615,15 @@ def test_gen_command(tmp_path):
     out2 = tmp_path / "gen2.json"
     main(["gen", "--agents", "3", "--items", "5", "--seed", "7", "--out", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_gen_without_out_writes_the_document_to_stdout(tmp_path, capsys):
+    out = tmp_path / "gen.json"
+    argv = ["gen", "--agents", "3", "--items", "5", "--seed", "7"]
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_gen_single_agent(tmp_path):

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subsidy_fairdiv import CHORES, GOODS, Instance, gen_random_instance, wprop_share
+from subsidy_fairdiv import (
+    CHORES,
+    GOODS,
+    Instance,
+    ModelError,
+    gen_random_instance,
+    wprop_share,
+)
 from subsidy_fairdiv.fbta import (
     NORMALIZED,
     RAW_COST,
@@ -130,6 +137,11 @@ def test_rejects_non_ido_and_wrong_kind(reference_instance):
     with pytest.raises(FBTAError):
         fbta(goods, selection=RAW_COST)
     fbta(goods)
+    # an invalid instance is named as such, not as a non-IDO one
+    invalid = Instance(CHORES, ("1/2", "1/2"), (("1/2", "2"), ("1/2", "1")))
+    with pytest.raises(ModelError, match="^invalid instance: ") as exc:
+        fbta(invalid)
+    assert not isinstance(exc.value, FBTAError)
 
 
 def test_raw_cost_can_get_stuck_where_normalized_completes():

@@ -122,6 +122,12 @@ def test_lift_rejects_an_owner_outside_the_agents(owner):
         lift_allocation(inst, IntegralAllocation(owner))
 
 
+def test_lift_rejects_an_allocation_of_the_wrong_length():
+    inst = Instance(CHORES, ("1/2", "1/2"), (("1/2", "1"), ("1/2", "1")))
+    with pytest.raises(ModelError, match="^allocation covers 3 items, instance has 2$"):
+        lift_allocation(inst, IntegralAllocation((0, 1, 0)))
+
+
 def test_lift_single_agent_keeps_total():
     inst = Instance(CHORES, ("1",), (("0.9", "0.1"),))
     lifted = lift_allocation(inst, IntegralAllocation((0, 0)))

@@ -63,10 +63,14 @@ def this_tree():
     return {name: importlib.import_module(f"{ladder.PACKAGE}.{name}") for name in ladder.MODULES}
 
 
-@pytest.mark.parametrize("kind", ["chores", "goods"])
-def test_the_ladder_runs_every_stage_on_this_tree(kind):
+@pytest.mark.parametrize(
+    "draw",
+    [{"kind": "chores"}, {"kind": "goods"}, ladder.CONTESTED_DRAW],
+    ids=["chores", "goods", "contested"],
+)
+def test_the_ladder_runs_every_stage_on_this_tree(draw):
     mods = this_tree()
-    source = mods["oracle"].gen_random_instance(4, 6, kind, seed=1)
+    source = mods["oracle"].gen_random_instance(4, 6, **draw, seed=1)
     times = ladder.one_run(mods, source)
     assert set(ladder.STAGES) <= set(times)
     assert all(t >= 0 for t in times.values())

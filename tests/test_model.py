@@ -273,3 +273,8 @@ def test_round_trip_identity_property(data):
 )
 def test_format_decimal(value, digits, expected):
     assert format_decimal(value, digits) == expected
+
+
+def test_format_decimal_refuses_a_negative_digit_count():
+    with pytest.raises(ModelError, match="decimal digits must be non-negative"):
+        format_decimal(Fraction(7, 10), -1)

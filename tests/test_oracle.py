@@ -120,6 +120,8 @@ def test_generator_rejects_bad_params():
         gen_random_instance(n=2, m=2, kind="stuff")
     with pytest.raises(ModelError):
         gen_random_instance(n=2, m=2, dist="exotic")
+    with pytest.raises(ModelError, match="denominator must be positive"):
+        gen_random_instance(n=2, m=2, denominator=0)
 
 
 def test_pinned_small_fixture():

@@ -188,6 +188,13 @@ def test_round_pair_records_a_broken_bound():
     assert tree.bound == Fraction(2, 3)
 
 
+def test_round_pair_rejects_a_shattered_item():
+    inst, alloc, _ = uniform_pair("1/3", "1/3")
+    comp = Pair(Edge(0, 1, 0), Edge(1, 2, 0), middle=1)
+    with pytest.raises(RoundingError, match="pair component carries a shattered item"):
+        round_pair(inst, alloc, comp)
+
+
 def test_round_pair_equals_four_way_enumeration_on_random_components():
     found = 0
     for seed in range(120):
@@ -287,12 +294,47 @@ def test_round_eap_uniform_core_threshold():
         assert rounding.local_subsidy <= Fraction(k, 3)
 
 
-def test_round_eap_validates_shape():
-    inst = Instance(CHORES, ("1/2", "1/2"), (("1",), ("1",)))
-    alloc = FractionalAllocation((("1/2",), ("1/2",)))
-    path = AtomPath(0, (0, 1), (Edge(0, 1, 0),))
-    with pytest.raises(RoundingError):
-        round_expanded_atom_path(inst, alloc, ExpandedAtomPath(path, ()))
+# item 0 shared by agents 0, 1 and 2; item 1 by agents 0 and 3; item 2 by
+# agents 0 and 4
+SHAPE_ALLOC = FractionalAllocation((
+    ("1/3", "1/2", "1/2"),
+    ("1/3", 0, 0),
+    ("1/3", 0, 0),
+    (0, "1/2", 0),
+    (0, 0, "1/2"),
+))
+CORE = AtomPath(0, (0, 1, 2), (Edge(0, 1, 0), Edge(1, 2, 0)))
+
+
+@pytest.mark.parametrize(
+    "path, attachments, message",
+    [
+        pytest.param(
+            AtomPath(0, (0, 1), (Edge(0, 1, 0),)), (), "at least 2 edges", id="short-path",
+        ),
+        pytest.param(
+            CORE, ((0, Edge(3, 0, 1)),) * 4, "4 attachments on 3 path agents",
+            id="more-than-k-plus-1",
+        ),
+        pytest.param(
+            AtomPath(0, (0, 1, 3), (Edge(0, 1, 0), Edge(1, 3, 0))), (),
+            "path agents do not match", id="not-the-core-sharers",
+        ),
+        pytest.param(
+            CORE, ((1, Edge(3, 1, 1)),), "attached edge endpoints do not share",
+            id="ends-not-sharers",
+        ),
+        pytest.param(
+            CORE, ((0, Edge(3, 0, 1)), (0, Edge(4, 0, 2))), "distinct path agents",
+            id="two-on-one-agent",
+        ),
+    ],
+)
+def test_round_eap_validates_shape(path, attachments, message):
+    inst = Instance(CHORES, ("1/5",) * 5, (("1", "1", "1"),) * 5)
+    eap = ExpandedAtomPath(path, attachments)
+    with pytest.raises(RoundingError, match=message):
+        round_expanded_atom_path(inst, SHAPE_ALLOC, eap)
 
 
 def harvest_eaps(kinds, seeds, min_found):

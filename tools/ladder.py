@@ -44,13 +44,18 @@ of trees, a fresh tree per run, the two source trees alternating:
   the most that fit in each of ``CHAINS``; every path agent's region has
   five edges and donates its hub edge (``choose_attachment``).
 
+The ``contested`` section times the same stages on the rungs of
+``CONTESTED``: chores drawn with ``CONTESTED_DRAW``, every row within two
+grid steps of one shared base row on the 1/997 grid, so the agents' rank
+orders nearly agree and many agents contend for each item.
+
 Every timed call starts after a full ``gc.collect()``.  Each stage gets
-the median over ``RUNS`` runs and the distance between their quartiles, in
-seconds, and the change's section counts the runs in which its time was
-below the parent's time of the same round (``wins``): the host drifts
-between rounds more than within one, so a change that is slower by more
-than the quartile distance but wins about half the runs is not resolved
-either.  The speed probe of ``perfbench/speed.py`` (loaded by path,
+the median and the minimum over ``RUNS`` runs and the distance between
+their quartiles, in seconds, and the change's section counts the runs in
+which its time was below the parent's time of the same round (``wins``):
+the host drifts between rounds more than within one, so a change that is
+slower by more than the quartile distance but wins about half the runs is
+not resolved either.  The speed probe of ``perfbench/speed.py`` (loaded by path,
 read-only) runs between rungs, and its median is recorded, so that files
 written on different hosts or days can be compared.  Each tree's tier-1 suite is run once and
 its wall time recorded.  The JSON document goes to standard output.
@@ -76,6 +81,10 @@ PACKAGE = "subsidy_fairdiv"
 MODULES = ("model", "ido", "fbta", "graph", "split", "rounding", "oracle")
 SIZES = ((10, 20), (30, 60), (120, 240), (300, 600), (1200, 2400))
 KINDS = ("chores", "goods")
+RUNGS = tuple({"kind": kind, "n": n, "m": m} for n, m in SIZES for kind in KINDS)
+CONTESTED = ((30, 900), (300, 600))
+CONTESTED_DRAW = {"kind": "chores", "dist": "correlated", "denominator": 997}
+CONTESTED_RUNGS = tuple({**CONTESTED_DRAW, "n": n, "m": m} for n, m in CONTESTED)
 CHAINS = (300, 600, 1200, 2400)
 RUNS = 7
 STAGES = (
@@ -187,44 +196,51 @@ def iqr(times: list[float]) -> float:
     return q3 - q1
 
 
-def ladder(trees: dict[str, Path], probe) -> dict:
-    """Median stage times per tree and rung, and the probe times taken between rungs.
+def summary(times: list[float]) -> dict[str, float]:
+    """Median, minimum and interquartile range of the times, in seconds."""
+    return {
+        "median_s": round(statistics.median(times), 6),
+        "min_s": round(min(times), 6),
+        "iqr_s": round(iqr(times), 6),
+    }
 
-    Each rung's instance is generated once, by the last tree listed; every
-    tree builds its own ``Instance`` from those same ``Fraction`` objects.
-    The last tree's ``wins`` count its runs faster than the first tree's.
+
+def ladder(mods: dict[str, dict], rungs, probe) -> dict:
+    """Stage times per tree and rung, and the probe times taken between rungs.
+
+    Each rung is the keyword arguments of ``gen_random_instance`` beside
+    ``seed=1``; its instance is generated once, by the last tree listed, and
+    every tree builds its own ``Instance`` from those same ``Fraction``
+    objects.  The last tree's ``wins`` count its runs faster than the first
+    tree's.
     """
-    mods = {label: import_tree(path) for label, path in trees.items()}
-    labels = list(trees)
+    labels = list(mods)
     result: dict[str, list] = {label: [] for label in labels}
     probes = []
-    for n, m in SIZES:
-        for kind in KINDS:
-            probes.append(probe())
-            source = mods[labels[-1]]["oracle"].gen_random_instance(n, m, kind, seed=1)
-            samples = {label: {stage: [] for stage in STAGES} for label in labels}
-            for r in range(RUNS):
-                for label in labels[r % 2:] + labels[: r % 2]:
-                    for stage, t in one_run(mods[label], source).items():
-                        samples[label][stage].append(t)
-            kept = {label: kept_mb(mods[label], source) for label in labels}
-            del source
-            for label in labels:
-                result[label].append({
-                    "kind": kind,
-                    "n": n,
-                    "m": m,
-                    "kept_mb": kept[label],
-                    "median_s": {
-                        stage: round(statistics.median(samples[label][stage]), 6)
-                        for stage in STAGES
-                    },
-                    "iqr_s": {stage: round(iqr(samples[label][stage]), 6) for stage in STAGES},
-                })
-            first, last = samples[labels[0]], samples[labels[-1]]
-            result[labels[-1]][-1]["wins"] = {
-                stage: sum(map(float.__lt__, last[stage], first[stage])) for stage in STAGES
-            }
+    for rung in rungs:
+        probes.append(probe())
+        source = mods[labels[-1]]["oracle"].gen_random_instance(**rung, seed=1)
+        samples = {label: {stage: [] for stage in STAGES} for label in labels}
+        for r in range(RUNS):
+            for label in labels[r % 2:] + labels[: r % 2]:
+                for stage, t in one_run(mods[label], source).items():
+                    samples[label][stage].append(t)
+        kept = {label: kept_mb(mods[label], source) for label in labels}
+        del source
+        for label in labels:
+            stats = {stage: summary(samples[label][stage]) for stage in STAGES}
+            result[label].append({
+                **rung,
+                "kept_mb": kept[label],
+                **{
+                    field: {stage: stats[stage][field] for stage in STAGES}
+                    for field in ("median_s", "min_s", "iqr_s")
+                },
+            })
+        first, last = samples[labels[0]], samples[labels[-1]]
+        result[labels[-1]][-1]["wins"] = {
+            stage: sum(map(float.__lt__, last[stage], first[stage])) for stage in STAGES
+        }
     return {"sections": result, "probes": probes}
 
 
@@ -246,11 +262,10 @@ def broom(graph, size: int):
     return graph.make_tree(tuple(edges))
 
 
-def chains(trees: dict[str, Path]) -> dict[str, list]:
-    """Median and interquartile range of ``split_tree`` on each chain and
-    broom, per tree."""
-    mods = {label: import_tree(path) for label, path in trees.items()}
-    labels = list(trees)
+def chains(mods: dict[str, dict]) -> dict[str, list]:
+    """Median, minimum and interquartile range of ``split_tree`` on each chain
+    and broom, per tree."""
+    labels = list(mods)
     result: dict[str, list] = {label: [] for label in labels}
     for family, make in (("chain", chain), ("broom", broom)):
         for size in CHAINS:
@@ -261,12 +276,9 @@ def chains(trees: dict[str, Path]) -> dict[str, list]:
                     _, t = timed(mods[label]["split"].split_tree, tree)
                     samples[label].append(t)
             for label in labels:
-                result[label].append({
-                    "family": family,
-                    "edges": tree.size,
-                    "median_s": round(statistics.median(samples[label]), 6),
-                    "iqr_s": round(iqr(samples[label]), 6),
-                })
+                result[label].append(
+                    {"family": family, "edges": tree.size, **summary(samples[label])}
+                )
     return result
 
 
@@ -289,12 +301,16 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="root of the parent source tree")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": HERE}
+    mods = {label: import_tree(path) for label, path in trees.items()}
     speed = load_speed()
-    found = ladder(trees, speed.probe)
-    split_chains = chains(trees)
+    found = ladder(mods, RUNGS, speed.probe)
+    contested = ladder(mods, CONTESTED_RUNGS, speed.probe)
+    split_chains = chains(mods)
+    probes = found["probes"] + contested["probes"]
     doc = {
-        "what": "median and interquartile range, in seconds, per stage of run_pipeline, "
-                "gen_random_instance(seed=1), fresh Instance per run; the change's runs "
+        "what": "median, minimum and interquartile range, in seconds, per stage of "
+                "run_pipeline, gen_random_instance(seed=1), fresh Instance per run; the "
+                "contested section draws CONTESTED_DRAW chores; the change's runs "
                 "faster than the parent's of the same round (wins); memory the fractional "
                 "stage keeps, in 10^6 bytes (kept_mb); see tools/ladder.py",
         "environment": {
@@ -302,13 +318,14 @@ def main(argv=None) -> int:
             "machine": platform.machine(),
             "nproc": os.cpu_count(),
             "runs": RUNS,
-            "probe_median_ms": round(1e3 * statistics.median(found["probes"]), 3),
+            "probe_median_ms": round(1e3 * statistics.median(probes), 3),
             "probe_reference_ms": 1e3 * speed.REFERENCE_S,
         },
     }
     for label, tree in trees.items():
         doc[label] = {
             "ladder": found["sections"][label],
+            "contested": contested["sections"][label],
             "chains": split_chains[label],
             "tier1": tier1(tree),
         }
