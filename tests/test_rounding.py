@@ -294,6 +294,14 @@ def test_round_eap_uniform_core_threshold():
         assert rounding.local_subsidy <= Fraction(k, 3)
 
 
+def test_round_eap_validates_shape():
+    inst = Instance(CHORES, ("1/2", "1/2"), (("1",), ("1",)))
+    alloc = FractionalAllocation((("1/2",), ("1/2",)))
+    path = AtomPath(0, (0, 1), (Edge(0, 1, 0),))
+    with pytest.raises(RoundingError, match="at least 2 edges"):
+        round_expanded_atom_path(inst, alloc, ExpandedAtomPath(path, ()))
+
+
 # item 0 shared by agents 0, 1 and 2; item 1 by agents 0 and 3; item 2 by
 # agents 0 and 4
 SHAPE_ALLOC = FractionalAllocation((
@@ -309,9 +317,6 @@ CORE = AtomPath(0, (0, 1, 2), (Edge(0, 1, 0), Edge(1, 2, 0)))
 @pytest.mark.parametrize(
     "path, attachments, message",
     [
-        pytest.param(
-            AtomPath(0, (0, 1), (Edge(0, 1, 0),)), (), "at least 2 edges", id="short-path",
-        ),
         pytest.param(
             CORE, ((0, Edge(3, 0, 1)),) * 4, "4 attachments on 3 path agents",
             id="more-than-k-plus-1",
@@ -330,7 +335,7 @@ CORE = AtomPath(0, (0, 1, 2), (Edge(0, 1, 0), Edge(1, 2, 0)))
         ),
     ],
 )
-def test_round_eap_validates_shape(path, attachments, message):
+def test_round_eap_rejects_each_bad_shape(path, attachments, message):
     inst = Instance(CHORES, ("1/5",) * 5, (("1", "1", "1"),) * 5)
     eap = ExpandedAtomPath(path, attachments)
     with pytest.raises(RoundingError, match=message):
