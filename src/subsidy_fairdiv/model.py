@@ -10,7 +10,8 @@ emits is one.  Inside sorting, sums and selection the work is done on
 integers instead.  Each instance writes every cost row once over the row's
 least common denominator (:func:`scaled`), on first use, and keeps it:
 sorting or adding those integers sorts or adds the rationals exactly, and
-bid-and-take compares two ratios by cross-multiplying them.  A row is read
+bid-and-take orders the agents' ratios exactly, by integer keys or by
+cross-multiplying.  A row is read
 from its ``Fraction``s' slots in two passes, its distinct denominators and
 then its integers: a few C-level calls per row, not a Python call per
 entry.  Each integer row is then sorted once into its rank order
@@ -29,7 +30,8 @@ distinct rational string of a document once.  A reduced instance
 rows and ``costs`` are built from these, one ``itemgetter`` call per row,
 only when read, and a single entry is read through the permutation
 without building either (``Instance._entry``), so the rounding, which
-prices at most ``n - 1`` shared items, never builds them.  A fractional
+prices at most ``n - 1`` shared items, never builds them, and neither does
+a chores bid-and-take run that keeps its heap.  A fractional
 allocation stores only the positive fractions of each item.  Every cache
 of a value object (integer rows and their rank orders, units, which give
 the row totals and shares, an instance's violations, whether it is

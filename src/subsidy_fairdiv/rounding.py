@@ -42,9 +42,10 @@ later run, of either method, so comparing the tree rounding with the
 per-item baseline costs one fractional stage, not two.  The stage keeps no
 n×m object of its own: the reduction and the lift both read the instance's
 rank orders (``Instance._orders``), which validation sorted and the
-instance keeps; bid-and-take builds the reduced rows for its run and lets
-them go, and the base and the rounding read each cost they need through
-the reduced instance's permutation (``Instance._entry``).
+instance keeps.  Chores bid-and-take reads each entry it needs through the
+reduced instance's permutation (``Instance._entry``), and so do the base and
+the rounding; only a bid-and-take run that scans (goods, few agents, or
+contested chores) builds the reduced rows, for that run, and lets them go.
 """
 from __future__ import annotations
 
@@ -660,8 +661,8 @@ def _fractional_stage(inst: Instance) -> tuple:
     instance is the source's rows permuted by the rank orders validation
     sorted once, which the source keeps for the lift.  It carries its
     source's verdict and its own IDO verdict, so :func:`fbta` checks it
-    without a scan; bid-and-take builds its rows for the run and lets them
-    go, and :func:`_whole_base` reads its entries through the permutation:
+    without a scan; a bid-and-take run that scans builds its rows for the run
+    and lets them go, and :func:`_whole_base` reads its entries through the permutation:
     the reduced instance keeps only its permutation, and the base is n
     integers.  :func:`reduce_to_ido` validates, so an invalid instance
     raises before anything is kept, and raises on every call.

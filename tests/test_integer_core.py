@@ -11,7 +11,10 @@ lifted owners, columns (of ``Fraction``s), dense shares, sharers,
 successors and ``StuckError``s, on the reference instance strategy and its
 ``EDGE_CASES`` (the goods lone-agent path, m = 0, n = 1, zero rows), and
 on wide 1/997-grid instances; a goods edge case under the raw-cost rule
-must raise ``FBTAError``.
+must raise ``FBTAError``.  Chores with more than 16 agents select from a
+heap of lower bounds and may hand the run to the scan: named cases (equal
+keys, zero rows, a stuck raw-cost run, contested and uniform draws, and a
+handover within a split item) pin which path each takes as well.
 Validation reads each row's range from the ends of its rank order; its
 out-of-range messages must equal a plain scan of the ``Fraction``s.
 """
@@ -31,6 +34,7 @@ from subsidy_fairdiv import (
     validate_instance,
     wprop_share,
 )
+from subsidy_fairdiv import fbta as fbta_module
 from subsidy_fairdiv.fbta import NORMALIZED, RAW_COST, FBTAError, StuckError, fbta
 from subsidy_fairdiv.ido import is_ido, lift_allocation, reduce_to_ido
 from subsidy_fairdiv.model import scaled
@@ -305,3 +309,112 @@ def test_reduction_of_zero_one_and_two_items(kind, m):
         assert type(ido_inst.costs[i]) is tuple and len(ido_inst.costs[i]) == m
         assert all(ido_inst.costs[i][k] is inst.costs[i][e] for k, e in enumerate(slots))
     assert ido_inst.costs == reference_reduce(inst)[0]
+
+
+def replicated(rows, weights, k):
+    """``k`` agents per row and ``k`` items per column of an IDO instance."""
+    return Instance(
+        CHORES,
+        tuple(Fraction(w) / k for w in weights for _ in range(k)),
+        tuple(tuple(c for c in row for _ in range(k)) for row in rows for _ in range(k)),
+    )
+
+
+def contested_then_handed_over_mid_item():
+    """20 agents: agent 0 (weight 1/205) fills on item 0 and agent 1 takes its
+    rest, item 1 and part of item 2; the successor of item 2 then re-reads all
+    18 others, whose keys read at item 0 lie below their keys now."""
+    rows = (
+        ("1/10",) + ("1",) * 9,
+        ("1/10",) * 3 + ("1",) * 7,
+        *(("1/2",) * 2 + ("1",) * 8,) * 18,
+    )
+    return Instance(CHORES, tuple(Fraction(w, 205) for w in (1, 6, *(11,) * 18)), rows)
+
+
+def rising(m):
+    """A row of ``m`` distinct costs, so each item raises every key."""
+    return tuple(Fraction(e + 1, m) for e in range(m))
+
+
+def drawn(seed, m):
+    """A sorted row on the 1/10 grid, zeros and ties included."""
+    rng = random.Random(seed)
+    return tuple(sorted(Fraction(rng.randint(0, 10), 10) for _ in range(m)))
+
+
+def equal_weights(rows):
+    rows = tuple(rows)
+    return Instance(CHORES, (Fraction(1, len(rows)),) * len(rows), rows)
+
+
+# each row a multiple of one rising row: every normalized key ties
+MULTIPLES = equal_weights(
+    tuple(c * k for c in rising(40)) for k in (1, Fraction(1, 2), Fraction(1, 5)) * 8
+)
+# case: (instance, selection, item at which the scan takes over, or None if it never does)
+SELECTION_CASES = {
+    "identical-rows": (equal_weights((rising(30),) * 20), NORMALIZED, 1),
+    "scalar-multiple-rows": (MULTIPLES, NORMALIZED, 1),
+    "scalar-multiple-rows-raw-cost": (MULTIPLES, RAW_COST, 2),
+    "zero-rows": (
+        equal_weights((Fraction(0),) * 40 if a % 6 == 5 else drawn(a, 40) for a in range(20)),
+        NORMALIZED,
+        None,
+    ),
+    "raw-cost-stuck": (
+        replicated((("0", "1/2", "1/2"), ("0", "1/2", "1"), ("0", "1/2", "1")), ("1/3",) * 3, 6),
+        RAW_COST,
+        None,
+    ),
+    "mid-run": (contested_then_handed_over_mid_item(), NORMALIZED, 2),
+    **{
+        f"contested-{seed}": (
+            gen_random_instance(24, 60, CHORES, seed=seed, dist=CORRELATED, denominator=997),
+            NORMALIZED,
+            2 if seed == 2 else 1,
+        )
+        for seed in range(3)
+    },
+    **{
+        f"uniform-{seed}": (gen_random_instance(40, 80, CHORES, seed=seed), NORMALIZED, None)
+        for seed in range(3)
+    },
+}
+
+
+@pytest.mark.parametrize("case", SELECTION_CASES)
+def test_chores_selection_matches_reference(case, monkeypatch):
+    # Chores with more than 16 agents select from a heap of lower bounds and
+    # hand the run to the scan, on rows built then, if the first items
+    # re-read too many agents; every path must pick what the reference picks.
+    inst, selection, handover = SELECTION_CASES[case]
+    ido_inst = reduce_to_ido(inst)
+    rereads, built = [], []
+    heapreplace, scaled_rows = fbta_module.heapreplace, Instance._scaled_rows
+
+    def reread(heap, entry):
+        rereads.append(entry[2])
+        return heapreplace(heap, entry)
+
+    def build(self):
+        built.append(rereads[-1])
+        return scaled_rows(self)
+
+    monkeypatch.setattr(fbta_module, "heapreplace", reread)
+    monkeypatch.setattr(Instance, "_scaled_rows", build)
+    assert_run_matches_reference(ido_inst, selection)
+    assert rereads, "the run never read its heap"
+    assert built == ([] if handover is None else [handover])
+    if handover is not None:
+        assert rereads[-1] == handover  # nothing reads the heap once the scan takes over
+    if case == "mid-run":
+        # agent 0 left on item 0, and the scan took over within item 2
+        _, successors = reference_bid_and_take(ido_inst, selection)
+        assert successors[:2] == [(0, 1, 0), (1, 2, 2)]
+
+
+def test_chores_heap_reads_an_unreduced_ido_instance():
+    inst = gen_random_instance(30, 60, CHORES, seed=4, force_ido=True)
+    assert "_permutation" not in inst.__dict__
+    assert_run_matches_reference(inst, NORMALIZED)

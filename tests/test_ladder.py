@@ -9,6 +9,7 @@ through the per-tree module table (``mods["rounding"]._fractional_stage``).
 import ast
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -72,7 +73,7 @@ def test_the_ladder_runs_every_stage_on_this_tree(draw):
     mods = this_tree()
     source = mods["oracle"].gen_random_instance(4, 6, **draw, seed=1)
     times = ladder.one_run(mods, source)
-    assert set(ladder.STAGES) <= set(times)
+    assert set(times) == set(ladder.STAGES) - {"parse"}
     assert all(t >= 0 for t in times.values())
     assert ladder.kept_mb(mods, source) >= 0
 
@@ -83,3 +84,37 @@ def test_the_ladder_broom_donates_once_per_path_agent():
     eap, *rest = mods["split"].split_tree(tree)
     assert (tree.size, eap.k, eap.h) == (29, 4, 5)
     assert [p.kind for p in rest] == ["pair"] * 10
+
+
+def test_the_hostile_rung_parses_its_document_in_each_run():
+    mods = this_tree()
+    text = ladder.primes_document(6)
+    inst = mods["model"].parse_instance(text)
+    assert (inst.kind, inst.n, inst.m) == ("chores", 4, 6)
+    assert inst.costs[3][5] == Fraction(1, 13)
+    times = ladder.one_run(mods, None, text)
+    assert set(times) == set(ladder.STAGES)
+
+
+def test_a_rung_whose_probes_moved_is_marked_disturbed(monkeypatch):
+    # the probes before the first rung read 1 ms and those after it 2 ms, a
+    # move of 100%, far beyond the quartile distance of any stage
+    readings = iter([1e-3] * ladder.PROBES + [2e-3] * ladder.PROBES + [1e-3] * 2 * ladder.PROBES)
+    monkeypatch.setattr(ladder, "RUNS", 2)
+    mods = {"parent": this_tree(), "change": this_tree()}
+    rungs = ({"kind": "chores", "n": 4, "m": 6}, {**ladder.HOSTILE_RUNGS[0], "m": 6})
+    found = ladder.ladder(mods, rungs, lambda: next(readings))
+    moved, steady = (rung["probe"] for rung in found["sections"]["change"])
+    assert moved == {"before_ms": 1.0, "after_ms": 2.0, "moved": 1.0, "disturbed": True}
+    assert steady["moved"] == 0 and steady["disturbed"] is False
+    assert "probe" not in found["sections"]["parent"][0]
+    assert "parse" in found["sections"]["change"][1]["median_s"]
+    assert len(found["probes"]) == 4 * ladder.PROBES
+
+
+@pytest.mark.parametrize(
+    "after, spread, disturbed", [(4.1, 0.05, False), (4.1, 0.02, True), (3.9, 0.02, True)]
+)
+def test_a_probe_move_beyond_the_quartile_distance_is_a_disturbance(after, spread, disturbed):
+    shift = ladder.probe_shift([4.0, 4.2, 3.9, 4.0, 4.0], [after] * 5, spread)
+    assert shift["disturbed"] is disturbed

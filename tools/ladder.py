@@ -49,16 +49,30 @@ The ``contested`` section times the same stages on the rungs of
 grid steps of one shared base row on the 1/997 grid, so the agents' rank
 orders nearly agree and many agents contend for each item.
 
+The ``hostile`` section times one document from its text: 4 chores agents
+of weight 1/4, each costing ``1/p`` for the first ``PRIMES`` primes ``p``
+(:func:`primes_document`), whose row denominators run to about 11,000
+bits.  Each run parses the text in its own tree (``parse``) and times the
+stages above on the parsed instance.
+
 Every timed call starts after a full ``gc.collect()``.  Each stage gets
-the median and the minimum over ``RUNS`` runs and the distance between
-their quartiles, in seconds, and the change's section counts the runs in
-which its time was below the parent's time of the same round (``wins``):
-the host drifts between rounds more than within one, so a change that is
-slower by more than the quartile distance but wins about half the runs is
-not resolved either.  The speed probe of ``perfbench/speed.py`` (loaded by path,
-read-only) runs between rungs, and its median is recorded, so that files
-written on different hosts or days can be compared.  Each tree's tier-1 suite is run once and
-its wall time recorded.  The JSON document goes to standard output.
+the median and the minimum over ``RUNS`` runs (``RUNS_AT`` for the sizes
+it names) and the distance between their quartiles, in seconds, and the
+change's section counts the runs in which its time was below the parent's
+time of the same round (``wins``): the host drifts between rounds more
+than within one, so a change that is slower by more than the quartile
+distance but wins about half the runs is not resolved either.  The speed
+probe of ``perfbench/speed.py`` (loaded by path, read-only) runs
+``PROBES`` times before and after each rung, and the change's section
+records both medians and how far they moved, as a share of the first
+(``probe``).  A rung whose probe moved by more than the first tree's
+quartile distance of ``pipeline``, as a share of its median, ran on a host
+whose speed changed by more than the rung can resolve: it is marked
+``disturbed`` and listed in the environment.  Read a disturbed rung's
+differences, and its ``wins``, as unresolved.  The median of every probe
+is recorded, so that files written on different hosts or days can be
+compared.  Each tree's tier-1 suite is run once and its wall time
+recorded.  The JSON document goes to standard output.
 """
 from __future__ import annotations
 
@@ -87,9 +101,18 @@ CONTESTED_DRAW = {"kind": "chores", "dist": "correlated", "denominator": 997}
 CONTESTED_RUNGS = tuple({**CONTESTED_DRAW, "n": n, "m": m} for n, m in CONTESTED)
 CHAINS = (300, 600, 1200, 2400)
 RUNS = 7
+# Runs per size where ``RUNS`` is too few.  At 1200×2400 the parent's
+# quartile distance for rows, orders and bid_and_take read 1–8% of its median
+# over 7, 11, 15 and 21 runs on a 2-CPU host: it follows the host's drift,
+# not the count.  15 runs cut the error of the median by about a third
+# (sqrt(7/15)) and give ``wins`` twice the rounds.
+RUNS_AT = {(1200, 2400): 15}
+PROBES = 5
+PRIMES = 1000
+HOSTILE_RUNGS = ({"document": "primes", "kind": "chores", "n": 4, "m": PRIMES},)
 STAGES = (
-    "rows", "orders", "validate", "reduce", "bid_and_take", "forest", "split", "split_round",
-    "rest", "pipeline",
+    "parse", "rows", "orders", "validate", "reduce", "bid_and_take", "forest", "split",
+    "split_round", "rest", "pipeline",
 )
 
 
@@ -130,11 +153,28 @@ def timed(call, *args):
     return out, time.perf_counter() - t0
 
 
-def one_run(mods: dict, source) -> dict[str, float]:
-    """Every stage's time, in seconds, on fresh copies of ``source``."""
+def primes_document(count: int) -> str:
+    """The instance document of 4 chores agents of weight 1/4, each costing
+    ``1/p`` for each of the first ``count`` primes ``p``."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    row = [f"1/{p}" for p in primes]
+    return json.dumps({"kind": "chores", "weights": ["1/4"] * 4, "costs": [row] * 4})
+
+
+def one_run(mods: dict, source, text: str | None = None) -> dict[str, float]:
+    """Every stage's time, in seconds, on fresh copies of ``source``; with a
+    document ``text``, on fresh copies of its parse, timed as ``parse``."""
     model, ido, fbta, graph, split, rounding = (
         mods[name] for name in ("model", "ido", "fbta", "graph", "split", "rounding")
     )
+    times: dict[str, float] = {}
+    if text is not None:
+        source, times["parse"] = timed(model.parse_instance, text)
 
     def fresh():
         return model.Instance(source.kind, source.weights, source.costs)
@@ -148,7 +188,6 @@ def one_run(mods: dict, source) -> dict[str, float]:
     def split_round(ido_inst, alloc, trees):
         return [rounding.round_tree(ido_inst, alloc, tree) for tree in trees]
 
-    times: dict[str, float] = {}
     first = fresh()
     result, times["pipeline"] = timed(rounding.run_pipeline, first)
     inst = fresh()
@@ -206,42 +245,72 @@ def summary(times: list[float]) -> dict[str, float]:
 
 
 def ladder(mods: dict[str, dict], rungs, probe) -> dict:
-    """Stage times per tree and rung, and the probe times taken between rungs.
+    """Stage times per tree and rung, and the probe times taken around rungs.
 
     Each rung is the keyword arguments of ``gen_random_instance`` beside
-    ``seed=1``; its instance is generated once, by the last tree listed, and
+    ``seed=1``, or names a document (``HOSTILE_RUNGS``); its instance is
+    generated, or its document parsed, once, by the last tree listed, and
     every tree builds its own ``Instance`` from those same ``Fraction``
     objects.  The last tree's ``wins`` count its runs faster than the first
-    tree's.
+    tree's, and its ``probe`` holds the probes taken before and after the rung.
     """
     labels = list(mods)
     result: dict[str, list] = {label: [] for label in labels}
     probes = []
     for rung in rungs:
-        probes.append(probe())
-        source = mods[labels[-1]]["oracle"].gen_random_instance(**rung, seed=1)
-        samples = {label: {stage: [] for stage in STAGES} for label in labels}
-        for r in range(RUNS):
+        before = [probe() for _ in range(PROBES)]
+        last = mods[labels[-1]]
+        text = primes_document(rung["m"]) if "document" in rung else None
+        if text is None:
+            source = last["oracle"].gen_random_instance(**rung, seed=1)
+        else:
+            source = last["model"].parse_instance(text)
+        samples: dict[str, dict[str, list[float]]] = {label: {} for label in labels}
+        for r in range(RUNS_AT.get((rung["n"], rung["m"]), RUNS)):
             for label in labels[r % 2:] + labels[: r % 2]:
-                for stage, t in one_run(mods[label], source).items():
-                    samples[label][stage].append(t)
+                for stage, t in one_run(mods[label], source, text).items():
+                    samples[label].setdefault(stage, []).append(t)
         kept = {label: kept_mb(mods[label], source) for label in labels}
         del source
+        after = [probe() for _ in range(PROBES)]
+        probes += before + after
         for label in labels:
-            stats = {stage: summary(samples[label][stage]) for stage in STAGES}
+            stats = {
+                stage: summary(samples[label][stage])
+                for stage in STAGES
+                if stage in samples[label]
+            }
             result[label].append({
                 **rung,
                 "kept_mb": kept[label],
                 **{
-                    field: {stage: stats[stage][field] for stage in STAGES}
+                    field: {stage: stats[stage][field] for stage in stats}
                     for field in ("median_s", "min_s", "iqr_s")
                 },
             })
-        first, last = samples[labels[0]], samples[labels[-1]]
+        first, change = samples[labels[0]], samples[labels[-1]]
         result[labels[-1]][-1]["wins"] = {
-            stage: sum(map(float.__lt__, last[stage], first[stage])) for stage in STAGES
+            stage: sum(map(float.__lt__, change[stage], first[stage])) for stage in change
         }
+        pipeline = result[labels[0]][-1]
+        result[labels[-1]][-1]["probe"] = probe_shift(
+            before, after, pipeline["iqr_s"]["pipeline"] / pipeline["median_s"]["pipeline"]
+        )
     return {"sections": result, "probes": probes}
+
+
+def probe_shift(before: list[float], after: list[float], spread: float) -> dict:
+    """The medians of the probes before and after a rung, in ms, how far they
+    moved as a share of the first, and whether that exceeds ``spread``, the
+    rung's quartile distance as a share of its median."""
+    first, last = statistics.median(before), statistics.median(after)
+    moved = abs(last - first) / first
+    return {
+        "before_ms": round(1e3 * first, 4),
+        "after_ms": round(1e3 * last, 4),
+        "moved": round(moved, 4),
+        "disturbed": moved > spread,
+    }
 
 
 def chain(graph, size: int):
@@ -303,29 +372,40 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": HERE}
     mods = {label: import_tree(path) for label, path in trees.items()}
     speed = load_speed()
-    found = ladder(mods, RUNGS, speed.probe)
-    contested = ladder(mods, CONTESTED_RUNGS, speed.probe)
+    sections = {
+        "ladder": ladder(mods, RUNGS, speed.probe),
+        "contested": ladder(mods, CONTESTED_RUNGS, speed.probe),
+        "hostile": ladder(mods, HOSTILE_RUNGS, speed.probe),
+    }
     split_chains = chains(mods)
-    probes = found["probes"] + contested["probes"]
+    probes = [t for found in sections.values() for t in found["probes"]]
     doc = {
         "what": "median, minimum and interquartile range, in seconds, per stage of "
                 "run_pipeline, gen_random_instance(seed=1), fresh Instance per run; the "
-                "contested section draws CONTESTED_DRAW chores; the change's runs "
-                "faster than the parent's of the same round (wins); memory the fractional "
-                "stage keeps, in 10^6 bytes (kept_mb); see tools/ladder.py",
+                "contested section draws CONTESTED_DRAW chores, and the hostile section "
+                "parses primes_document(PRIMES); the change's runs faster than the "
+                "parent's of the same round (wins), and the speed probe around each rung "
+                "(probe); memory the fractional stage keeps, in 10^6 bytes (kept_mb); "
+                "see tools/ladder.py",
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
             "nproc": os.cpu_count(),
             "runs": RUNS,
+            "runs_at": {f"{n}x{m}": runs for (n, m), runs in RUNS_AT.items()},
             "probe_median_ms": round(1e3 * statistics.median(probes), 3),
             "probe_reference_ms": 1e3 * speed.REFERENCE_S,
+            "disturbed": [
+                f"{name} {rung['kind']} {rung['n']}x{rung['m']}"
+                for name, found in sections.items()
+                for rung in found["sections"]["change"]
+                if rung["probe"]["disturbed"]
+            ],
         },
     }
     for label, tree in trees.items():
         doc[label] = {
-            "ladder": found["sections"][label],
-            "contested": contested["sections"][label],
+            **{name: found["sections"][label] for name, found in sections.items()},
             "chains": split_chains[label],
             "tier1": tier1(tree),
         }
