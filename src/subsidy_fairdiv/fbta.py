@@ -32,12 +32,12 @@ Selection.  On an IDO instance a chores key ``r_i[e] / den_i`` never falls
 as ``e`` grows, so a key read at an earlier item is a lower bound on the
 agent's key now.  Chores with more than 16 agents keep the active agents in
 a heap of those bounds, as exact integers, and re-read an entry only while
-it is on top and stale: a top read at the current item is the pick.  A
+it is on top and stale, through ``Instance._reads``, building no rows.  A
 uniform 120×240 run re-reads about 5 agents per item instead of scanning
 120.  When agents contend (rows that nearly agree), the first items re-read
-many of them, and the run hands the rest to the scan, which compares every
-active agent's key by cross-multiplying.  A stale goods key bounds the
-wrong side, so goods always scan.
+many of them, and the run hands the rest to the scan, which cross-multiplies
+every active agent's key on the rows of ``Instance._scaled_rows``.  A stale
+goods key bounds the wrong side, so goods always scan.
 
 Agents with an all-zero row have share zero and an undefined ratio; they
 participate with key 0 and never turn inactive, so for chores they soak
@@ -132,10 +132,10 @@ def fbta(
     one neither scans its rows and ``require_valid`` is not called.
 
     Chores with more than ``2 * _SHARE`` agents pick from a heap of lower
-    bounds, read through the reduced instance's permutation, and hand the
-    run to the scan, on reduced rows built then and let go, if their first
-    ``_WINDOW`` items re-read too many agents.  Goods and fewer agents scan
-    from the start.  Either way the pick is the same agent.
+    bounds, read through ``Instance._reads``, and hand the run to the scan
+    if their first ``_WINDOW`` items re-read too many agents.  Goods and
+    fewer agents scan from the start, on rows a reduced instance builds for
+    the run and lets go.  Either way the pick is the same agent.
     """
     if validate_instance(inst):
         require_valid(inst)  # raises, naming every violation
@@ -171,14 +171,8 @@ def fbta(
         # equal, so keys order exactly as the ratios do, ties included.  An IDO
         # row never falls, so a key read at an earlier item bounds the agent's
         # key now from below, and a top read at this item is the best key,
-        # ties to the lower index.  Entries are read through the reduced
-        # instance's permutation, as ``Instance._entry`` reads them.
-        permutation = inst.__dict__.get("_permutation")
-        if permutation is None:
-            reads = [(ints, range(m)) for ints, _ in inst._rows]
-        else:
-            _, source, orders = permutation
-            reads = [(ints, order) for (ints, _), order in zip(source, orders)]
+        # ties to the lower index.  Entries are read through ``Instance._reads``.
+        reads = inst._reads
         big = max(dens) ** 2
         heap = [
             (ints[order[0]] * big // den, a, 0)
@@ -190,7 +184,7 @@ def fbta(
     else:
         # the scan; goods take the largest key: over negated denominators the
         # ratios order in reverse, so one strict ``<`` picks the best key
-        rows = inst.__dict__.get("_rows") or inst._scaled_rows()
+        rows = inst._scaled_rows()
         sign = -1 if goods else 1
         active = [(a, ints, sign * den) for a, ((ints, _), den) in enumerate(zip(rows, dens))]
     for j in range(m):
@@ -223,7 +217,7 @@ def fbta(
                 if stale > budget and j < _WINDOW:
                     # too many re-reads early on: the scan takes the rest of
                     # the run, over the active agents by index, on rows built now
-                    rows = inst.__dict__.get("_rows") or inst._scaled_rows()
+                    rows = inst._scaled_rows()
                     active = [(a, rows[a][0], dens[a]) for a in sorted([a for _, a, _ in heap])]
                     heap = None
             cost = scale[i] * best_num

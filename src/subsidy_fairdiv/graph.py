@@ -178,9 +178,13 @@ def trees(graph: ItemSharingGraph) -> list[Tree]:
     """Every tree of the forest, singletons included, by smallest agent.
 
     Item sets of distinct trees are disjoint.  An agent with two
-    successors, or on or above a cycle, is rejected.
+    successors, on or above a cycle, or outside ``range(n)`` is rejected.
     """
-    return _forest(graph.edges, range(graph.n))
+    found = _forest(graph.edges, range(graph.n))
+    if sum([len(t.nodes) for t in found]) != graph.n:  # more nodes than range(n)
+        agent = next(v for t in found for v in t.nodes if not 0 <= v < graph.n)
+        raise GraphError(f"agent {agent} lies outside the graph's {graph.n} agents")
+    return found
 
 
 def make_tree(edges: tuple[Edge, ...], nodes: tuple[int, ...] = ()) -> Tree:

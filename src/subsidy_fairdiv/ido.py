@@ -41,12 +41,12 @@ def reduce_to_ido(inst: Instance) -> Instance:
 
     The orders are the instance's rank orders (``Instance._orders``), which
     validation sorted, once, by the integer rows, so nothing is sorted
-    here.  The reduced instance keeps kind, weights, the verdict, every row
-    total and each row's integers, each row permuted by one ``itemgetter``
-    call, so each agent's proportional share is unchanged; it is IDO by
-    construction and says so without a scan.  Its ``costs`` are built only
-    when read, the same way, from ``inst``'s own ``Fraction`` objects.  An
-    invalid instance raises :class:`ModelError` before anything is kept.
+    here.  The reduced instance keeps kind, weights, the verdict and every
+    row total, so each agent's share is unchanged, and reads each row's
+    integers through its rank order (``Instance._reads``); it is IDO by
+    construction and says so without a scan.  Its integer rows and ``costs``
+    are built only when read, one ``itemgetter`` call per row.  An invalid
+    instance raises :class:`ModelError` before anything is kept.
     """
     require_valid(inst)
     return inst._permuted()
@@ -63,21 +63,17 @@ def lift_allocation(inst: Instance, ido_alloc: IntegralAllocation) -> IntegralAl
     bundle.
 
     ``inst`` must be valid, so that every order covers the ``m`` items: the
-    lift reads its kept verdict, and an invalid instance raises
-    :class:`ModelError` through :func:`require_valid`.  A pipeline run has
-    validated ``inst`` already and so calls ``require_valid`` only once, in
-    the reduction.  Each owner keeps
-    one lazy cursor over her order that skips items already taken, advanced
-    by ``next`` at each of her slots: O(m) per owner, O(k m) for k distinct
-    owners.
+    lift reads its kept verdict (a pipeline run validated it in the
+    reduction), and an invalid instance raises :class:`ModelError` through
+    :func:`require_valid`.  Each owner keeps one lazy cursor over her order
+    that skips items already taken, advanced by ``next`` at each of her
+    slots: O(m) per owner, O(k m) for k distinct owners.
     """
     if validate_instance(inst):
         require_valid(inst)  # raises, naming every violation
     m = inst.m
     if ido_alloc.m != m:
-        raise ModelError(
-            f"allocation covers {ido_alloc.m} items, instance has {m}"
-        )
+        raise ModelError(f"allocation covers {ido_alloc.m} items, instance has {m}")
     goods = inst.kind == GOODS
     orders = inst._orders
     owner: list[int | None] = [None] * m

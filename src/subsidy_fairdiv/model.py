@@ -11,34 +11,32 @@ integers instead.  Each instance writes every cost row once over the row's
 least common denominator (:func:`scaled`), on first use, and keeps it:
 sorting or adding those integers sorts or adds the rationals exactly, and
 bid-and-take orders the agents' ratios exactly, by integer keys or by
-cross-multiplying.  A row is read
-from its ``Fraction``s' slots in two passes, its distinct denominators and
-then its integers: a few C-level calls per row, not a Python call per
-entry.  Each integer row is then sorted once into its rank order
-(``Instance._orders``), non-decreasing for both kinds: validation reads the
-row's range from the order's two ends, and the reduction permutes each row
-by its order, so no other pass reads a row for its minimum or maximum.
-Loads and shares are integers as well: agent ``i`` with weight ``p_i / q_i`` gets the unit
+cross-multiplying.  A row is read from its ``Fraction``s' slots in two
+passes, its distinct denominators and then its integers: a few C-level
+calls per row, not a Python call per entry.  Each integer row is then
+sorted once into its rank order (``Instance._orders``), non-decreasing for
+both kinds: validation reads the row's range from the order's two ends,
+and the reduction permutes each row by its order.  Loads and shares are
+integers as well: agent ``i`` with weight ``p_i / q_i`` gets the unit
 ``q_i * d_i`` (``Instance._units``), in which item ``e`` costs
 ``q_i * r_i[e]`` and the share is ``p_i * R_i``; bid-and-take's capacities
 and :func:`compute_subsidies` compute in it, and so does the one pricing
-kernel (``rounding._Pricer``) behind component prices, the per-tree emit
-choice and the brute-force oracle.  :func:`parse_instance` converts each
-distinct rational string of a document once.  A reduced instance
-(``Instance._permuted``) keeps only its permutation: its source's
-``costs``, integer rows and orders, with the source's units.  Its integer
-rows and ``costs`` are built from these, one ``itemgetter`` call per row,
-only when read, and a single entry is read through the permutation
-without building either (``Instance._entry``), so the rounding, which
-prices at most ``n - 1`` shared items, never builds them, and neither does
-a chores bid-and-take run that keeps its heap.  A fractional
-allocation stores only the positive fractions of each item.  Every cache
-of a value object (integer rows and their rank orders, units, which give
-the row totals and shares, an instance's violations, whether it is
-identical-ordering and its fractional stage, the lazy rows and ``costs``
-of a reduced instance, the dense view of an allocation, a subsidy total, a
-certificate's verdict) is computed on first use and is invisible to
-``==``, ``hash``, ``repr`` and pickling.
+kernel (``rounding._Pricer``).  :func:`parse_instance` converts each
+distinct rational string of a document once.  Single integers are read
+through ``Instance._reads``: agent ``i``'s for item ``e`` is
+``ints[order[e]]`` of her pair ``(ints, order)``, her own row and an
+identity order, or, on a reduced instance (``Instance._permuted``), her
+source's row and rank order.  A reduced instance keeps only its source's
+``costs``, integer rows, orders and units, and builds its own rows and
+``costs`` only when they are read, so the rounding, the subsidy sums and
+a chores bid-and-take run that keeps its heap never build them; no other
+module knows how it is stored.  A fractional allocation stores only the
+positive fractions of each item.  Every cache of a value object (integer
+rows, their rank orders and reader, units, an instance's violations,
+whether it is identical-ordering and its fractional stage, a reduced
+instance's rows and ``costs``, the dense view of an allocation, a subsidy
+total, a certificate's verdict) is computed on first use and is invisible
+to ``==``, ``hash``, ``repr`` and pickling.
 
 Every document the package emits is written by :func:`_document`, byte for
 byte what ``json.dumps(doc, indent=2, sort_keys=True)`` writes, from one
@@ -117,12 +115,20 @@ _FRACTION = {Fraction}
 _INT = {int}
 
 
-def _frac_matrix(rows: Iterable[Iterable[object]]) -> tuple[tuple[Fraction, ...], ...]:
+def _sequence(value: Iterable, what: str, index: int | None = None) -> tuple:
+    """``value`` as a tuple; a string, which would split into characters, is refused."""
+    if type(value) is str:
+        where = what if index is None else f"{what}[{index}]"
+        raise ModelError(f"{where} must be a sequence, not a string")
+    return tuple(value)
+
+
+def _frac_matrix(rows: Iterable[Iterable[object]], what: str) -> tuple[tuple[Fraction, ...], ...]:
     # a row of Fractions, by far the common one, is kept as it is
     return tuple(
         row if _FRACTION.issuperset(map(type, row))
         else tuple(v if type(v) is Fraction else frac(v) for v in row)
-        for row in map(tuple, rows)
+        for row in (_sequence(row, what, i) for i, row in enumerate(rows))
     )
 
 
@@ -194,11 +200,10 @@ class Instance:
     item ``e``.  Weights must be positive and sum to one exactly; every
     cost must lie in [0, 1].  :func:`validate_instance` lists the rules
     an instance breaks, and :func:`require_valid` raises on any of them.
-    The integer rows, their rank orders, units, violations and whether it
-    is identical-ordering are computed once, on first use, and so is the
-    fractional stage of its runs (``rounding._fractional_stage``: the
-    reduction, bid-and-take and the forest), shared by both rounding
-    methods.
+    The integer rows, their rank orders and reader, units, violations and
+    whether it is identical-ordering are computed once, on first use, and
+    so is the fractional stage of its runs (``rounding._fractional_stage``:
+    the reduction, bid-and-take and the forest), shared by both methods.
     """
 
     kind: str
@@ -208,12 +213,11 @@ class Instance:
     item_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(frac(w) for w in self.weights))
-        object.__setattr__(self, "costs", _frac_matrix(self.costs))
-        if self.agent_names is not None:
-            object.__setattr__(self, "agent_names", tuple(self.agent_names))
-        if self.item_names is not None:
-            object.__setattr__(self, "item_names", tuple(self.item_names))
+        object.__setattr__(self, "weights", tuple(map(frac, _sequence(self.weights, "weights"))))
+        object.__setattr__(self, "costs", _frac_matrix(self.costs, "costs"))
+        for name in ("agent_names", "item_names"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _sequence(getattr(self, name), name))
 
     @property
     def n(self) -> int:
@@ -221,10 +225,8 @@ class Instance:
 
     @property
     def m(self) -> int:
-        # a reduced instance counts its source's items, building no rows
-        permutation = self.__dict__.get("_permutation")
-        rows = self._rows if permutation is None else permutation[1]
-        return len(rows[0][0]) if rows else 0
+        reads = self._reads
+        return len(reads[0][1]) if reads else 0
 
     __getstate__ = _field_state
 
@@ -232,9 +234,12 @@ class Instance:
         """Per row, its :func:`scaled` integers ``r_i`` and denominator ``d_i``.
 
         A reduced instance permutes its source's rows instead, one
-        :func:`_permute` call per row.  Built afresh on every call; ``_rows``
-        keeps the first one read.
+        :func:`_permute` call per row.  Built afresh until ``_rows``, which
+        keeps the first one read, holds them.
         """
+        rows = self.__dict__.get("_rows")
+        if rows is not None:
+            return rows
         permutation = self.__dict__.get("_permutation")
         if permutation is None:
             return tuple(scaled(row) for row in self.costs)
@@ -247,17 +252,15 @@ class Instance:
     def _orders(self) -> tuple[tuple[int, ...], ...]:
         """Per row ``r_i``, its items in the reduced instance's order.
 
-        Non-decreasing by ``r_i``, ties to the smaller index for chores and
-        to the larger index for goods (an unknown kind sorts as chores): the
-        stable sort by ``r_i`` of the indices, in descending order for goods.
-        So an agent's favorite item is first for chores and last for goods.
-        Every row's order is built over one shared list of index objects, 8
-        bytes per entry instead of a new int each; a row of another length,
-        in an instance that is not valid, sorts its own indices.  Validation
-        reads each row's range from the two ends of its order, and the
-        reduction permutes row ``i`` by ``_orders[i]`` as it stands.  The
-        key is a list's ``__getitem__``, a builtin method, which costs less
-        per call than a tuple's slot wrapper.
+        The stable sort by ``r_i`` of the indices, descending for goods, so
+        ties go to the smaller index for chores and to the larger for goods
+        (an unknown kind sorts as chores), and an agent's favorite item is
+        first for chores and last for goods.  Every row's order is built over
+        one shared list of index objects, 8 bytes per entry instead of a new
+        int each; a row of another length, in an invalid instance, sorts its
+        own indices.  Validation reads each row's range from the two ends of
+        its order.  The key is a list's ``__getitem__``, a builtin method,
+        cheaper per call than a tuple's slot wrapper.
         """
         goods = self.kind == GOODS
         shared = sorted(range(self.m), reverse=goods)
@@ -269,18 +272,21 @@ class Instance:
             for ints, _ in self._rows
         )
 
-    def _entry(self, agent: int, item: int) -> int:
-        """``r_agent[item]``, one integer of the rows.
+    @cached_property
+    def _reads(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per agent ``(ints, order)``: her integer for item ``e`` is ``ints[order[e]]``.
 
-        A reduced instance reads ``r_agent[_orders[agent][item]]`` from its
-        source's row, whether or not its own rows are built, and builds
-        nothing.
+        Her own row and one identity tuple that all rows share (a ``range``
+        indexes slower); a reduced instance's are set by :meth:`_permuted`.
         """
-        permutation = self.__dict__.get("_permutation")
-        if permutation is None:
-            return self._rows[agent][0][item]
-        _, source, orders = permutation
-        return source[agent][0][orders[agent][item]]
+        rows = self._rows
+        identity = tuple(range(len(rows[0][0]))) if rows else ()
+        return tuple([(ints, identity) for ints, _ in rows])
+
+    def _entry(self, agent: int, item: int) -> int:
+        """``r_agent[item]``, one integer of the rows, read through ``_reads``."""
+        ints, order = self._reads[agent]
+        return ints[order[item]]
 
     @cached_property
     def _units(self) -> tuple[tuple[int, int, int], ...]:
@@ -350,15 +356,15 @@ class Instance:
 
         The result keeps only the permutation: this instance's ``costs``,
         integer rows and orders (never the instance itself, which may keep
-        the result).  A permutation changes no row's denominator or total
-        and breaks no validation rule, so the units are carried over and the
-        verdict is no violations (``reduce_to_ido`` has just validated this
-        instance); every row in its order is non-decreasing, so the result
-        is identical-ordering by construction.  Its integer rows and
-        ``costs`` are built on first read, each row with one
-        :func:`_permute` call, from this instance's own objects;
-        :meth:`_entry` reads one entry without building them.
+        the result), read through ``_reads``.  A permutation changes no
+        row's denominator or total and breaks no validation rule, so the
+        units are carried over and the verdict is no violations
+        (``reduce_to_ido`` has just validated this instance); every row in
+        its order is non-decreasing, so the result is identical-ordering by
+        construction.  Its integer rows and ``costs`` are built on first
+        read, each row with one :func:`_permute` call.
         """
+        rows, orders = self._rows, self._orders
         out = object.__new__(Instance)
         out.__dict__.update(
             kind=self.kind,
@@ -368,7 +374,8 @@ class Instance:
             _units=self._units,
             _violations=(),
             _ido=True,
-            _permutation=(self.costs, self._rows, self._orders),
+            _permutation=(self.costs, rows, orders),
+            _reads=tuple([(ints, order) for (ints, _), order in zip(rows, orders)]),
         )
         return out
 
@@ -408,10 +415,8 @@ class FractionalAllocation:
     columns: tuple[tuple[tuple[int, Fraction], ...], ...] = field(init=False)
 
     def __init__(self, shares: Iterable[Iterable[object]]) -> None:
-        matrix = _frac_matrix(shares)
-        columns: list[list[tuple[int, Fraction]]] = [
-            [] for _ in (matrix[0] if matrix else ())
-        ]
+        matrix = _frac_matrix(shares, "shares")
+        columns: list[list[tuple[int, Fraction]]] = [[] for _ in (matrix[0] if matrix else ())]
         for i, row in enumerate(matrix):
             if len(row) != len(columns):
                 raise ModelError(
@@ -496,20 +501,21 @@ class IntegralAllocation:
         if owner and (min(owner) < 0 or max(owner) >= n):
             e = next(e for e, o in enumerate(owner) if not 0 <= o < n)
             raise ModelError(f"item {e} assigned to unknown agent {owner[e]}")
-        rows = inst._rows
+        reads = inst._reads
         sums = [0] * n
         for e, o in enumerate(owner):
-            sums[o] += rows[o][0][e]
+            ints, order = reads[o]
+            sums[o] += ints[order[e]]
         return sums
 
     def bundle_costs(self, inst: Instance) -> tuple[Fraction, ...]:
         """Every agent's bundle cost, from one pass over ``owner``.
 
-        Raises :class:`ModelError` as :func:`compute_subsidies` does.
+        Each ``d_i`` is the unit ``q_i * d_i`` over ``q_i``.  Raises
+        :class:`ModelError` as :func:`compute_subsidies` does.
         """
-        return tuple(
-            Fraction(s, d) for s, (_, d) in zip(self._bundle_ints(inst), inst._rows)
-        )
+        units = zip(self._bundle_ints(inst), inst._units)
+        return tuple(Fraction(s, unit // q) for s, (q, _, unit) in units)
 
 
 @dataclass(frozen=True)
@@ -519,7 +525,7 @@ class SubsidyVector:
     amounts: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amounts", tuple(frac(a) for a in self.amounts))
+        object.__setattr__(self, "amounts", tuple(map(frac, _sequence(self.amounts, "amounts"))))
 
     __getstate__ = _field_state
 

@@ -9,9 +9,9 @@ combination is priced by the rounding kernel (``rounding._Pricer``) over
 all fractional items, based on each agent's share minus the items she
 holds whole, so each combination costs integer additions into one list,
 and the winner's subsidies are that base less the costs of the shared
-items it assigns (``rounding._rounded_subsidies``): the entries read are
-those of the shared items and of each item held whole, and the rows of a
-reduced instance are never built.
+items it assigns (``rounding._rounded_subsidies``): the entries read, through
+``Instance._reads``, are those of the shared items and of each item held
+whole, and the rows of a reduced instance are never built.
 """
 from __future__ import annotations
 
@@ -52,8 +52,10 @@ def brute_force_rounding(
 
     Considers every assignment of each fractional item to one of its
     sharers (whole items stay put).  Ties break to the lexicographically
-    smallest assignment vector.
+    smallest assignment vector.  A ``cap`` below 1 is refused, as by the CLI.
     """
+    if cap < 1:
+        raise ModelError(f"the enumeration cap must be at least 1, got {cap}")
     if alloc.n != inst.n or alloc.m != inst.m:
         raise ModelError(
             f"allocation is {alloc.n} agents by {alloc.m} items, "

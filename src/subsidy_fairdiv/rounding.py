@@ -40,12 +40,9 @@ fractional items and that base form one stage per instance
 (:func:`_fractional_stage`), computed on its first run and shared by every
 later run, of either method, so comparing the tree rounding with the
 per-item baseline costs one fractional stage, not two.  The stage keeps no
-n×m object of its own: the reduction and the lift both read the instance's
-rank orders (``Instance._orders``), which validation sorted and the
-instance keeps.  Chores bid-and-take reads each entry it needs through the
-reduced instance's permutation (``Instance._entry``), and so do the base and
-the rounding; only a bid-and-take run that scans (goods, few agents, or
-contested chores) builds the reduced rows, for that run, and lets them go.
+n×m object of its own: the reduction and the lift read the rank orders
+validation sorted, and bid-and-take, the base and the rounding read single
+entries through ``Instance._reads``.
 """
 from __future__ import annotations
 
@@ -658,14 +655,14 @@ def _fractional_stage(inst: Instance) -> tuple:
     ``__dict__``, as ``cached_property`` keeps ``_rows``, and every later
     run, of either method, reads it there: ``==``, ``hash``, ``repr``,
     pickling and ``dataclasses.replace`` never see it.  The reduced
-    instance is the source's rows permuted by the rank orders validation
-    sorted once, which the source keeps for the lift.  It carries its
-    source's verdict and its own IDO verdict, so :func:`fbta` checks it
-    without a scan; a bid-and-take run that scans builds its rows for the run
-    and lets them go, and :func:`_whole_base` reads its entries through the permutation:
-    the reduced instance keeps only its permutation, and the base is n
-    integers.  :func:`reduce_to_ido` validates, so an invalid instance
-    raises before anything is kept, and raises on every call.
+    instance reads the source's rows through the rank orders validation
+    sorted, which the source keeps for the lift, and carries its source's
+    verdict and its own IDO verdict, so :func:`fbta` checks it without a
+    scan.  A bid-and-take run that scans builds its rows and lets them go,
+    a heap run builds none, and :func:`_whole_base` reads through
+    ``Instance._reads``, so the stage keeps no n×m object of its own.
+    :func:`reduce_to_ido` validates, so an invalid instance raises before
+    anything is kept, and raises on every call.
     """
     stage = inst.__dict__.get("_fractional_stage")
     if stage is None:

@@ -242,6 +242,15 @@ def test_hand_off_of_an_item_outside_the_trace_rejected():
             build_graph(trace)
 
 
+@pytest.mark.parametrize(
+    "edges, agent",
+    [((Edge(0, 5, 0),), 5), ((Edge(-1, 0, 0),), -1), ((Edge(2, 3, 0), Edge(0, 1, 1)), 2)],
+)
+def test_trees_reject_an_agent_outside_the_graph(edges, agent):
+    with pytest.raises(GraphError, match=f"^agent {agent} lies outside the graph's 2 agents$"):
+        trees(ItemSharingGraph(2, edges))
+
+
 def test_make_tree_needs_single_root():
     with pytest.raises(GraphError):
         make_tree((Edge(0, 1, 0), Edge(2, 3, 1)))

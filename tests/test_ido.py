@@ -1,4 +1,6 @@
 """Identical-ordering reduction and the lifting picking sequence."""
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,8 @@ from subsidy_fairdiv import (
     gen_random_instance,
 )
 from subsidy_fairdiv.ido import is_ido, lift_allocation, reduce_to_ido
+from subsidy_fairdiv.model import require_valid
+from subsidy_fairdiv.rounding import run_pipeline
 from reference import bundle_cost, reference_lift, reference_reduce, total_cost
 
 
@@ -219,9 +223,40 @@ def test_lift_matches_the_reference_on_tied_rows(data):
     assert lift_allocation(inst, IntegralAllocation(owners)).owner == reference_lift(inst, owners)
 
 
+def kept_bytes(call):
+    """``call()`` and the bytes it leaves allocated, after a full collection."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = call()
+        gc.collect()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+# a quarter of one n×m tuple of references at 40×400: a reduced instance
+# that built its rows, or copied its source's rank orders, keeps four times this
+N, M = 40, 400
+QUARTER_MATRIX = N * M * 8 // 4
+
+
 @pytest.mark.parametrize("kind", [CHORES, GOODS])
-def test_a_reduced_instance_keeps_its_source_costs_rows_and_orders(kind):
-    inst = gen_random_instance(n=3, m=5, kind=kind, seed=2)
-    permutation = reduce_to_ido(inst)._permutation
-    assert len(permutation) == 3
-    assert all(x is y for x, y in zip(permutation, (inst.costs, inst._rows, inst._orders)))
+def test_a_reduced_instance_keeps_no_matrix_of_its_own(kind):
+    # it reads its source's rows through its source's rank orders
+    inst = gen_random_instance(N, M, kind, seed=3)
+    require_valid(inst)
+    ido_inst, kept = kept_bytes(lambda: reduce_to_ido(inst))
+    assert kept < QUARTER_MATRIX
+    assert ido_inst.costs == reference_reduce(inst)[0]
+
+
+@pytest.mark.parametrize("kind", [CHORES, GOODS])
+def test_subsidies_of_a_reduced_instance_build_no_rows(kind):
+    result = run_pipeline(gen_random_instance(N, M, kind, seed=3))
+    subsidies, kept = kept_bytes(
+        lambda: compute_subsidies(result.ido_instance, result.ido_allocation)
+    )
+    assert kept < QUARTER_MATRIX
+    assert subsidies == result.certificate.rounded_subsidies

@@ -13,8 +13,9 @@ successors and ``StuckError``s, on the reference instance strategy and its
 on wide 1/997-grid instances; a goods edge case under the raw-cost rule
 must raise ``FBTAError``.  Chores with more than 16 agents select from a
 heap of lower bounds and may hand the run to the scan: named cases (equal
-keys, zero rows, a stuck raw-cost run, contested and uniform draws, and a
-handover within a split item) pin which path each takes as well.
+keys, zero rows, a stuck raw-cost run, contested and uniform draws, a
+handover within a split item, and rows over 384-bit prime denominators)
+pin which path each takes as well.
 Validation reads each row's range from the ends of its rank order; its
 out-of-range messages must equal a plain scan of the ``Fraction``s.
 """
@@ -348,6 +349,27 @@ def equal_weights(rows):
     return Instance(CHORES, (Fraction(1, len(rows)),) * len(rows), rows)
 
 
+def first_primes(count):
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+PRIMES = first_primes(60)
+# rows over the first 60 primes, whose denominators run to 384 bits: every
+# agent's row 1/p, which contends and hands over, and seeded numerators k/p
+# (1 <= k < p) under weights 1/300..24/300, which keep the heap to the end
+PRIME_ROWS = equal_weights((tuple(Fraction(1, p) for p in PRIMES),) * 24)
+_draw = random.Random(60)
+PRIME_NUMERATORS = Instance(
+    CHORES,
+    tuple(Fraction(a, 300) for a in range(1, 25)),
+    tuple(tuple(Fraction(_draw.randrange(1, p), p) for p in PRIMES) for _ in range(24)),
+)
 # each row a multiple of one rising row: every normalized key ties
 MULTIPLES = equal_weights(
     tuple(c * k for c in rising(40)) for k in (1, Fraction(1, 2), Fraction(1, 5)) * 8
@@ -368,6 +390,8 @@ SELECTION_CASES = {
         None,
     ),
     "mid-run": (contested_then_handed_over_mid_item(), NORMALIZED, 2),
+    "prime-denominators": (PRIME_ROWS, NORMALIZED, 1),
+    "prime-numerators": (PRIME_NUMERATORS, NORMALIZED, None),
     **{
         f"contested-{seed}": (
             gen_random_instance(24, 60, CHORES, seed=seed, dist=CORRELATED, denominator=997),
@@ -416,5 +440,5 @@ def test_chores_selection_matches_reference(case, monkeypatch):
 
 def test_chores_heap_reads_an_unreduced_ido_instance():
     inst = gen_random_instance(30, 60, CHORES, seed=4, force_ido=True)
-    assert "_permutation" not in inst.__dict__
+    assert is_ido(inst)
     assert_run_matches_reference(inst, NORMALIZED)

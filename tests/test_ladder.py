@@ -88,12 +88,37 @@ def test_the_ladder_broom_donates_once_per_path_agent():
 
 def test_the_hostile_rung_parses_its_document_in_each_run():
     mods = this_tree()
-    text = ladder.primes_document(6)
+    text = ladder.primes_document(6, 4)
     inst = mods["model"].parse_instance(text)
     assert (inst.kind, inst.n, inst.m) == ("chores", 4, 6)
     assert inst.costs[3][5] == Fraction(1, 13)
     times = ladder.one_run(mods, None, text)
     assert set(times) == set(ladder.STAGES)
+
+
+def test_the_many_agent_hostile_rung_reaches_the_heap_and_its_handover(monkeypatch):
+    # more than 16 agents start on the heap; their equal rows contend, so the
+    # scan takes over, on rows built then, and nothing reads the heap after
+    mods = this_tree()
+    rung = ladder.HOSTILE_RUNGS[1]
+    assert (rung["kind"], rung["n"], rung["m"]) == ("chores", 24, ladder.HEAP_PRIMES)
+    inst = mods["model"].parse_instance(ladder.primes_document(8, rung["n"]))
+    assert inst.weights == (Fraction(1, 24),) * 24 and inst.costs[23][7] == Fraction(1, 19)
+    rereads, built = [], []
+    heapreplace, scaled_rows = mods["fbta"].heapreplace, mods["model"].Instance._scaled_rows
+
+    def reread(heap, entry):
+        rereads.append(entry)
+        return heapreplace(heap, entry)
+
+    def build(self):
+        built.append(len(rereads))
+        return scaled_rows(self)
+
+    monkeypatch.setattr(mods["fbta"], "heapreplace", reread)
+    monkeypatch.setattr(mods["model"].Instance, "_scaled_rows", build)
+    mods["fbta"].fbta(mods["ido"].reduce_to_ido(inst))
+    assert rereads and built == [len(rereads)]
 
 
 def test_a_rung_whose_probes_moved_is_marked_disturbed(monkeypatch):

@@ -1,4 +1,5 @@
 """Domain types, validation, subsidies, and the instance file format."""
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from subsidy_fairdiv import (
     Instance,
     IntegralAllocation,
     ModelError,
+    SubsidyVector,
     compute_subsidies,
     format_decimal,
     parse_allocation,
@@ -152,6 +154,40 @@ def test_bundle_costs_of_a_partition():
 def test_fractional_allocation_rejects_ragged_rows(shares, row):
     with pytest.raises(ModelError, match=f"share row {row} "):
         FractionalAllocation(shares)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Instance(CHORES, ("1",), ("10",)), "costs[0]"),
+        (lambda: Instance(CHORES, ("1/2", "1/2"), (("1",), "1")), "costs[1]"),
+        (lambda: Instance(CHORES, ("1",), "10"), "costs[0]"),
+        (lambda: Instance(CHORES, "1", (("1",),)), "weights"),
+        (lambda: Instance(CHORES, ("1/2", "1/2"), (("1",), ("1",)), agent_names="ab"),
+         "agent_names"),
+        (lambda: Instance(CHORES, ("1",), (("1", "0"),), item_names="ab"), "item_names"),
+        (lambda: SubsidyVector("12"), "amounts"),
+        (lambda: FractionalAllocation(["10"]), "shares[0]"),
+    ],
+)
+def test_a_string_is_refused_where_a_sequence_belongs(build, field):
+    # it would be split into its characters, each a rational or a name
+    with pytest.raises(ModelError, match=rf"^{re.escape(field)} must be a sequence, not a string$"):
+        build()
+
+
+def test_value_constructors_read_a_generator_once():
+    inst = Instance(
+        CHORES,
+        (w for w in ("1/2", "1/2")),
+        (iter(row) for row in (("1", "0"), ("0", "1"))),
+        agent_names=iter(("a", "b")),
+        item_names=iter(("x", "y")),
+    )
+    rows = (("1", "0"), ("0", "1"))
+    assert inst == Instance(CHORES, ("1/2", "1/2"), rows, ("a", "b"), ("x", "y"))
+    assert SubsidyVector(iter(("1", "0"))).amounts == (1, 0)
+    assert FractionalAllocation(iter([iter(["1"])])).columns == (((0, Fraction(1)),),)
 
 
 def test_subsidies_are_pointwise_minimal(reference_instance):

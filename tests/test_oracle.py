@@ -69,6 +69,15 @@ def test_brute_force_cap():
         brute_force_rounding(inst, alloc, cap=100)
 
 
+@pytest.mark.parametrize("shares", [(("1",), ("0",)), (("1/2",), ("1/2",))])
+@pytest.mark.parametrize("cap", [0, -1])
+def test_brute_force_refuses_a_cap_below_one(shares, cap):
+    # with no shared item as with one, as ``oracle --cap`` refuses it
+    inst = Instance(CHORES, ("1/2", "1/2"), (("1",), ("1",)))
+    with pytest.raises(ModelError, match=f"^the enumeration cap must be at least 1, got {cap}$"):
+        brute_force_rounding(inst, FractionalAllocation(shares), cap=cap)
+
+
 @pytest.mark.parametrize(
     "shares, shape",
     [

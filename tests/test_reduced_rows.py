@@ -217,6 +217,5 @@ def test_reduced_instances_carry_the_ido_verdict_of_a_fresh_scan(kind):
         rebuilt = Instance(ido_inst.kind, ido_inst.weights, ido_inst.costs)
         assert "_ido" not in vars(rebuilt)
         assert carried is ido.is_ido(rebuilt) is True
-        assert len(ido_inst._permutation) == 3
         runs += 1
     assert runs > 100

@@ -49,11 +49,13 @@ The ``contested`` section times the same stages on the rungs of
 grid steps of one shared base row on the 1/997 grid, so the agents' rank
 orders nearly agree and many agents contend for each item.
 
-The ``hostile`` section times one document from its text: 4 chores agents
-of weight 1/4, each costing ``1/p`` for the first ``PRIMES`` primes ``p``
-(:func:`primes_document`), whose row denominators run to about 11,000
-bits.  Each run parses the text in its own tree (``parse``) and times the
-stages above on the parsed instance.
+The ``hostile`` section times documents from their text: chores agents of
+equal weight, each costing ``1/p`` for the first ``m`` primes ``p``
+(:func:`primes_document`).  With 4 agents and ``PRIMES`` primes the row
+denominators run to about 11,000 bits and bid-and-take scans from the
+start; with 24 agents and ``HEAP_PRIMES`` primes it starts on its heap of
+lower bounds and hands the run to the scan.  Each run parses the text in its
+own tree (``parse``) and times the stages above on the parsed instance.
 
 Every timed call starts after a full ``gc.collect()``.  Each stage gets
 the median and the minimum over ``RUNS`` runs (``RUNS_AT`` for the sizes
@@ -109,7 +111,11 @@ RUNS = 7
 RUNS_AT = {(1200, 2400): 15}
 PROBES = 5
 PRIMES = 1000
-HOSTILE_RUNGS = ({"document": "primes", "kind": "chores", "n": 4, "m": PRIMES},)
+HEAP_PRIMES = 400
+HOSTILE_RUNGS = (
+    {"document": "primes", "kind": "chores", "n": 4, "m": PRIMES},
+    {"document": "primes", "kind": "chores", "n": 24, "m": HEAP_PRIMES},
+)
 STAGES = (
     "parse", "rows", "orders", "validate", "reduce", "bid_and_take", "forest", "split",
     "split_round", "rest", "pipeline",
@@ -153,9 +159,9 @@ def timed(call, *args):
     return out, time.perf_counter() - t0
 
 
-def primes_document(count: int) -> str:
-    """The instance document of 4 chores agents of weight 1/4, each costing
-    ``1/p`` for each of the first ``count`` primes ``p``."""
+def primes_document(count: int, agents: int) -> str:
+    """The instance document of ``agents`` chores agents of equal weight, each
+    costing ``1/p`` for each of the first ``count`` primes ``p``."""
     primes: list[int] = []
     candidate = 2
     while len(primes) < count:
@@ -163,7 +169,9 @@ def primes_document(count: int) -> str:
             primes.append(candidate)
         candidate += 1
     row = [f"1/{p}" for p in primes]
-    return json.dumps({"kind": "chores", "weights": ["1/4"] * 4, "costs": [row] * 4})
+    return json.dumps(
+        {"kind": "chores", "weights": [f"1/{agents}"] * agents, "costs": [row] * agents}
+    )
 
 
 def one_run(mods: dict, source, text: str | None = None) -> dict[str, float]:
@@ -260,7 +268,7 @@ def ladder(mods: dict[str, dict], rungs, probe) -> dict:
     for rung in rungs:
         before = [probe() for _ in range(PROBES)]
         last = mods[labels[-1]]
-        text = primes_document(rung["m"]) if "document" in rung else None
+        text = primes_document(rung["m"], rung["n"]) if "document" in rung else None
         if text is None:
             source = last["oracle"].gen_random_instance(**rung, seed=1)
         else:
@@ -383,9 +391,9 @@ def main(argv=None) -> int:
         "what": "median, minimum and interquartile range, in seconds, per stage of "
                 "run_pipeline, gen_random_instance(seed=1), fresh Instance per run; the "
                 "contested section draws CONTESTED_DRAW chores, and the hostile section "
-                "parses primes_document(PRIMES); the change's runs faster than the "
-                "parent's of the same round (wins), and the speed probe around each rung "
-                "(probe); memory the fractional stage keeps, in 10^6 bytes (kept_mb); "
+                "parses primes_document(m, n) of each HOSTILE_RUNGS rung; the change's runs "
+                "faster than the parent's of the same round (wins), and the speed probe around "
+                "each rung (probe); memory the fractional stage keeps, in 10^6 bytes (kept_mb); "
                 "see tools/ladder.py",
         "environment": {
             "python": platform.python_version(),
