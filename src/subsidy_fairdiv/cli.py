@@ -138,10 +138,9 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         extra["subsidies_decimal"] = [
             format_decimal(s, args.decimal) for s in result.subsidies.amounts
         ]
+        extra["total_subsidy_decimal"] = format_decimal(result.subsidies.total, args.decimal)
     # build every document first; a failure then leaves no partial output
-    text = serialize_allocation(
-        result.allocation, result.subsidies, extra=extra, decimal_digits=args.decimal
-    )
+    text = serialize_allocation(result.allocation, result.subsidies, extra=extra)
     docs = [(args.out, text)] if args.out else []
     if args.certificate:
         docs.append((args.certificate, cert.to_json()))

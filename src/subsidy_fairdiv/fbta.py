@@ -36,8 +36,9 @@ it is on top and stale, through ``Instance._reads``, building no rows.  A
 uniform 120×240 run re-reads about 5 agents per item instead of scanning
 120.  When agents contend (rows that nearly agree), the first items re-read
 many of them, and the run hands the rest to the scan, which cross-multiplies
-every active agent's key on the rows of ``Instance._scaled_rows``.  A stale
-goods key bounds the wrong side, so goods always scan.
+every active agent's key on integer rows built through ``Instance._reads``
+for the run and let go.  A stale goods key bounds the wrong side, so goods
+always scan.
 
 Agents with an all-zero row have share zero and an undefined ratio; they
 participate with key 0 and never turn inactive, so for chores they soak
@@ -134,8 +135,8 @@ def fbta(
     Chores with more than ``2 * _SHARE`` agents pick from a heap of lower
     bounds, read through ``Instance._reads``, and hand the run to the scan
     if their first ``_WINDOW`` items re-read too many agents.  Goods and
-    fewer agents scan from the start, on rows a reduced instance builds for
-    the run and lets go.  Either way the pick is the same agent.
+    fewer agents scan from the start, on rows built through ``_reads`` for
+    the run and let go.  Either way the pick is the same agent.
     """
     if validate_instance(inst):
         require_valid(inst)  # raises, naming every violation
@@ -186,7 +187,7 @@ def fbta(
         # ratios order in reverse, so one strict ``<`` picks the best key
         rows = inst._scaled_rows()
         sign = -1 if goods else 1
-        active = [(a, ints, sign * den) for a, ((ints, _), den) in enumerate(zip(rows, dens))]
+        active = [(a, ints, sign * den) for a, (ints, den) in enumerate(zip(rows, dens))]
     for j in range(m):
         # the rest of item j is z_num / z_den in lowest terms; takers lists
         # who took a positive piece of it, once it splits
@@ -218,7 +219,7 @@ def fbta(
                     # too many re-reads early on: the scan takes the rest of
                     # the run, over the active agents by index, on rows built now
                     rows = inst._scaled_rows()
-                    active = [(a, rows[a][0], dens[a]) for a in sorted([a for _, a, _ in heap])]
+                    active = [(a, rows[a], dens[a]) for a in sorted([a for _, a, _ in heap])]
                     heap = None
             cost = scale[i] * best_num
             # z * cost against capacity[i] / over[i], over over[i] * z_den

@@ -39,16 +39,16 @@ def is_ido(inst: Instance) -> bool:
 def reduce_to_ido(inst: Instance) -> Instance:
     """Permute each agent's row by its rank order, into the IDO instance.
 
-    The orders are the instance's rank orders (``Instance._orders``), which
-    validation sorted, once, by the integer rows, so nothing is sorted
-    here.  The reduced instance keeps kind, weights, the verdict and every
-    row total, so each agent's share is unchanged, and reads each row's
-    integers through its rank order (``Instance._reads``); it is IDO by
-    construction and says so without a scan.  Its integer rows and ``costs``
-    are built only when read, one ``itemgetter`` call per row.  An invalid
-    instance raises :class:`ModelError` before anything is kept.
+    ``Instance._permuted`` validates the instance, which sorts its rank
+    orders (``Instance._orders``) once, so nothing is sorted here, and an
+    invalid instance raises :class:`ModelError` before anything is kept.
+    The reduced instance keeps kind, weights, the verdict it was just
+    given and every row total, so each agent's share is unchanged, and
+    reads each row's integers through its rank order
+    (``Instance._reads``); it is IDO by construction and says so without a
+    scan.  Its ``costs`` are built only when read, one ``itemgetter`` call
+    per row.
     """
-    require_valid(inst)
     return inst._permuted()
 
 

@@ -24,19 +24,20 @@ and :func:`compute_subsidies` compute in it, and so does the one pricing
 kernel (``rounding._Pricer``).  :func:`parse_instance` converts each
 distinct rational string of a document once.  Single integers are read
 through ``Instance._reads``: agent ``i``'s for item ``e`` is
-``ints[order[e]]`` of her pair ``(ints, order)``, her own row and an
-identity order, or, on a reduced instance (``Instance._permuted``), her
-source's row and rank order.  A reduced instance keeps only its source's
-``costs``, integer rows, orders and units, and builds its own rows and
-``costs`` only when they are read, so the rounding, the subsidy sums and
-a chores bid-and-take run that keeps its heap never build them; no other
-module knows how it is stored.  A fractional allocation stores only the
-positive fractions of each item.  Every cache of a value object (integer
-rows, their rank orders and reader, units, an instance's violations,
+``ints[order[e]]`` of her pair ``(ints, order)``, her own row and the
+item indices her rank order is sorted from (``Instance._identity``), or,
+on a reduced instance (``Instance._permuted``), her source's row and
+rank order.  A reduced instance keeps only that reader and its source's
+``costs`` and units, and builds its ``costs`` only when read, which no
+run does: a bid-and-take scan reads rows built through the reader
+(``Instance._scaled_rows``).  Only ``_permuted`` and ``__getattr__``
+know how it is stored.  A fractional allocation stores only the positive
+fractions of each item.  Every cache of a value object (integer rows,
+item indices, rank orders and reader, units, an instance's violations,
 whether it is identical-ordering and its fractional stage, a reduced
-instance's rows and ``costs``, the dense view of an allocation, a subsidy
-total, a certificate's verdict) is computed on first use and is invisible
-to ``==``, ``hash``, ``repr`` and pickling.
+instance's ``costs``, the dense view of an allocation, a subsidy total,
+a certificate's verdict) is computed on first use and is invisible to
+``==``, ``hash``, ``repr`` and pickling.
 
 Every document the package emits is written by :func:`_document`, byte for
 byte what ``json.dumps(doc, indent=2, sort_keys=True)`` writes, from one
@@ -230,23 +231,20 @@ class Instance:
 
     __getstate__ = _field_state
 
-    def _scaled_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Per row, its :func:`scaled` integers ``r_i`` and denominator ``d_i``.
+    @cached_property
+    def _rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Per row, its :func:`scaled` integers ``r_i`` and denominator ``d_i``."""
+        return tuple(scaled(row) for row in self.costs)
 
-        A reduced instance permutes its source's rows instead, one
-        :func:`_permute` call per row.  Built afresh until ``_rows``, which
-        keeps the first one read, holds them.
-        """
-        rows = self.__dict__.get("_rows")
-        if rows is not None:
-            return rows
-        permutation = self.__dict__.get("_permutation")
-        if permutation is None:
-            return tuple(scaled(row) for row in self.costs)
-        _, rows, orders = permutation
-        return tuple((_permute(ints, order), d) for order, (ints, d) in zip(orders, rows))
+    def _scaled_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each row's integers in item order, one :func:`_permute` through ``_reads``; not kept."""
+        return tuple([_permute(ints, order) for ints, order in self._reads])
 
-    _rows = cached_property(_scaled_rows)
+    @cached_property
+    def _identity(self) -> tuple[int, ...]:
+        """The item indices of row 0, one int each, which ``_reads`` and ``_orders`` share."""
+        costs = self.costs
+        return tuple(range(len(costs[0]))) if costs else ()
 
     @cached_property
     def _orders(self) -> tuple[tuple[int, ...], ...]:
@@ -255,15 +253,16 @@ class Instance:
         The stable sort by ``r_i`` of the indices, descending for goods, so
         ties go to the smaller index for chores and to the larger for goods
         (an unknown kind sorts as chores), and an agent's favorite item is
-        first for chores and last for goods.  Every row's order is built over
-        one shared list of index objects, 8 bytes per entry instead of a new
-        int each; a row of another length, in an invalid instance, sorts its
-        own indices.  Validation reads each row's range from the two ends of
+        first for chores and last for goods.  Every row's order is sorted
+        from ``_identity``, 8 bytes per entry instead of a new int each; a
+        row of another length, in an invalid instance, sorts its own
+        indices.  Validation reads each row's range from the two ends of
         its order.  The key is a list's ``__getitem__``, a builtin method,
         cheaper per call than a tuple's slot wrapper.
         """
         goods = self.kind == GOODS
-        shared = sorted(range(self.m), reverse=goods)
+        identity = self._identity
+        shared = identity[::-1] if goods else identity
         return tuple(
             tuple(sorted(
                 shared if len(ints) == len(shared) else sorted(range(len(ints)), reverse=goods),
@@ -276,12 +275,11 @@ class Instance:
     def _reads(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Per agent ``(ints, order)``: her integer for item ``e`` is ``ints[order[e]]``.
 
-        Her own row and one identity tuple that all rows share (a ``range``
+        Her own row and ``_identity``, which all rows share (a ``range``
         indexes slower); a reduced instance's are set by :meth:`_permuted`.
         """
-        rows = self._rows
-        identity = tuple(range(len(rows[0][0]))) if rows else ()
-        return tuple([(ints, identity) for ints, _ in rows])
+        identity = self._identity
+        return tuple([(ints, identity) for ints, _ in self._rows])
 
     def _entry(self, agent: int, item: int) -> int:
         """``r_agent[item]``, one integer of the rows, read through ``_reads``."""
@@ -352,19 +350,19 @@ class Instance:
         return all(all(map(le, ints, ints[1:])) for ints, _ in self._rows)
 
     def _permuted(self) -> Instance:
-        """This valid instance with row ``i`` in its rank order ``_orders[i]``.
+        """This instance, validated, with row ``i`` in its rank order ``_orders[i]``.
 
-        The result keeps only the permutation: this instance's ``costs``,
-        integer rows and orders (never the instance itself, which may keep
-        the result), read through ``_reads``.  A permutation changes no
-        row's denominator or total and breaks no validation rule, so the
-        units are carried over and the verdict is no violations
-        (``reduce_to_ido`` has just validated this instance); every row in
+        The result keeps only this instance's ``costs`` and the reader
+        ``_reads`` of its integer rows through their orders (never the
+        instance itself, which may keep the result).  A permutation changes
+        no row's denominator or total and breaks no validation rule, so the
+        units are carried over and the verdict is the one
+        :func:`require_valid` has just reached, no violations; every row in
         its order is non-decreasing, so the result is identical-ordering by
-        construction.  Its integer rows and ``costs`` are built on first
-        read, each row with one :func:`_permute` call.
+        construction.  Its ``costs`` are built on first read, each row with
+        one :func:`_permute` call.
         """
-        rows, orders = self._rows, self._orders
+        require_valid(self)
         out = object.__new__(Instance)
         out.__dict__.update(
             kind=self.kind,
@@ -374,19 +372,18 @@ class Instance:
             _units=self._units,
             _violations=(),
             _ido=True,
-            _permutation=(self.costs, rows, orders),
-            _reads=tuple([(ints, order) for (ints, _), order in zip(rows, orders)]),
+            _source_costs=self.costs,
+            _reads=tuple([(ints, order) for (ints, _), order in zip(self._rows, self._orders)]),
         )
         return out
 
     def __getattr__(self, name: str) -> object:
         # reached only for a missing attribute: the ``costs`` of an instance
         # built by ``_permuted`` before its first read
-        permutation = self.__dict__.get("_permutation") if name == "costs" else None
-        if permutation is None:
+        source = self.__dict__.get("_source_costs") if name == "costs" else None
+        if source is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        source, _, orders = permutation
-        costs = tuple(_permute(row, order) for order, row in zip(orders, source))
+        costs = tuple(_permute(row, order) for row, (_, order) in zip(source, self._reads))
         object.__setattr__(self, "costs", costs)
         return costs
 
@@ -795,23 +792,19 @@ def serialize_allocation(
     alloc: IntegralAllocation,
     subsidies: SubsidyVector | None = None,
     extra: dict[str, object] | None = None,
-    decimal_digits: int | None = None,
 ) -> str:
     """The allocation document: owners, subsidies and their total, plus ``extra``.
 
-    With ``decimal_digits`` the total is also rendered as a fixed-point
-    decimal under ``total_subsidy_decimal``.  ``extra`` holds JSON values
-    only: ``str`` keys, lists, tuples, strings, ints, booleans and ``None``.
-    A float is refused with ``TypeError``, as floats are refused on input;
-    write a rational with :func:`rational_text`.  A key the document
-    already holds is refused with :class:`ModelError`.
+    ``extra`` holds JSON values only: ``str`` keys, lists, tuples,
+    strings, ints, booleans and ``None``.  A float is refused with
+    ``TypeError``, as floats are refused on input; write a rational with
+    :func:`rational_text` (and a decimal with :func:`format_decimal`).  A
+    key the document already holds is refused with :class:`ModelError`.
     """
     doc: dict[str, object] = {"owner": list(alloc.owner)}
     if subsidies is not None:
         doc["subsidies"] = [rational_text(s) for s in subsidies.amounts]
         doc["total_subsidy"] = rational_text(subsidies.total)
-        if decimal_digits is not None:
-            doc["total_subsidy_decimal"] = format_decimal(subsidies.total, decimal_digits)
     if extra:
         for key in extra:
             if key in doc:

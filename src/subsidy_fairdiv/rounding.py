@@ -652,9 +652,9 @@ def _fractional_stage(inst: Instance) -> tuple:
     None of it depends on the rounding method, so the first run of an
     instance keeps ``(reduced instance, fractional allocation, trace,
     graph, forest, fractional items, whole base)`` in the instance's
-    ``__dict__``, as ``cached_property`` keeps ``_rows``, and every later
-    run, of either method, reads it there: ``==``, ``hash``, ``repr``,
-    pickling and ``dataclasses.replace`` never see it.  The reduced
+    ``__dict__``, beside the caches ``cached_property`` keeps, and every
+    later run, of either method, reads it there: ``==``, ``hash``,
+    ``repr``, pickling and ``dataclasses.replace`` never see it.  The reduced
     instance reads the source's rows through the rank orders validation
     sorted, which the source keeps for the lift, and carries its source's
     verdict and its own IDO verdict, so :func:`fbta` checks it without a

@@ -4,7 +4,7 @@
 deleted function it times would only show when the ladder is next run.
 This test parses the ladder and resolves each attribute it reads from a
 package module, whether through a module variable (``graph.trees``) or
-through the per-tree module table (``mods["rounding"]._fractional_stage``).
+through the per-tree module table (``mods["rounding"].run_pipeline``).
 """
 import ast
 import importlib
@@ -45,7 +45,7 @@ READS = module_reads(LADDER.read_text(encoding="utf-8"), ladder.MODULES)
 def test_the_ladder_reads_each_timed_stage():
     # the parse finds both spellings, so an empty or partial list is a broken parse
     assert {
-        ("fbta", "fbta"), ("rounding", "_fractional_stage"), ("oracle", "gen_random_instance"),
+        ("fbta", "fbta"), ("rounding", "run_pipeline"), ("oracle", "gen_random_instance"),
     } <= set(READS)
 
 

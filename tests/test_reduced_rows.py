@@ -2,8 +2,8 @@
 
 After bid-and-take the pipeline needs only each agent's share minus the
 items she holds whole, and the costs of the shared items, so the reduced
-instance keeps only its permutation: no integer rows and no ``costs``
-until something reads them.  Read afterwards they must equal an eager
+instance keeps only its reader of the source's rows: no integer rows and
+no ``costs`` until something reads them.  Read afterwards they must equal an eager
 reduction: each source row in its rank order ``_orders``.  The reduced
 instance refers to no ``Instance``, so an instance and
 its results are freed without the cycle collector.  The rounded subsidies,

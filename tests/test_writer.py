@@ -106,14 +106,12 @@ def test_allocation_document_refuses_a_float_extra():
         serialize_allocation(alloc, extra={"score": 0.5})
 
 
-@pytest.mark.parametrize(
-    "key", ["owner", "subsidies", "total_subsidy", "total_subsidy_decimal"]
-)
+@pytest.mark.parametrize("key", ["owner", "subsidies", "total_subsidy"])
 def test_allocation_document_refuses_an_extra_that_overwrites_a_field(key):
     alloc = IntegralAllocation((0, 1))
     subsidies = SubsidyVector(("1/2", "0"))
     with pytest.raises(ModelError, match=repr(key)):
-        serialize_allocation(alloc, subsidies, extra={key: "0"}, decimal_digits=2)
+        serialize_allocation(alloc, subsidies, extra={key: "0"})
 
 
 def test_instance_document_peak_memory_is_a_few_times_its_size():
@@ -142,9 +140,7 @@ def test_writing_documents_leaves_no_cyclic_garbage(kind):
         for method in (TREE, BASELINE):
             result = run_pipeline(inst, method=method)
             result.certificate.to_json()
-            serialize_allocation(
-                result.allocation, result.subsidies, extra={"method": method}, decimal_digits=3
-            )
+            serialize_allocation(result.allocation, result.subsidies, extra={"method": method})
             serialize_instance(inst)
         assert gc.collect() == 0
     finally:

@@ -18,8 +18,9 @@ in each tree, the two trees alternating which goes first:
   reduced instance, its checks included), ``forest`` (the graph, its trees
   and the fractional items), and ``split`` (``split_tree`` on each tree of
   that forest, fresh from ``forest``, so any index a tree keeps is built
-  inside it).  A tree whose reduced instance builds its integer rows only
-  when they are read builds them in ``bid_and_take``, not in ``reduce``;
+  inside it).  A reduced instance keeps no integer rows: ``bid_and_take``
+  builds the rows its scan reads for the run, and a run that keeps its heap
+  builds none;
 - ``split_round``: ``round_tree`` on each tree of ``graph.trees`` of the
   first run's graph, on that run's reduced instance and fractional
   allocation, all read from its ``PipelineResult``;
@@ -28,10 +29,14 @@ in each tree, the two trees alternating which goes first:
   per-tree emit choice, integralize, lift, subsidies and the certificate.
 
 Each rung also records ``kept_mb``, per tree: the memory, in 10^6 bytes,
-that ``tracemalloc`` finds still allocated after ``_fractional_stage`` runs
-on a fresh copy whose integer rows, and nothing else, are already built,
-and a full collection; that is what an instance keeps for its later runs,
-the rank orders included, whichever step sorts them.
+that ``tracemalloc`` finds still allocated after one ``run_pipeline`` on a
+fresh copy whose integer rows, and nothing else, are already built, its
+result dropped, and a full collection; that is what an instance keeps for
+its later runs, whichever step of the run builds it.  Earlier
+``BENCH_*.json`` files measured ``_fractional_stage`` alone; on the code
+they were written from the two measures agree within 0.01 MB (24.650
+against 24.640 MB on 1200×2400 chores), so their figures compare with
+later ones.
 
 Beside the ladder, ``chains`` times ``split_tree`` alone on two families
 of trees, a fresh tree per run, the two source trees alternating:
@@ -222,14 +227,15 @@ def one_run(mods: dict, source, text: str | None = None) -> dict[str, float]:
 
 
 def kept_mb(mods: dict, source) -> float:
-    """Memory, in 10^6 bytes, that ``_fractional_stage`` keeps on a fresh copy
-    of ``source`` whose integer rows are built, after a full collection."""
+    """Memory, in 10^6 bytes, that one ``run_pipeline`` leaves on a fresh copy
+    of ``source`` whose integer rows are built, its result dropped, after a
+    full collection."""
     inst = mods["model"].Instance(source.kind, source.weights, source.costs)
-    inst._rows  # builds the integer rows, and nothing the stage keeps
+    inst._rows  # builds the integer rows, and nothing a run keeps
     gc.collect()
     tracemalloc.start()
     try:
-        mods["rounding"]._fractional_stage(inst)
+        mods["rounding"].run_pipeline(inst)
         gc.collect()
         kept, _ = tracemalloc.get_traced_memory()
     finally:
@@ -393,7 +399,7 @@ def main(argv=None) -> int:
                 "contested section draws CONTESTED_DRAW chores, and the hostile section "
                 "parses primes_document(m, n) of each HOSTILE_RUNGS rung; the change's runs "
                 "faster than the parent's of the same round (wins), and the speed probe around "
-                "each rung (probe); memory the fractional stage keeps, in 10^6 bytes (kept_mb); "
+                "each rung (probe); memory a run keeps on its instance, in 10^6 bytes (kept_mb); "
                 "see tools/ladder.py",
         "environment": {
             "python": platform.python_version(),
